@@ -15,11 +15,10 @@ import json
 import random
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TextIO
 
 from .abelian import FGAbelianGroup, h1, smith_normal_form
-from .combing import DEFAULT_WORD_CAP, comb, theta_decompose, words_equal
+from .combing import DEFAULT_WORD_CAP, center_check, comb, theta_decompose, words_equal
 from .errors import (
     InvalidArgumentError,
     NoUnitCoordinateError,
@@ -44,7 +43,16 @@ from .presentations import (
     export_presentation,
     orbit_presentation,
 )
-from .words import IDENTITY, Letter, Word, exponent_sum, format_word, orbit_gen, parse_word
+from .words import (
+    IDENTITY,
+    Letter,
+    Word,
+    exponent_sum,
+    format_word,
+    orbit_gen,
+    parse_word,
+    word_power,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,27 +74,15 @@ class _UsageError(Exception):
     """A post-parse flag problem; the message names the offending flag."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, validated once up front."""
-
-    command: str
-    group: str = "gn"
-    surface: str | None = None
-    n: int = 1
-    word: str = ""
-    fmt: str = "text"
-    suite: str = ""
-    seed: int = 0
-    word_cap: int = DEFAULT_WORD_CAP
-    abelianized: bool = False
-    strict_corollary: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise _UsageError(f"--n must be a positive integer, got {self.n}")
-        if self.word_cap < 1:
-            raise _UsageError(f"--word-cap must be a positive integer, got {self.word_cap}")
+def _positive_int(text: str) -> int:
+    """argparse type for --n and --word-cap; argparse names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,33 +94,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pres = sub.add_parser("presentation", help="print a presentation of the chosen group")
     pres.add_argument("--group", choices=GROUPS, default="gn")
-    pres.add_argument("--n", type=int, required=True)
+    pres.add_argument("--n", type=_positive_int, required=True)
     pres.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
 
     cmb = sub.add_parser("comb", help="comb a word into its kernel-first normal form")
     cmb.add_argument("--group", choices=GROUPS, default="gn")
-    cmb.add_argument("--n", type=int, required=True)
+    cmb.add_argument("--n", type=_positive_int, required=True)
     cmb.add_argument("--word", required=True)
-    cmb.add_argument("--word-cap", dest="word_cap", type=int, default=DEFAULT_WORD_CAP)
+    cmb.add_argument("--word-cap", dest="word_cap", type=_positive_int, default=DEFAULT_WORD_CAP)
     cmb.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     ver = sub.add_parser("verify", help="run a verification suite; exit 0 iff all checks pass")
     ver.add_argument("--suite", choices=SUITES, required=True)
     ver.add_argument("--group", choices=GROUPS, default="gn")
     ver.add_argument("--surface", choices=("s2", "rp2"), default=None)
-    ver.add_argument("--n", type=int, required=True)
+    ver.add_argument("--n", type=_positive_int, required=True)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--word-cap", dest="word_cap", type=int, default=DEFAULT_WORD_CAP)
+    ver.add_argument("--word-cap", dest="word_cap", type=_positive_int, default=DEFAULT_WORD_CAP)
     ver.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     ab = sub.add_parser("abelianize", help="print H1 of the chosen presentation")
     ab.add_argument("--group", choices=GROUPS, default="gn")
-    ab.add_argument("--n", type=int, required=True)
+    ab.add_argument("--n", type=_positive_int, required=True)
     ab.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     bd = sub.add_parser("boundary", help="boundary images of the pi_2 basis, optionally abelianized")
     bd.add_argument("--surface", choices=("s2", "rp2"), required=True)
-    bd.add_argument("--n", type=int, required=True)
+    bd.add_argument("--n", type=_positive_int, required=True)
     bd.add_argument("--abelianized", action="store_true")
     bd.add_argument("--strict-corollary", dest="strict_corollary", action="store_true")
     bd.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
@@ -153,22 +149,22 @@ def _random_word(rng: random.Random, generators: Sequence, max_length: int) -> W
 # --- commands -------------------------------------------------------------------
 
 
-def cmd_presentation(cfg: RunConfig, out: TextIO) -> int:
-    p = _presentation_for(cfg.group, cfg.n)
-    print(export_presentation(p, cfg.fmt), file=out)
+def cmd_presentation(ns: argparse.Namespace, out: TextIO) -> int:
+    p = _presentation_for(ns.group, ns.n)
+    print(export_presentation(p, ns.fmt), file=out)
     return EXIT_OK
 
 
-def cmd_comb(cfg: RunConfig, out: TextIO) -> int:
-    p = _presentation_for(cfg.group, cfg.n)
-    normal_form = comb(p, _parse_word_flag(cfg.word), cfg.word_cap)
-    levels = list(zip(range(cfg.n, 0, -1), normal_form.levels))
-    if cfg.fmt == "json":
+def cmd_comb(ns: argparse.Namespace, out: TextIO) -> int:
+    p = _presentation_for(ns.group, ns.n)
+    normal_form = comb(p, _parse_word_flag(ns.word), ns.word_cap)
+    levels = list(zip(range(ns.n, 0, -1), normal_form.levels))
+    if ns.fmt == "json":
         payload = {
             "schema_version": 1,
-            "group": cfg.group,
-            "n": cfg.n,
-            "word": cfg.word,
+            "group": ns.group,
+            "n": ns.n,
+            "word": ns.word,
             "levels": [{"level": k, "word": format_word(w)} for k, w in levels],
         }
         print(json.dumps(payload, indent=2), file=out)
@@ -178,13 +174,13 @@ def cmd_comb(cfg: RunConfig, out: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_abelianize(cfg: RunConfig, out: TextIO) -> int:
-    group = h1(_presentation_for(cfg.group, cfg.n))
-    if cfg.fmt == "json":
+def cmd_abelianize(ns: argparse.Namespace, out: TextIO) -> int:
+    group = h1(_presentation_for(ns.group, ns.n))
+    if ns.fmt == "json":
         payload = {
             "schema_version": 1,
-            "group": cfg.group,
-            "n": cfg.n,
+            "group": ns.group,
+            "n": ns.n,
             "free_rank": group.free_rank,
             "torsion": list(group.torsion),
         }
@@ -198,22 +194,22 @@ def _element_json(e: FibreElement) -> dict:
     return {"r_part": format_word(e.r_part), "z_part": list(e.z_part)}
 
 
-def cmd_boundary(cfg: RunConfig, out: TextIO) -> int:
-    surface = Surface(cfg.surface)
-    basis = pi2_basis(surface, cfg.n)
-    images = {label: boundary_image(surface, cfg.n, label) for label in basis}
+def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
+    surface = Surface(ns.surface)
+    basis = pi2_basis(surface, ns.n)
+    images = {label: boundary_image(surface, ns.n, label) for label in basis}
 
     payload: dict = {
         "schema_version": 1,
         "surface": surface.value,
-        "n": cfg.n,
+        "n": ns.n,
         "labels": list(basis.labels),
         "images": {label: _element_json(img) for label, img in images.items()},
     }
     lines = [f"{label} -> {img}" for label, img in images.items()]
 
-    if cfg.abelianized:
-        matrix = boundary_matrix_ab(surface, cfg.n)
+    if ns.abelianized:
+        matrix = boundary_matrix_ab(surface, ns.n)
         factors = smith_normal_form(matrix).d
         payload["matrix"] = matrix.to_rows()
         payload["snf"] = list(factors)
@@ -221,10 +217,10 @@ def cmd_boundary(cfg: RunConfig, out: TextIO) -> int:
         lines.extend(f"  {row}" for row in matrix.to_rows())
         lines.append(f"SNF invariant factors: {tuple(factors)}")
 
-    if cfg.strict_corollary:
+    if ns.strict_corollary:
         final = basis.labels[-1]
-        terse = strict_corollary_image(surface, cfg.n)
-        gap = strict_corollary_discrepancy(surface, cfg.n)
+        terse = strict_corollary_image(surface, ns.n)
+        gap = strict_corollary_discrepancy(surface, ns.n)
         payload["strict_corollary"] = {
             "final_label": final,
             "terse_image": _element_json(terse),
@@ -237,7 +233,7 @@ def cmd_boundary(cfg: RunConfig, out: TextIO) -> int:
         else:
             lines.append(f"strict-corollary check: forms differ by {gap}")
 
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps(payload, indent=2), file=out)
     else:
         for line in lines:
@@ -248,9 +244,9 @@ def cmd_boundary(cfg: RunConfig, out: TextIO) -> int:
 # --- verification suites ----------------------------------------------------------
 
 
-def _suite_relators(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
-    rng = random.Random(cfg.seed)
-    p = _presentation_for(cfg.group, cfg.n)
+def _suite_relators(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+    rng = random.Random(ns.seed)
+    p = _presentation_for(ns.group, ns.n)
     gens = p.generators
     pairs = [
         (_random_word(rng, gens, SUITE_WORD_LENGTH), _random_word(rng, gens, SUITE_WORD_LENGTH))
@@ -260,7 +256,7 @@ def _suite_relators(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
     for idx, relator in enumerate(p.relators):
         bad = ""
         for u, v in pairs:
-            if comb(p, u * relator * v, cfg.word_cap) != comb(p, u * v, cfg.word_cap):
+            if comb(p, u * relator * v, ns.word_cap) != comb(p, u * v, ns.word_cap):
                 bad = f"reproducer: {format_word(u * relator * v)}"
                 break
         checks.append(
@@ -269,47 +265,43 @@ def _suite_relators(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
     return checks, True
 
 
-def _suite_center(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
-    if cfg.group != "gn":
+def _suite_center(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+    if ns.group != "gn":
         raise _UsageError("--suite center applies to --group gn only")
-    p = orbit_presentation(cfg.n)
-    theta = element_Theta(cfg.n)
+    p = orbit_presentation(ns.n)
+    failures = center_check(p, ns.n).commutation_failures
+    theta = element_Theta(ns.n)
     checks = []
     for g in p.generators:
-        word = Word((Letter(g, 1),))
-        conjugated = theta * word * theta.inverse()
-        ok = comb(p, conjugated, cfg.word_cap) == comb(p, word, cfg.word_cap)
-        checks.append(
-            (
-                f"{g}: conjugation by theta fixes the combed form",
-                ok,
-                "" if ok else f"reproducer: {format_word(conjugated)}",
-            )
-        )
+        ok = g not in failures
+        detail = ""
+        if not ok:
+            detail = f"reproducer: {format_word(theta * Word((Letter(g),)) * theta.inverse())}"
+        checks.append((f"{g}: conjugation by theta fixes the combed form", ok, detail))
     return checks, False
 
 
-def _surfaces_for(cfg: RunConfig) -> list[Surface]:
-    if cfg.surface is not None:
-        return [Surface(cfg.surface)]
+def _surfaces_for(ns: argparse.Namespace) -> list[Surface]:
+    if ns.surface is not None:
+        return [Surface(ns.surface)]
     return [Surface.S2, Surface.RP2]
 
 
-def _suite_exactness(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
+def _suite_exactness(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
     checks = []
-    for surface in _surfaces_for(cfg):
-        report = exactness_report(surface, cfg.n)
+    for surface in _surfaces_for(ns):
+        report = exactness_report(surface, ns.n)
         tag = surface.value
         checks.append(
             (
-                f"{tag} n={cfg.n}: boundary matrix rank equals {cfg.n}",
+                f"{tag} n={ns.n}: boundary matrix rank equals {ns.n}",
                 report.injective,
                 "" if report.injective else f"rank is {report.matrix_rank}",
             )
         )
         checks.append(
             (
-                f"{tag} n={cfg.n}: loop rows span the Z^{cfg.n - 1} factor unimodularly",
+                f"{tag} n={ns.n}: loop rows span the Z^{ns.n - 1} factor unimodularly",
                 report.z_factor_saturated,
                 "",
             )
@@ -317,13 +309,13 @@ def _suite_exactness(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]
     return checks, False
 
 
-def _suite_quotient(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
+def _suite_quotient(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
     checks = []
-    for surface in _surfaces_for(cfg):
-        report = quotient_check(surface, cfg.n)
+    for surface in _surfaces_for(ns):
+        report = quotient_check(surface, ns.n)
         checks.append(
             (
-                f"{surface.value} n={cfg.n}: cokernel {report.from_cokernel} "
+                f"{surface.value} n={ns.n}: cokernel {report.from_cokernel} "
                 f"matches presentation H1 {report.from_presentation}",
                 report.agree,
                 "",
@@ -340,19 +332,19 @@ _SPLIT_COEFFS = (
 )
 
 
-def _suite_split(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
-    if cfg.n < 2:
+def _suite_split(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+    if ns.n < 2:
         raise _UsageError("--suite split needs --n of at least 2")
-    vectors = [("diagonal", (1,) * cfg.n)]
-    if cfg.n == 2:
+    vectors = [("diagonal", (1,) * ns.n)]
+    if ns.n == 2:
         vectors.append(("anti-diagonal", (1, -1)))
     checks = []
     for coeff_name, coeff in _SPLIT_COEFFS:
         for vec_name, vector in vectors:
-            report = split_ses_check(coeff, cfg.n, vector)
+            report = split_ses_check(coeff, ns.n, vector)
             checks.append(
                 (
-                    f"coeff {coeff_name}, {vec_name} n={cfg.n}: "
+                    f"coeff {coeff_name}, {vec_name} n={ns.n}: "
                     f"section exact, quotient {report.quotient}",
                     report.ok,
                     "" if report.ok else f"expected quotient {report.expected}",
@@ -361,23 +353,19 @@ def _suite_split(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
     return checks, False
 
 
-def _suite_theta(cfg: RunConfig) -> tuple[list[tuple[str, bool, str]], bool]:
-    if cfg.group != "gn":
+def _suite_theta(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+    if ns.group != "gn":
         raise _UsageError("--suite theta applies to --group gn only")
-    rng = random.Random(cfg.seed)
-    p = orbit_presentation(cfg.n)
-    theta = element_Theta(cfg.n)
+    rng = random.Random(ns.seed)
+    p = orbit_presentation(ns.n)
+    theta = element_Theta(ns.n)
     kernel_functional = orbit_gen(1, 0)
     checks = []
     for idx in range(SUITE_PAIRS):
         w = _random_word(rng, p.generators, SUITE_WORD_LENGTH)
         exponent, remainder = theta_decompose(p, w)
-        power = IDENTITY
-        step = theta if exponent >= 0 else theta.inverse()
-        for _ in range(abs(exponent)):
-            power = power * step
         ok = exponent_sum(remainder, kernel_functional) == 0 and words_equal(
-            p, power * remainder, w, cfg.word_cap
+            p, word_power(theta, exponent) * remainder, w, ns.word_cap
         )
         checks.append(
             (
@@ -399,15 +387,15 @@ _SUITE_RUNNERS = {
 }
 
 
-def cmd_verify(cfg: RunConfig, out: TextIO) -> int:
-    checks, randomized = _SUITE_RUNNERS[cfg.suite](cfg)
+def cmd_verify(ns: argparse.Namespace, out: TextIO) -> int:
+    checks, randomized = _SUITE_RUNNERS[ns.suite](ns)
     all_ok = all(ok for _, ok, _ in checks)
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         payload = {
             "schema_version": 1,
-            "suite": cfg.suite,
-            "n": cfg.n,
-            "seed": cfg.seed if randomized else None,
+            "suite": ns.suite,
+            "n": ns.n,
+            "seed": ns.seed if randomized else None,
             "ok": all_ok,
             "checks": [
                 {"name": name, "ok": ok, **({"detail": detail} if detail else {})}
@@ -417,7 +405,7 @@ def cmd_verify(cfg: RunConfig, out: TextIO) -> int:
         print(json.dumps(payload, indent=2), file=out)
     else:
         if randomized:
-            print(f"seed: {cfg.seed}", file=out)
+            print(f"seed: {ns.seed}", file=out)
         for name, ok, detail in checks:
             suffix = f" ({detail})" if detail else ""
             print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}", file=out)
@@ -440,20 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed a message naming the flag
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            command=ns.command,
-            group=getattr(ns, "group", "gn"),
-            surface=getattr(ns, "surface", None),
-            n=ns.n,
-            word=getattr(ns, "word", ""),
-            fmt=getattr(ns, "fmt", "text"),
-            suite=getattr(ns, "suite", ""),
-            seed=getattr(ns, "seed", 0),
-            word_cap=getattr(ns, "word_cap", DEFAULT_WORD_CAP),
-            abelianized=getattr(ns, "abelianized", False),
-            strict_corollary=getattr(ns, "strict_corollary", False),
-        )
-        return _COMMANDS[cfg.command](cfg, sys.stdout)
+        return _COMMANDS[ns.command](ns, sys.stdout)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

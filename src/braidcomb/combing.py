@@ -28,7 +28,6 @@ from typing import Sequence
 from .errors import InvalidArgumentError, WordSizeExceededError
 from .presentations import Presentation, TowerSpec, action_conjugator, element_Theta
 from .words import (
-    IDENTITY,
     GenFamily,
     GeneratorSymbol,
     Letter,
@@ -37,6 +36,7 @@ from .words import (
     exponent_sum,
     orbit_gen,
     reduce,
+    word_power,
 )
 
 __all__ = [
@@ -406,12 +406,7 @@ def theta_decompose(p: Presentation, w: Word) -> tuple[int, Word]:
     if tower is None or tower.family is not GenFamily.ORBIT:
         raise InvalidArgumentError("theta decomposition needs an orbit tower")
     exponent = exponent_sum(w, orbit_gen(1, 0))
-    theta = element_Theta(tower.n)
-    step = theta.inverse() if exponent > 0 else theta
-    prefix = IDENTITY
-    for _ in range(abs(exponent)):
-        prefix = prefix * step
-    return exponent, prefix * w
+    return exponent, word_power(element_Theta(tower.n), -exponent) * w
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,16 @@ def tau_hat(surface: Surface, n: int) -> FibreElement:
     return FibreElement(surface, n, word, (0,) * (n - 1))
 
 
+def _tau_hat_squared(surface: Surface, n: int) -> FibreElement:
+    half = tau_hat(surface, n)
+    return half * half
+
+
+def _delta_sum(surface: Surface, n: int) -> FibreElement:
+    """The sum of all delta generators: trivial braid part, all-ones vector."""
+    return FibreElement(surface, n, IDENTITY, (1,) * (n - 1))
+
+
 def boundary_image(surface: Surface, n: int, basis_label: str) -> FibreElement:
     """Image of one pi_2 basis class under the boundary map into the fibre.
 
@@ -247,12 +257,10 @@ def boundary_image(surface: Surface, n: int, basis_label: str) -> FibreElement:
         )
     if surface is Surface.RP2:
         if basis_label == "z0":
-            half = element_Theta(n - 1).inverse()
-            return FibreElement(surface, n, half * half, (-1,) * (n - 1))
+            return _tau_hat_squared(surface, n) * _delta_sum(surface, n).inverse()
         return delta_generator(surface, n, basis.labels.index(basis_label))
     if basis_label == "-z0":
-        half = element_full_twist(n - 1).inverse()
-        return FibreElement(surface, n, half * half, (1,) * (n - 1))
+        return _delta_sum(surface, n) * _tau_hat_squared(surface, n).inverse()
     if basis_label == "z0":
         return delta_generator(surface, n, n - 2)
     return delta_generator(surface, n, basis.labels.index(basis_label))
@@ -271,8 +279,7 @@ def strict_corollary_image(surface: Surface, n: int) -> FibreElement:
     _require_n(surface, n)
     if surface is Surface.RP2:
         return boundary_image(surface, n, "z0")
-    half = element_full_twist(n - 1).inverse()
-    return FibreElement(surface, n, half * half, (1,) * (n - 2) + (0,))
+    return boundary_image(surface, n, "-z0") * delta_generator(surface, n, n - 2).inverse()
 
 
 def strict_corollary_discrepancy(surface: Surface, n: int) -> FibreElement:
@@ -341,14 +348,6 @@ def exactness_report(surface: Surface, n: int) -> ExactnessReport:
     return ExactnessReport(surface, n, sf.rank, sf.rank == n, saturated)
 
 
-def _twist_squared(surface: Surface, n: int) -> Word:
-    if surface is Surface.S2:
-        half = element_full_twist(n - 1)
-    else:
-        half = element_Theta(n - 1)
-    return half * half
-
-
 @dataclass(frozen=True)
 class QuotientReport:
     """H1 of the configuration quotient computed along two routes."""
@@ -371,14 +370,15 @@ def quotient_check(surface: Surface, n: int) -> QuotientReport:
     """Compares H1 of the quotient group two independent ways.
 
     Route (a): cokernel of :func:`boundary_matrix_ab`.  Route (b): H1 of
-    the braid factor's presentation with the squared twist adjoined as a
-    relator — the full twist squared for the sphere, Theta squared for the
-    projective plane.  The two must agree as canonical FGAbelianGroup
+    the braid factor's presentation with the braid part of tau_hat squared
+    adjoined as a relator — the full twist squared for the sphere, Theta
+    to the minus two for the projective plane (a relator and its inverse
+    give the same H1).  The two must agree as canonical FGAbelianGroup
     values.
     """
     side_a = cokernel(boundary_matrix_ab(surface, n))
     side_b = h1(
-        quotient_by(fibre_presentation(surface, n), [_twist_squared(surface, n)])
+        quotient_by(fibre_presentation(surface, n), [_tau_hat_squared(surface, n).r_part])
     )
     return QuotientReport(surface, n, side_a, side_b)
 
@@ -562,7 +562,7 @@ def boundary_sum_identity(
         if surface is Surface.S2 and label == "-z0":
             img = img.inverse()
         total = total * img
-    squared = tau_hat(surface, n) * tau_hat(surface, n)
+    squared = _tau_hat_squared(surface, n)
     agree = total.z_part == squared.z_part and words_equal(
         fibre_presentation(surface, n), total.r_part, squared.r_part, word_cap
     )

@@ -41,7 +41,6 @@ from .words import (
 )
 
 __all__ = [
-    "TowerLevel",
     "TowerSpec",
     "Presentation",
     "orbit_presentation",
@@ -62,43 +61,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TowerLevel:
-    """One stage of the semidirect tower: a level and the alphabet it owns."""
-
-    level: int
-    generators: tuple[GeneratorSymbol, ...]
-
-
-@dataclass(frozen=True)
 class TowerSpec:
     """The iterated-semidirect-product shape of a group's generating set.
 
-    Levels are stored in ascending order 1..n; level j owns the generators
-    whose ``level`` property equals j, and the kernel at stage j is free on
-    exactly that alphabet (rank 2j-1 for the orbit tower, j-1 for the pure
-    braid tower).
+    A tower is its generator family and its height ``n``; everything else
+    is derived from those two fields.  Level j (1 <= j <= n) owns the
+    family's generators whose ``level`` property equals j, and the kernel
+    at stage j is free on exactly that alphabet (rank 2j-1 for the orbit
+    tower, j-1 for the pure braid tower).
     """
 
     family: GenFamily
-    levels: tuple[TowerLevel, ...]
+    n: int
 
     def __post_init__(self) -> None:
         if self.family is GenFamily.SURFACE:
             raise InvalidArgumentError("towers are built over the orbit or band alphabets")
-        if not self.levels:
-            raise InvalidArgumentError("a tower needs at least one level")
-        for offset, stage in enumerate(self.levels, start=1):
-            if stage.level != offset:
-                raise InvalidArgumentError("tower levels must run 1..n without gaps")
-            for sym in stage.generators:
-                if sym.family is not self.family or sym.level != stage.level:
-                    raise InvalidArgumentError(
-                        f"generator {sym} does not belong at level {stage.level}"
-                    )
-
-    @property
-    def n(self) -> int:
-        return self.levels[-1].level
+        if self.n < 1:
+            raise InvalidArgumentError(f"a tower needs at least one level, got n={self.n}")
 
     def kernel_rank(self, j: int) -> int:
         """Rank of the free kernel adjoined at stage j."""
@@ -107,27 +87,18 @@ class TowerSpec:
     def alphabet(self, j: int) -> tuple[GeneratorSymbol, ...]:
         if not 1 <= j <= self.n:
             raise InvalidArgumentError(f"no level {j} in a tower of height {self.n}")
-        return self.levels[j - 1].generators
+        if self.family is GenFamily.ORBIT:
+            return tuple(orbit_gen(j, i) for i in range(2 * j - 1))
+        return tuple(band_gen(i, j) for i in range(1, j))
 
     def level_of(self, symbol: GeneratorSymbol) -> int:
         j = symbol.level
-        if not (1 <= j <= self.n and symbol in self.levels[j - 1].generators):
+        if symbol.family is not self.family or not 1 <= j <= self.n:
             raise InvalidArgumentError(f"{symbol} is not a generator of this tower")
         return j
 
     def all_generators(self) -> tuple[GeneratorSymbol, ...]:
-        return tuple(sym for stage in self.levels for sym in stage.generators)
-
-
-def _make_tower(family: GenFamily, n: int) -> TowerSpec:
-    stages = []
-    for j in range(1, n + 1):
-        if family is GenFamily.ORBIT:
-            alphabet = tuple(orbit_gen(j, i) for i in range(2 * j - 1))
-        else:
-            alphabet = tuple(band_gen(i, j) for i in range(1, j))
-        stages.append(TowerLevel(j, alphabet))
-    return TowerSpec(family, tuple(stages))
+        return tuple(sym for j in range(1, self.n + 1) for sym in self.alphabet(j))
 
 
 # --- presentations -----------------------------------------------------------
@@ -136,7 +107,9 @@ def _make_tower(family: GenFamily, n: int) -> TowerSpec:
 @dataclass(frozen=True)
 class Presentation:
     """Generators, relators (each relator r asserts r = identity), and an
-    optional tower describing the semidirect decomposition."""
+    optional tower ``(family, n)`` describing the semidirect decomposition.
+
+    A tower must derive exactly the generators, in the same order."""
 
     generators: tuple[GeneratorSymbol, ...]
     relators: tuple[Word, ...]
@@ -159,7 +132,7 @@ def orbit_presentation(n: int) -> Presentation:
     conjugation relator per ordered pair of levels j < k."""
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    tower = _make_tower(GenFamily.ORBIT, n)
+    tower = TowerSpec(GenFamily.ORBIT, n)
     relators: list[Word] = []
     # Enumeration is (family, j, i, k, l)-lexicographic: family (I) has
     # actors r(j,0), family (II) actors r(j,i) with 1 <= i < j, family (III)
@@ -182,7 +155,7 @@ def artin_presentation(n: int) -> Presentation:
     """The pure braid group on n strands, presented on the bands A(i,j)."""
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    tower = _make_tower(GenFamily.BAND, n)
+    tower = TowerSpec(GenFamily.BAND, n)
     relators: list[Word] = []
     for s in range(2, n + 1):
         for r in range(1, s):
@@ -442,12 +415,7 @@ def _parse_text(source: str) -> Presentation:
     lines = [line.strip() for line in source.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("generators:"):
         raise InvalidArgumentError("text presentation must open with a 'generators:' line")
-    gens = []
-    for token in lines[0][len("generators:") :].split():
-        word = parse_word(token)
-        if len(word) != 1 or word.letters[0].exponent != 1:
-            raise InvalidArgumentError(f"bad generator token {token!r}")
-        gens.append(word.letters[0].symbol)
+    gens = [_symbol_from_text(token) for token in lines[0][len("generators:") :].split()]
     body = lines[1:]
     if body == ["(no relators)"]:
         relators: tuple[Word, ...] = ()
@@ -493,8 +461,7 @@ def _parse_json(source: str) -> Presentation:
     tower_info = payload.get("tower")
     tower = None
     if tower_info is not None:
-        family = GenFamily(tower_info["family"])
-        tower = _make_tower(family, int(tower_info["n"]))
+        tower = TowerSpec(GenFamily(tower_info["family"]), int(tower_info["n"]))
     return Presentation(gens, relators, tower)
 
 

@@ -42,10 +42,10 @@ __all__ = [
     "concat",
     "invert",
     "exponent_sum",
+    "word_power",
     "apply_homomorphism",
     "parse_word",
     "format_word",
-    "format_letter",
 ]
 
 
@@ -213,6 +213,11 @@ def invert(w: Word) -> Word:
 def exponent_sum(w: Word, s: GeneratorSymbol) -> int:
     """Net exponent of the generator s in w."""
     return sum(letter.exponent for letter in w.letters if letter.symbol == s)
+
+
+def word_power(w: Word, k: int) -> Word:
+    """The reduced power w**k; a negative k powers the inverse word."""
+    return reduce((w if k >= 0 else w.inverse()).letters * abs(k))
 
 
 def apply_homomorphism(w: Word, images: Mapping[GeneratorSymbol, Word]) -> Word:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from braidcomb import cli
 from braidcomb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_WORD_CAP, main
 from braidcomb.presentations import orbit_presentation, parse_presentation
+from braidcomb.words import orbit_gen
 
 
 def run(capsys, *argv):
@@ -94,6 +96,14 @@ def test_comb_word_cap_exit_code(capsys):
     )
     assert code == EXIT_WORD_CAP
     assert "length 6" in err and "cap of 5" in err
+
+
+def test_comb_word_cap_zero_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "comb", "--group", "gn", "--n", "2", "--word", "r(1,0)", "--word-cap", "0"
+    )
+    assert code == EXIT_USAGE
+    assert "--word-cap" in err
 
 
 def test_comb_rejects_gap_format(capsys):
@@ -229,6 +239,22 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "center", "--n", "2")
     assert code == EXIT_CHECK_FAILED
     assert "FAIL synthetic check (reproducer: r(1,0))" in out
+
+
+def test_verify_center_formats_library_failures(capsys, monkeypatch):
+    real = cli.center_check
+
+    def one_failure(p, n):
+        return dataclasses.replace(real(p, n), commutation_failures=(orbit_gen(2, 1),))
+
+    monkeypatch.setattr(cli, "center_check", one_failure)
+    code, out, _ = run(capsys, "verify", "--suite", "center", "--n", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert out.count("PASS") == 3
+    assert (
+        "FAIL r(2,1): conjugation by theta fixes the combed form "
+        "(reproducer: r(1,0) r(2,0) r(2,1) r(2,0)^-1 r(1,0)^-1)"
+    ) in out
 
 
 def test_verify_theta_rejects_pn(capsys):

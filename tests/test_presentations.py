@@ -3,9 +3,12 @@ elements, the conjugation-action table, quotients, and serialization."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from braidcomb import (
+    GenFamily,
     InvalidArgumentError,
     MissingImageError,
     band_gen,
@@ -15,6 +18,7 @@ from braidcomb import (
 )
 from braidcomb.presentations import (
     Presentation,
+    TowerSpec,
     action_conjugator,
     artin_presentation,
     element_C,
@@ -102,12 +106,28 @@ def test_orbit_tower_ranks():
     assert tower.level_of(orbit_gen(3, 4)) == 3
     with pytest.raises(InvalidArgumentError):
         tower.level_of(band_gen(1, 2))
+    with pytest.raises(InvalidArgumentError):
+        tower.level_of(orbit_gen(5, 0))
 
 
 def test_artin_tower_ranks():
     tower = artin_presentation(4).tower
     assert [tower.kernel_rank(j) for j in range(1, 5)] == [0, 1, 2, 3]
     assert tower.alphabet(3) == (band_gen(1, 3), band_gen(2, 3))
+
+
+def test_tower_spec_rejects_bad_shapes():
+    with pytest.raises(InvalidArgumentError):
+        TowerSpec(GenFamily.SURFACE, 2)
+    with pytest.raises(InvalidArgumentError):
+        TowerSpec(GenFamily.ORBIT, 0)
+
+
+def test_presentation_rejects_a_tower_of_the_wrong_height():
+    gens = orbit_presentation(2).generators
+    for n in (1, 3):
+        with pytest.raises(InvalidArgumentError):
+            Presentation(gens, (), TowerSpec(GenFamily.ORBIT, n))
 
 
 # --- distinguished elements --------------------------------------------------
@@ -283,6 +303,13 @@ def test_round_trip(fmt):
         assert back.relators == p.relators
         if fmt == "json":
             assert back == p  # tower survives json
+
+
+def test_json_import_rejects_a_tower_of_the_wrong_height():
+    payload = json.loads(export_presentation(orbit_presentation(2), "json"))
+    payload["tower"]["n"] = 3
+    with pytest.raises(InvalidArgumentError):
+        parse_presentation(json.dumps(payload), "json")
 
 
 def test_text_export_shape():

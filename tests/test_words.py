@@ -22,6 +22,7 @@ from braidcomb import (
     parse_word,
     reduce,
     surface_gen,
+    word_power,
 )
 
 R10 = orbit_gen(1, 0)
@@ -109,6 +110,15 @@ def test_exponent_sum():
     assert exponent_sum(w, R10) == 1
     assert exponent_sum(w, R21) == 0
     assert exponent_sum(w, R20) == 0
+
+
+def test_word_power():
+    a, b = L(R20), L(R21)
+    w = Word((a, b, a.inverse()))  # consecutive copies cancel across each join
+    assert word_power(w, 0) == Word()
+    assert word_power(w, 1) == w
+    assert word_power(w, 3) == Word((a, b, b, b, a.inverse()))
+    assert word_power(w, -2) == Word((a, b.inverse(), b.inverse(), a.inverse()))
 
 
 # --- homomorphism application ------------------------------------------------

@@ -3,9 +3,10 @@ finitely generated abelian group values.
 
 Everything here runs on Python's arbitrary-precision integers by design —
 Smith reduction can blow up intermediate entries far past machine range even
-for modest matrices, and these computations back correctness claims, not
-benchmarks.  smith_normal_form re-multiplies its transforms against the
-input before returning, so a wrong answer cannot escape silently.
+for modest matrices.  The benchmark's homology workload times this layer,
+but exactness comes first: smith_normal_form re-multiplies its transforms
+against the input before returning, so a wrong answer cannot escape
+silently.
 """
 
 from __future__ import annotations
@@ -55,8 +56,32 @@ class IntMatrix:
         return cls(rows, cols, tuple(int(x) for row in data for x in row))
 
     @classmethod
+    def from_columns(cls, rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
+        """The rows x len(columns) matrix with the given columns; rows is
+        explicit so that an empty column list still has a height."""
+        if any(len(col) != rows for col in columns):
+            raise InvalidArgumentError(f"every column needs {rows} entries")
+        return cls(
+            rows,
+            len(columns),
+            tuple(int(col[r]) for r in range(rows) for col in columns),
+        )
+
+    @classmethod
+    def diagonal(cls, d: Sequence[int], rows: int, cols: int) -> "IntMatrix":
+        """The rows x cols matrix with d down its main diagonal, zero elsewhere."""
+        if len(d) > min(rows, cols):
+            raise InvalidArgumentError(
+                f"{len(d)} diagonal entries do not fit a {rows}x{cols} matrix"
+            )
+        entries = [0] * (rows * cols)
+        for i, val in enumerate(d):
+            entries[i * cols + i] = int(val)
+        return cls(rows, cols, tuple(entries))
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if r == c else 0 for r in range(n) for c in range(n)))
+        return cls.diagonal((1,) * n, n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -72,11 +97,7 @@ class IntMatrix:
         return [list(self.row(r)) for r in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(r, c) for c in range(self.cols) for r in range(self.rows)),
-        )
+        return IntMatrix.from_columns(self.cols, self.to_rows())
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -113,13 +134,6 @@ class SmithForm:
         if self.d and self.d[-1] <= 0:
             raise InvalidArgumentError(f"invariant factors must be positive: {self.d}")
 
-    def diagonal_matrix(self) -> IntMatrix:
-        rows, cols = self.U.rows, self.V.cols
-        entries = [0] * (rows * cols)
-        for i, val in enumerate(self.d):
-            entries[i * cols + i] = val
-        return IntMatrix(rows, cols, tuple(entries))
-
 
 @dataclass(frozen=True)
 class FGAbelianGroup:
@@ -142,18 +156,8 @@ class FGAbelianGroup:
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         """Direct sum, re-canonicalized into a single divisibility chain."""
         merged = self.torsion + other.torsion
-        if not merged:
-            return FGAbelianGroup(self.free_rank + other.free_rank)
-        diag = IntMatrix(
-            len(merged),
-            len(merged),
-            tuple(
-                merged[r] if r == c else 0
-                for r in range(len(merged))
-                for c in range(len(merged))
-            ),
-        )
-        chain = tuple(x for x in smith_normal_form(diag).d if x > 1)
+        k = len(merged)
+        chain = cokernel(IntMatrix.diagonal(merged, k, k)).torsion
         return FGAbelianGroup(self.free_rank + other.free_rank, chain)
 
     def __str__(self) -> str:
@@ -264,11 +268,10 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     form = SmithForm(
         d=tuple(a[i][i] for i in range(rank)),
         rank=rank,
-        U=IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()),
-        V=IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ()),
+        U=IntMatrix.from_rows(u),
+        V=IntMatrix.from_rows(v),
     )
-    check = form.U @ m @ form.V if rows and cols else IntMatrix.zeros(rows, cols)
-    if check != form.diagonal_matrix():
+    if form.U @ m @ form.V != IntMatrix.diagonal(form.d, rows, cols):
         raise AssertionError("smith reduction failed its multiply-back verification")
     return form
 
@@ -320,7 +323,4 @@ def hom_on_h1(
             if sym not in known:
                 raise MissingImageError(sym)
         columns.append([exponent_sum(image, t) for t in target_gens])
-    entries = tuple(
-        columns[c][r] for r in range(len(target_gens)) for c in range(len(columns))
-    )
-    return IntMatrix(len(target_gens), len(source.generators), entries)
+    return IntMatrix.from_columns(len(target_gens), columns)

@@ -140,6 +140,8 @@ def _parse_word_flag(text: str) -> Word:
 
 
 def _random_word(rng: random.Random, generators: Sequence, max_length: int) -> Word:
+    if not generators:  # P_1 has no generators; only the identity is a word
+        return IDENTITY
     w = IDENTITY
     for _ in range(rng.randint(0, max_length)):
         w = w * Word((Letter(rng.choice(generators), rng.choice((1, -1))),))
@@ -203,7 +205,7 @@ def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
         "schema_version": 1,
         "surface": surface.value,
         "n": ns.n,
-        "labels": list(basis.labels),
+        "labels": list(basis),
         "images": {label: _element_json(img) for label, img in images.items()},
     }
     lines = [f"{label} -> {img}" for label, img in images.items()]
@@ -218,7 +220,7 @@ def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
         lines.append(f"SNF invariant factors: {tuple(factors)}")
 
     if ns.strict_corollary:
-        final = basis.labels[-1]
+        final = basis[-1]
         terse = strict_corollary_image(surface, ns.n)
         gap = strict_corollary_discrepancy(surface, ns.n)
         payload["strict_corollary"] = {
@@ -269,7 +271,7 @@ def _suite_center(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], 
     if ns.group != "gn":
         raise _UsageError("--suite center applies to --group gn only")
     p = orbit_presentation(ns.n)
-    failures = center_check(p, ns.n).commutation_failures
+    failures = center_check(p).commutation_failures
     theta = element_Theta(ns.n)
     checks = []
     for g in p.generators:

@@ -199,12 +199,6 @@ class _Comber:
         self.symbols = tower.all_generators()
         self.ids = {s: i + 1 for i, s in enumerate(self.symbols)}
         self.level_of = [0] + [s.level for s in self.symbols]
-        base = [0] * (tower.n + 1)
-        next_id = 1
-        for k in range(1, tower.n + 1):
-            base[k] = next_id
-            next_id += tower.kernel_rank(k)
-        self._base = base
         self._rev_images: dict[tuple[int, int], tuple[int, ...]] = {}
         self._psi: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
@@ -237,7 +231,7 @@ class _Comber:
             return cached
         actor = self.symbols[actor_id - 1]
         targets = self.tower.alphabet(k)
-        shift = self._base[k] - 1
+        shift = self.ids[targets[0]] - 1
         localize = lambda v: v - shift if v > 0 else v + shift  # noqa: E731
         forward = [
             tuple(localize(v) for v in self.encode(self._forward_image(actor, t)))
@@ -429,18 +423,18 @@ class CenterReport:
         return self.theta_commutes and self.all_witnessed
 
 
-def center_check(p: Presentation, n: int, witness_budget: int = 8) -> CenterReport:
-    """Verify Theta_n is central and every non-Theta generator is not.
+def center_check(p: Presentation, witness_budget: int = 8) -> CenterReport:
+    """Verify Theta_n is central and every non-Theta generator is not,
+    where n is the height of p's orbit tower.
 
     For each generator g that is not a power of Theta, search up to
     witness_budget candidate generators h for one with gh != hg; a None
     witness in the report means none was found within budget.
     """
     tower = p.tower
-    if tower is None or tower.family is not GenFamily.ORBIT or tower.n != n:
-        raise InvalidArgumentError(
-            f"centre check needs the orbit presentation at n={n}"
-        )
+    if tower is None or tower.family is not GenFamily.ORBIT:
+        raise InvalidArgumentError("centre check needs an orbit presentation")
+    n = tower.n
     theta = element_Theta(n)
     failures = []
     for g in p.generators:

@@ -167,39 +167,17 @@ def fibre_elements_equal(
     return words_equal(fibre_presentation(a.surface, a.n), a.r_part, b.r_part, word_cap)
 
 
-@dataclass(frozen=True)
-class Pi2Basis:
+def pi2_basis(surface: Surface, n: int) -> tuple[str, ...]:
     """Ordered labels for a basis of pi_2 of the n-fold product.
 
     Sphere: one label per movable basepoint, ``x0`` .. ``x{n-3}``, then
     ``z0`` and its antipode ``-z0``.  Projective plane: ``x0`` .. ``x{n-2}``
     and the single ``z0``.  Always exactly n labels.
     """
-
-    surface: Surface
-    n: int
-
-    def __post_init__(self) -> None:
-        _require_n(self.surface, self.n)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        if self.surface is Surface.S2:
-            return tuple(f"x{i}" for i in range(self.n - 2)) + ("z0", "-z0")
-        return tuple(f"x{i}" for i in range(self.n - 1)) + ("z0",)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __contains__(self, label: object) -> bool:
-        return label in self.labels
-
-
-def pi2_basis(surface: Surface, n: int) -> Pi2Basis:
-    return Pi2Basis(surface, n)
+    _require_n(surface, n)
+    if surface is Surface.S2:
+        return tuple(f"x{i}" for i in range(n - 2)) + ("z0", "-z0")
+    return tuple(f"x{i}" for i in range(n - 1)) + ("z0",)
 
 
 def delta_generator(surface: Surface, n: int, i: int) -> FibreElement:
@@ -258,12 +236,12 @@ def boundary_image(surface: Surface, n: int, basis_label: str) -> FibreElement:
     if surface is Surface.RP2:
         if basis_label == "z0":
             return _tau_hat_squared(surface, n) * _delta_sum(surface, n).inverse()
-        return delta_generator(surface, n, basis.labels.index(basis_label))
+        return delta_generator(surface, n, basis.index(basis_label))
     if basis_label == "-z0":
         return _delta_sum(surface, n) * _tau_hat_squared(surface, n).inverse()
     if basis_label == "z0":
         return delta_generator(surface, n, n - 2)
-    return delta_generator(surface, n, basis.labels.index(basis_label))
+    return delta_generator(surface, n, basis.index(basis_label))
 
 
 def strict_corollary_image(surface: Surface, n: int) -> FibreElement:
@@ -288,7 +266,7 @@ def strict_corollary_discrepancy(surface: Surface, n: int) -> FibreElement:
     Identity over the projective plane; the delta generator in the ``z0``
     slot over the sphere.
     """
-    final = pi2_basis(surface, n).labels[-1]
+    final = pi2_basis(surface, n)[-1]
     return boundary_image(surface, n, final) * strict_corollary_image(surface, n).inverse()
 
 
@@ -311,10 +289,7 @@ def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
         columns.append(
             list(img.z_part) + [exponent_sum(img.r_part, g) for g in gens]
         )
-    height = n - 1 + len(gens)
-    return IntMatrix.from_rows(
-        [[col[r] for col in columns] for r in range(height)]
-    )
+    return IntMatrix.from_columns(n - 1 + len(gens), columns)
 
 
 @dataclass(frozen=True)
@@ -486,10 +461,7 @@ def split_ses_check(
         for c in range(n):
             col[c * gsize + a] = vec[c]
         columns.append(col)
-    rel = IntMatrix.from_rows(
-        [[col[r] for col in columns] for r in range(total)]
-    )
-    quotient = cokernel(rel)
+    quotient = cokernel(IntMatrix.from_columns(total, columns))
     expected = reduce(FGAbelianGroup.direct_sum, [coeff] * (n - 1))
     return SplitReport(coeff, n, vec, unit_at, section_ok, quotient, expected)
 

@@ -130,52 +130,43 @@ class Presentation:
 def orbit_presentation(n: int) -> Presentation:
     """The orbit braid group on n points: n**2 generators r(j,i) and one
     conjugation relator per ordered pair of levels j < k."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
     tower = TowerSpec(GenFamily.ORBIT, n)
-    relators: list[Word] = []
-    # Enumeration is (family, j, i, k, l)-lexicographic: family (I) has
+    gens = tower.all_generators()
+    # Relators run (family, j, i, k, l)-lexicographically: family (I) has
     # actors r(j,0), family (II) actors r(j,i) with 1 <= i < j, family (III)
     # actors r(j,i) with j <= i <= 2j-2.
-    actor_families = (
-        [(j, 0) for j in range(1, n + 1)],
-        [(j, i) for j in range(1, n + 1) for i in range(1, j)],
-        [(j, i) for j in range(1, n + 1) for i in range(j, 2 * j - 1)],
+    actors = (
+        [g for g in gens if g.indices[1] == 0]
+        + [g for g in gens if 0 < g.indices[1] < g.level]
+        + [g for g in gens if g.indices[1] >= g.level]
     )
-    for actors in actor_families:
-        for j, i in actors:
-            actor = orbit_gen(j, i)
-            for k in range(j + 1, n + 1):
-                for l in range(2 * k - 1):
-                    relators.append(_conjugation_relator(actor, orbit_gen(k, l)))
-    return Presentation(tower.all_generators(), tuple(relators), tower)
+    return _tower_presentation(tower, actors)
 
 
 def artin_presentation(n: int) -> Presentation:
     """The pure braid group on n strands, presented on the bands A(i,j)."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
     tower = TowerSpec(GenFamily.BAND, n)
-    relators: list[Word] = []
-    for s in range(2, n + 1):
-        for r in range(1, s):
-            actor = band_gen(r, s)
-            for k in range(s + 1, n + 1):
-                for i in range(1, k):
-                    relators.append(_conjugation_relator(actor, band_gen(i, k)))
-    return Presentation(tower.all_generators(), tuple(relators), tower)
+    return _tower_presentation(tower, tower.all_generators())
+
+
+def _tower_presentation(
+    tower: TowerSpec, actors: Sequence[GeneratorSymbol]
+) -> Presentation:
+    """One conjugation relator per (actor, target) with the target at a
+    higher level, actors in the given order, targets level by level."""
+    relators = tuple(
+        _conjugation_relator(actor, target)
+        for actor in actors
+        for k in range(actor.level + 1, tower.n + 1)
+        for target in tower.alphabet(k)
+    )
+    return Presentation(tower.all_generators(), relators, tower)
 
 
 def quotient_by(p: Presentation, extra: Iterable[Word]) -> Presentation:
     """p with extra relators imposed; the tower is dropped (quotients are
     presentations only, not combable groups)."""
-    extra_relators = tuple(extra)
-    known = set(p.generators)
-    for word in extra_relators:
-        for sym in word.symbols():
-            if sym not in known:
-                raise MissingImageError(sym)
-    return Presentation(p.generators, p.relators + extra_relators, tower=None)
+    return Presentation(p.generators, p.relators + tuple(extra), tower=None)
 
 
 def _conjugation_relator(actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:
@@ -440,6 +431,8 @@ def _export_json(p: Presentation) -> str:
 
 
 def _symbol_from_text(token: str) -> GeneratorSymbol:
+    if not isinstance(token, str):  # json import hands over raw values
+        raise InvalidArgumentError(f"bad generator token {token!r}")
     word = parse_word(token)
     if len(word) != 1 or word.letters[0].exponent != 1:
         raise InvalidArgumentError(f"bad generator token {token!r}")
@@ -453,16 +446,40 @@ def _parse_json(source: str) -> Presentation:
         raise InvalidArgumentError(f"malformed json: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema_version") != 1:
         raise InvalidArgumentError("expected a schema_version 1 presentation object")
-    gens = tuple(_symbol_from_text(tok) for tok in payload["generators"])
+    gens = tuple(
+        _symbol_from_text(tok) for tok in _json_list(payload.get("generators"), "generators")
+    )
     relators = tuple(
-        reduce(Letter(_symbol_from_text(sym), exp) for sym, exp in letters)
-        for letters in payload["relators"]
+        reduce(_json_letter(item) for item in _json_list(letters, "a relator"))
+        for letters in _json_list(payload.get("relators"), "relators")
     )
     tower_info = payload.get("tower")
-    tower = None
-    if tower_info is not None:
-        tower = TowerSpec(GenFamily(tower_info["family"]), int(tower_info["n"]))
+    tower = None if tower_info is None else _json_tower(tower_info)
     return Presentation(gens, relators, tower)
+
+
+def _json_list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidArgumentError(f"json presentation: {what} must be a list, got {value!r}")
+    return value
+
+
+def _json_letter(item: object) -> Letter:
+    if not isinstance(item, list) or len(item) != 2 or type(item[1]) is not int:
+        raise InvalidArgumentError(
+            f"json relator letters are [generator, exponent] pairs, got {item!r}"
+        )
+    return Letter(_symbol_from_text(item[0]), item[1])
+
+
+def _json_tower(info: object) -> TowerSpec:
+    if not isinstance(info, dict) or type(info.get("n")) is not int:
+        raise InvalidArgumentError(f"json tower must give an integer n, got {info!r}")
+    try:
+        family = GenFamily(info.get("family"))
+    except ValueError:
+        raise InvalidArgumentError(f"unknown tower family {info.get('family')!r}") from None
+    return TowerSpec(family, info["n"])
 
 
 def _gap_name(symbol: GeneratorSymbol) -> str:

@@ -51,6 +51,22 @@ def test_matmul_and_transpose():
         a @ M([[1, 2, 3]])
 
 
+def test_from_columns_keeps_empty_shapes():
+    assert IntMatrix.from_columns(2, [[1, 3], [2, 4]]) == M([[1, 2], [3, 4]])
+    assert IntMatrix.from_columns(3, []) == IntMatrix.zeros(3, 0)
+    assert IntMatrix.from_columns(0, [[], []]) == IntMatrix.zeros(0, 2)
+    with pytest.raises(InvalidArgumentError):
+        IntMatrix.from_columns(2, [[1, 2], [3]])
+
+
+def test_rectangular_diagonal():
+    assert IntMatrix.diagonal((2, 6), 2, 3) == M([[2, 0, 0], [0, 6, 0]])
+    assert IntMatrix.diagonal((5,), 3, 2) == M([[5, 0], [0, 0], [0, 0]])
+    assert IntMatrix.diagonal((), 2, 2) == IntMatrix.zeros(2, 2)
+    with pytest.raises(InvalidArgumentError):
+        IntMatrix.diagonal((1, 2), 3, 1)
+
+
 # --- Smith normal form ---------------------------------------------------------
 
 
@@ -155,6 +171,7 @@ def test_direct_sum_recanonicalizes():
     two = FGAbelianGroup(0, (2,))
     assert two.direct_sum(two) == FGAbelianGroup(0, (2, 2))
     assert FGAbelianGroup(2).direct_sum(FGAbelianGroup(3)) == FGAbelianGroup(5)
+    assert FGAbelianGroup(0).direct_sum(FGAbelianGroup(0)) == FGAbelianGroup(0)
 
 
 def test_group_printing():

@@ -244,8 +244,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_center_formats_library_failures(capsys, monkeypatch):
     real = cli.center_check
 
-    def one_failure(p, n):
-        return dataclasses.replace(real(p, n), commutation_failures=(orbit_gen(2, 1),))
+    def one_failure(p):
+        return dataclasses.replace(real(p), commutation_failures=(orbit_gen(2, 1),))
 
     monkeypatch.setattr(cli, "center_check", one_failure)
     code, out, _ = run(capsys, "verify", "--suite", "center", "--n", "2")
@@ -255,6 +255,18 @@ def test_verify_center_formats_library_failures(capsys, monkeypatch):
         "FAIL r(2,1): conjugation by theta fixes the combed form "
         "(reproducer: r(1,0) r(2,0) r(2,1) r(2,0)^-1 r(1,0)^-1)"
     ) in out
+
+
+def test_verify_relators_on_p1_reports_no_checks(capsys):
+    # P_1 has no generators and no relators: an empty, passing report.
+    code, out, _ = run(capsys, "verify", "--suite", "relators", "--group", "pn", "--n", "1")
+    assert code == EXIT_OK
+    assert out == "seed: 0\n"
+    code, out, _ = run(
+        capsys, "verify", "--suite", "relators", "--group", "pn", "--n", "1", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["checks"] == []
 
 
 def test_verify_theta_rejects_pn(capsys):

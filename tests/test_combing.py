@@ -381,14 +381,14 @@ def test_theta_decompose_is_a_retraction(w):
 
 
 def test_center_check_n1():
-    report = center_check(orbit_presentation(1), 1)
+    report = center_check(orbit_presentation(1))
     assert report.ok
     assert report.theta_powers == (orbit_gen(1, 0),)
     assert report.witnesses == ()
 
 
 def test_center_check_n2_witnesses():
-    report = center_check(G2, 2)
+    report = center_check(G2)
     assert isinstance(report, CenterReport)
     assert report.ok
     assert report.theta_commutes
@@ -400,13 +400,11 @@ def test_center_check_n2_witnesses():
 
 
 def test_center_check_n3():
-    report = center_check(G3, 3)
+    report = center_check(G3)
     assert report.ok
     assert len(report.witnesses) == 9
 
 
 def test_center_check_validates_presentation():
     with pytest.raises(InvalidArgumentError):
-        center_check(G3, 2)
-    with pytest.raises(InvalidArgumentError):
-        center_check(P4, 4)
+        center_check(P4)

@@ -3,6 +3,7 @@ elements, the conjugation-action table, quotients, and serialization."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -310,6 +311,36 @@ def test_json_import_rejects_a_tower_of_the_wrong_height():
     payload["tower"]["n"] = 3
     with pytest.raises(InvalidArgumentError):
         parse_presentation(json.dumps(payload), "json")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: d["tower"].update(family="q"), id="unknown-family"),
+        pytest.param(lambda d: d["tower"].update(n="two"), id="non-integer-n"),
+        pytest.param(lambda d: d.pop("generators"), id="missing-generators"),
+        pytest.param(lambda d: d["relators"][0].__setitem__(0, ["r(2,0)"]), id="bad-letter"),
+    ],
+)
+def test_json_import_raises_typed_errors(edit):
+    payload = json.loads(export_presentation(orbit_presentation(2), "json"))
+    edit(payload)
+    with pytest.raises(InvalidArgumentError):
+        parse_presentation(json.dumps(payload), "json")
+
+
+# sha256 of the text exports of G_4 and P_5.  Export bytes and seeded
+# relator sampling depend on the relator order, so a reordering shows here.
+PINNED_EXPORT_SHA256 = {
+    "G4": "48b03e4aecde1cb27fb86418c3a21b466c15543b0007884a3beb51268d55b2f2",
+    "P5": "046604c66acae1cc0e20d9c0008dc2b3aff350d049f20ea9bd4eba704fb8f48c",
+}
+
+
+def test_relator_order_is_pinned():
+    for name, p in (("G4", orbit_presentation(4)), ("P5", artin_presentation(5))):
+        text = export_presentation(p, "text")
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXPORT_SHA256[name]
 
 
 def test_text_export_shape():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -26,6 +28,7 @@ from braidcomb.presentations import (
     orbit_presentation,
     quotient_by,
 )
+from braidcomb.words import Letter, exponent_sum, reduce
 
 
 def M(rows):
@@ -49,6 +52,38 @@ def test_matmul_and_transpose():
     assert a.transpose() == M([[1, 3], [2, 4]])
     with pytest.raises(InvalidArgumentError):
         a @ M([[1, 2, 3]])
+
+
+# Mostly zeros, as in the relation matrices and Smith transforms.
+_sparse_entries = st.sampled_from([0] * 19 + list(range(-9, 10)))
+
+
+def _sparse_matrix(rows, cols):
+    return st.lists(_sparse_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: IntMatrix(rows, cols, tuple(entries))
+    )
+
+
+_matmul_pairs = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: st.tuples(_sparse_matrix(shape[0], shape[1]), _sparse_matrix(shape[1], shape[2]))
+)
+
+
+def _sympy(m):
+    return Matrix(m.rows, m.cols, list(m.entries))
+
+
+@settings(deadline=None)
+@given(_matmul_pairs)
+@example((IntMatrix.zeros(0, 3), M([[1, 0], [0, 0], [2, -1]])))
+@example((M([[1, 2, 0], [0, 0, 3]]), IntMatrix.zeros(3, 0)))
+@example((IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 3)))
+@example((M([[2**70, 0, -3], [0, 2**65 + 1, 0]]), M([[0, 2**64 + 7], [-(2**66), 0], [5, 1]])))
+def test_matmul_is_exact(pair):
+    a, b = pair
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert _sympy(product) == _sympy(a) * _sympy(b)
 
 
 def test_from_columns_keeps_empty_shapes():
@@ -95,6 +130,16 @@ def test_snf_empty_shapes():
     assert smith_normal_form(IntMatrix(0, 0, ())).d == ()
     assert smith_normal_form(IntMatrix.zeros(0, 3)).d == ()
     assert smith_normal_form(IntMatrix.zeros(3, 0)).d == ()
+
+
+def test_snf_multiply_back_check_is_live(monkeypatch):
+    # Transforms that start as 2*I instead of I give U @ m @ V = 4 * diag(d),
+    # which only the multiply-back check can notice.
+    monkeypatch.setattr(
+        IntMatrix, "identity", classmethod(lambda cls, n: cls.diagonal((2,) * n, n, n))
+    )
+    with pytest.raises(AssertionError):
+        smith_normal_form(M([[2]]))
 
 
 def test_smithform_rejects_broken_chain():
@@ -147,6 +192,25 @@ def test_cokernel_examples():
     assert cokernel(IntMatrix.zeros(2, 2)) == FGAbelianGroup(2)
 
 
+def _reference_cokernel(rows):
+    factors = [abs(x) for x in invariant_factors(Matrix(rows)) if x != 0]
+    return FGAbelianGroup(len(rows) - len(factors), tuple(d for d in factors if d > 1))
+
+
+@settings(deadline=None)
+@given(_small_matrices, st.integers(0, 3), st.randoms())
+def test_cokernel_ignores_zero_and_repeated_columns(rows, zero_columns, rng):
+    columns = [list(col) for col in zip(*rows)]
+    extra = [[0] * len(rows)] * zero_columns + [
+        rng.choice(columns) for _ in range(rng.randint(1, 4))
+    ]
+    rng.shuffle(extra)
+    padded = IntMatrix.from_columns(len(rows), columns + extra)
+    expected = _reference_cokernel(rows)
+    assert cokernel(M(rows)) == expected
+    assert cokernel(padded) == expected
+
+
 def test_has_torsion():
     assert has_torsion(FGAbelianGroup(0, (2,)))
     assert not has_torsion(FGAbelianGroup(5))
@@ -197,6 +261,23 @@ def test_relation_matrix_of_theta_quotient():
     assert m.row(3) == (2, 2, 0, 0)  # ordered (r(1,0), r(2,0), r(2,1), r(2,2))
 
 
+def _seeded_word(gens, seed, length):
+    rng = random.Random(seed)
+    return reduce(Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(length))
+
+
+def test_relation_matrix_matches_per_pair_exponent_sums():
+    g3 = orbit_presentation(3)
+    w = _seeded_word(g3.generators, seed=4, length=12)
+    assert any(exponent_sum(w, g) for g in g3.generators)
+    for p in (orbit_presentation(4), artin_presentation(5), quotient_by(g3, [w])):
+        m = relation_matrix(p)
+        assert (m.rows, m.cols) == (len(p.relators), len(p.generators))
+        assert m.entries == tuple(
+            exponent_sum(relator, g) for relator in p.relators for g in p.generators
+        )
+
+
 def test_relation_matrix_of_empty_presentation():
     m = relation_matrix(Presentation((), ()))
     assert (m.rows, m.cols) == (0, 0)
@@ -205,7 +286,7 @@ def test_relation_matrix_of_empty_presentation():
 def test_h1_values():
     assert h1(orbit_presentation(3)) == FGAbelianGroup(9)
     assert h1(artin_presentation(3)) == FGAbelianGroup(3)
-    for n in range(1, 5):
+    for n in (1, 2, 3, 4, 8):
         theta_sq = element_Theta(n) * element_Theta(n)
         q = quotient_by(orbit_presentation(n), [theta_sq])
         assert h1(q) == FGAbelianGroup(n * n - 1, (2,))

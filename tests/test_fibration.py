@@ -189,9 +189,10 @@ def test_quotient_check_pins():
         assert report.agree
         assert report.from_cokernel == Z2
 
-    report = quotient_check(RP2, 3)
-    assert report.agree
-    assert report.from_cokernel == FGAbelianGroup(3, (2,))
+    for n, expected in ((3, FGAbelianGroup(3, (2,))), (8, FGAbelianGroup(48, (2,)))):
+        report = quotient_check(RP2, n)
+        assert report.agree
+        assert report.from_cokernel == expected
 
 
 def test_quotient_check_agreement_up_to_five():

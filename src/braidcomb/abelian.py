@@ -17,7 +17,7 @@ before it reduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
 from .words import GeneratorSymbol, Word, exponent_sum
@@ -304,28 +304,31 @@ def relation_matrix(p) -> IntMatrix:
     return IntMatrix(len(p.relators), width, tuple(entries))
 
 
-def cokernel(m: IntMatrix) -> FGAbelianGroup:
-    """Z^rows modulo the column space of m.
+def _cokernel_of_columns(rows: int, columns: Iterable[tuple[int, ...]]) -> FGAbelianGroup:
+    """Z^rows modulo the span of the given columns.
 
-    Zero columns and repeats of an earlier column add nothing to the column
-    space, so they are dropped before the Smith reduction; the reduction and
+    Zero columns and repeats of an earlier column add nothing to the span,
+    so they are dropped before any matrix is built; the Smith reduction and
     its multiply-back check then run on the columns that are left.
     """
-    columns = [
-        col
-        for col in dict.fromkeys(m.entries[c :: m.cols] for c in range(m.cols))
-        if any(col)
-    ]
-    if not columns:
-        return FGAbelianGroup(m.rows)
-    form = smith_normal_form(IntMatrix.from_columns(m.rows, columns))
+    kept = [col for col in dict.fromkeys(columns) if any(col)]
+    if not kept:
+        return FGAbelianGroup(rows)
+    form = smith_normal_form(IntMatrix.from_columns(rows, kept))
     torsion = tuple(d for d in form.d if d > 1)
-    return FGAbelianGroup(m.rows - form.rank, torsion)
+    return FGAbelianGroup(rows - form.rank, torsion)
+
+
+def cokernel(m: IntMatrix) -> FGAbelianGroup:
+    """Z^rows modulo the column space of m."""
+    return _cokernel_of_columns(m.rows, (m.entries[c :: m.cols] for c in range(m.cols)))
 
 
 def h1(p) -> FGAbelianGroup:
-    """First homology (abelianization) of a presented group."""
-    return cokernel(relation_matrix(p).transpose())
+    """First homology (abelianization) of a presented group: Z^generators
+    modulo the span of the relation matrix's rows."""
+    m = relation_matrix(p)
+    return _cokernel_of_columns(m.cols, (m.row(r) for r in range(m.rows)))
 
 
 def hom_on_h1(

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from typing import TextIO
 
 from .abelian import FGAbelianGroup, h1, smith_normal_form
-from .combing import DEFAULT_WORD_CAP, center_check, comb, theta_decompose, words_equal
+from .combing import center_check, comb, theta_decompose, words_equal
 from .errors import (
     InvalidArgumentError,
     NoUnitCoordinateError,
@@ -44,6 +44,7 @@ from .presentations import (
     orbit_presentation,
 )
 from .words import (
+    DEFAULT_WORD_CAP,
     IDENTITY,
     Letter,
     Word,
@@ -132,9 +133,9 @@ def _presentation_for(group: str, n: int) -> Presentation:
     return orbit_presentation(n) if group == "gn" else artin_presentation(n)
 
 
-def _parse_word_flag(text: str) -> Word:
+def _parse_word_flag(text: str, word_cap: int) -> Word:
     try:
-        return parse_word(text)
+        return parse_word(text, word_cap)
     except InvalidArgumentError as exc:
         raise _UsageError(f"--word is not a valid word: {exc}") from exc
 
@@ -159,7 +160,7 @@ def cmd_presentation(ns: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_comb(ns: argparse.Namespace, out: TextIO) -> int:
     p = _presentation_for(ns.group, ns.n)
-    normal_form = comb(p, _parse_word_flag(ns.word), ns.word_cap)
+    normal_form = comb(p, _parse_word_flag(ns.word, ns.word_cap), ns.word_cap)
     levels = list(zip(range(ns.n, 0, -1), normal_form.levels))
     if ns.fmt == "json":
         payload = {

@@ -14,8 +14,18 @@ relations (action_conjugator).  A negative actor needs the inverse of that
 automorphism of the level-k free group; it is recovered once per
 (actor, level) pair by Nielsen-reducing the forward images while mirroring
 every move on expression words, then verified by composing back to the
-identity substitution.  Everything is memoized per tower, and words are
-encoded as signed integers internally so the hot loops touch no objects.
+identity substitution.  Each actor letter has one action table, {target:
+image}, filled on demand and kept per tower; conjugating a level word
+fetches the actor's table once and cancels each image against the output
+only where the two meet, since both are freely reduced.
+
+Words are encoded as signed integers from the input to the output, so the
+hot loops touch no objects.  The engine's output is checked on integers
+for the invariants Word and NormalForm enforce (every letter on its
+component's level, no adjacent x x^-1) and then decoded through one shared
+Letter per signed generator, without validating it again, so comparing
+two combed forms is mostly identity checks; is_identity reads the checked
+integers and decodes nothing.
 """
 
 from __future__ import annotations
@@ -23,15 +33,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import add
 from typing import Sequence
 
 from .errors import InvalidArgumentError, WordSizeExceededError
 from .presentations import Presentation, TowerSpec, action_conjugator, element_Theta
 from .words import (
+    DEFAULT_WORD_CAP,
     GenFamily,
     GeneratorSymbol,
     Letter,
     Word,
+    _trusted,
     apply_homomorphism,
     exponent_sum,
     orbit_gen,
@@ -53,9 +67,6 @@ __all__ = [
     "theta_decompose",
     "center_check",
 ]
-
-DEFAULT_WORD_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class NormalForm:
@@ -199,7 +210,21 @@ class _Comber:
         self.symbols = tower.all_generators()
         self.ids = {s: i + 1 for i, s in enumerate(self.symbols)}
         self.level_of = [0] + [s.level for s in self.symbols]
-        self._rev_images: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Level k owns the ids bounds[k][0] .. bounds[k][1]; first > last
+        # when its alphabet is empty.
+        self.bounds = [(1, 0)]
+        for k in range(1, tower.n + 1):
+            first = self.bounds[-1][1] + 1
+            self.bounds.append((first, first + tower.kernel_rank(k) - 1))
+        # letters[v] is the shared Letter of the signed id v: positive ids
+        # index from the front, negative ones from the back.
+        self.letters = (
+            None,
+            *(Letter(s) for s in self.symbols),
+            *(Letter(s, -1) for s in reversed(self.symbols)),
+        )
+        # actor id -> {target id: reversed image}, filled on demand.
+        self._actions: dict[int, dict[int, tuple[int, ...]]] = {}
         self._psi: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
     def encode(self, w: Word) -> list[int]:
@@ -213,12 +238,34 @@ class _Comber:
             out.append(gid if letter.exponent == 1 else -gid)
         return out
 
-    def decode(self, ints: Sequence[int]) -> Word:
-        return Word(
-            tuple(
-                Letter(self.symbols[abs(v) - 1], 1 if v > 0 else -1) for v in ints
+    def check_part(self, k: int, part: Sequence[int]) -> None:
+        """Raise InvalidArgumentError unless part is a freely reduced word on
+        level k's alphabet: the invariants of Word and NormalForm, on ids."""
+        if not part:
+            return
+        first, last = self.bounds[k]
+        if not first <= min(map(abs, part)) or not max(map(abs, part)) <= last:
+            bad = next(v for v in part if not first <= abs(v) <= last)
+            raise InvalidArgumentError(
+                f"component at level {k} contains {self.symbols[abs(bad) - 1]}"
             )
-        )
+        # Ids are non-zero, so an adjacent pair sums to 0 exactly when it is v, -v.
+        if 0 in map(add, part, islice(part, 1, None)):
+            at = next(i for i in range(len(part) - 1) if part[i] == -part[i + 1])
+            raise InvalidArgumentError(
+                f"word is not freely reduced at ...{self.letters[part[at]]} "
+                f"{self.letters[part[at + 1]]}..."
+            )
+
+    def word(self, part: Sequence[int]) -> Word:
+        """The Word of a part that passed check_part, built from the shared
+        letters without validating it again."""
+        return _trusted(Word, letters=tuple(map(self.letters.__getitem__, part)))
+
+    def normal_form(self, parts: Sequence[Sequence[int]]) -> NormalForm:
+        """The NormalForm of parts that each passed check_part, without
+        validating them again."""
+        return _trusted(NormalForm, levels=tuple(map(self.word, parts)))
 
     def _forward_image(self, actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:
         u = action_conjugator(actor, target)
@@ -250,11 +297,15 @@ class _Comber:
         self._psi[key] = table
         return table
 
+    def action_table(self, x: int) -> dict[int, tuple[int, ...]]:
+        """The actor x's table {target id: reversed image}, as filled so far."""
+        return self._actions.setdefault(x, {})
+
     def rev_image(self, x: int, y: int) -> tuple[int, ...]:
         """Image of the letter y under conjugation by the letter x, stored
         reversed (the scan maintains level words back to front)."""
-        key = (x, y)
-        cached = self._rev_images.get(key)
+        table = self.action_table(x)
+        cached = table.get(y)
         if cached is not None:
             return cached
         target = self.symbols[abs(y) - 1]
@@ -263,21 +314,37 @@ class _Comber:
         else:
             forward = self._psi_images(-x, target.level)[abs(y)]
         rev = tuple(reversed(forward)) if y > 0 else tuple(-v for v in forward)
-        self._rev_images[key] = rev
+        table[y] = rev
         return rev
 
     def _conjugate_rev(
         self, x: int, rev_k: list[int], cap: int, overhead: int
     ) -> list[int]:
+        table = self.action_table(x)
         out: list[int] = []
+        extend, pop = out.extend, out.pop
         for y in rev_k:
-            for v in self.rev_image(x, y):
-                _push(out, v)
+            try:
+                image = table[y]
+            except KeyError:
+                image = self.rev_image(x, y)
+            # out and every image are freely reduced and images are never
+            # empty, so letters can cancel only where the image joins out.
+            if out and out[-1] == -image[0]:
+                pop()
+                i, n = 1, len(image)
+                while i < n and out and out[-1] == -image[i]:
+                    pop()
+                    i += 1
+                extend(image[i:])
+            else:
+                extend(image)
             if len(out) + overhead > cap:
                 raise WordSizeExceededError(len(out) + overhead, cap)
         return out
 
     def comb(self, ints: list[int], cap: int) -> list[list[int]]:
+        level_of = self.level_of
         rest = ints
         parts = []
         for k in range(self.tower.n, 0, -1):
@@ -285,7 +352,7 @@ class _Comber:
             rev_rest: list[int] = []
             for pos in range(len(rest) - 1, -1, -1):
                 x = rest[pos]
-                if self.level_of[abs(x)] == k:
+                if level_of[abs(x)] == k:
                     _push(rev_k, x)
                 else:
                     if rev_k:
@@ -293,8 +360,10 @@ class _Comber:
                             x, rev_k, cap, pos + len(rev_rest) + 1
                         )
                     _push(rev_rest, x)
-            parts.append(list(reversed(rev_k)))
-            rest = list(reversed(rev_rest))
+            rev_k.reverse()
+            parts.append(rev_k)
+            rev_rest.reverse()
+            rest = rev_rest
         return parts
 
 
@@ -322,29 +391,40 @@ def conjugation_action(tower: TowerSpec, actor: Letter, target: Letter) -> Word:
         raise InvalidArgumentError(
             f"actor {actor.symbol} must sit strictly below target {target.symbol}"
         )
-    return c.decode(tuple(reversed(c.rev_image(x, y))))
+    image = c.rev_image(x, y)[::-1]
+    c.check_part(target.symbol.level, image)
+    return c.word(image)
 
 
-def comb(p: Presentation, w: Word, word_cap: int = DEFAULT_WORD_CAP) -> NormalForm:
-    """Comb w into its kernel-first normal form along p's tower."""
-    tower = _require_tower(p)
-    c = _comber_for(tower)
+def _combed(p: Presentation, w: Word, word_cap: int) -> tuple[_Comber, list[list[int]]]:
+    """The engine for p's tower and w's checked parts, kernel first."""
+    c = _comber_for(_require_tower(p))
     ints = c.encode(w)
     if len(ints) > word_cap:
         raise WordSizeExceededError(len(ints), word_cap)
     parts = c.comb(ints, word_cap)
-    return NormalForm(tuple(c.decode(part) for part in parts))
+    for k, part in zip(range(c.tower.n, 0, -1), parts):
+        c.check_part(k, part)
+    return c, parts
+
+
+def comb(p: Presentation, w: Word, word_cap: int = DEFAULT_WORD_CAP) -> NormalForm:
+    """Comb w into its kernel-first normal form along p's tower."""
+    c, parts = _combed(p, w, word_cap)
+    return c.normal_form(parts)
 
 
 def words_equal(
     p: Presentation, u: Word, v: Word, word_cap: int = DEFAULT_WORD_CAP
 ) -> bool:
     """Group-element equality via uniqueness of the combed form."""
+    # Through comb, so that whatever observes comb sees both sides; the
+    # shared letters make comparing the two forms mostly identity checks.
     return comb(p, u, word_cap) == comb(p, v, word_cap)
 
 
 def is_identity(p: Presentation, w: Word, word_cap: int = DEFAULT_WORD_CAP) -> bool:
-    return comb(p, w, word_cap).to_word().is_identity
+    return not any(_combed(p, w, word_cap)[1])
 
 
 def project_qn(w: Word, n: int) -> Word:

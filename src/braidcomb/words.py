@@ -16,7 +16,7 @@ makes words safe to share, hash and memoize.
 The canonical text syntax (used by the CLI and the presentation exporters)
 writes letters as ``r(j,i)``, ``A(i,j)`` or ``p(j)``, optionally followed by
 ``^-1`` or ``^k`` for a nonzero integer ``k`` (expanded into ``|k|``
-letters).  Whitespace separates letters; the empty string and the single
+letters, within the parser's word cap).  Whitespace separates letters; the empty string and the single
 token ``1`` both denote the identity.  The printer only ever emits ``^-1``.
 """
 
@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidArgumentError, MissingImageError
+from .errors import InvalidArgumentError, MissingImageError, WordSizeExceededError
 
 __all__ = [
+    "DEFAULT_WORD_CAP",
     "GenFamily",
     "GeneratorSymbol",
     "Letter",
@@ -47,6 +48,11 @@ __all__ = [
     "parse_word",
     "format_word",
 ]
+
+
+# Default bound on the letters of a word: an input after ``^k`` expansion,
+# or an intermediate word of the combing engine.
+DEFAULT_WORD_CAP = 10**6
 
 
 class GenFamily(Enum):
@@ -179,6 +185,18 @@ class Word:
 IDENTITY = Word()
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls built without __post_init__.
+
+    Only for values whose invariants the caller has already checked; public
+    construction always validates.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def reduce(raw: Iterable[Letter]) -> Word:
     """Freely reduce a letter sequence (cancel adjacent x x^-1 pairs)."""
     stack: list[Letter] = []
@@ -261,11 +279,14 @@ def format_word(w: Word) -> str:
     return " ".join(format_letter(letter) for letter in w.letters)
 
 
-def parse_word(text: str) -> Word:
+def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
     """Parse the canonical text syntax back into a Word.
 
     The empty string and the lone token ``1`` give the identity.  Exponent
-    suffixes ``^k`` are expanded; ``k = 0`` is rejected.
+    suffixes ``^k`` are expanded; ``k = 0`` is rejected.  A text whose
+    expanded length would pass word_cap raises WordSizeExceededError before
+    the token that passes it is expanded, even if the word would reduce to
+    fewer letters.
     """
     tokens = text.split()
     if not tokens:
@@ -291,6 +312,8 @@ def parse_word(text: str) -> Word:
         k = 1 if power is None else int(power)
         if k == 0:
             raise InvalidArgumentError(f"zero exponent in {token!r}")
+        if len(raw) + abs(k) > word_cap:
+            raise WordSizeExceededError(len(raw) + abs(k), word_cap)
         sign = 1 if k > 0 else -1
         raw.extend(Letter(symbol, sign) for _ in range(abs(k)))
     return reduce(raw)

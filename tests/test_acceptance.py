@@ -59,7 +59,7 @@ MAX_LEN_EQ = 12
 PAIR_COUNT = 200
 # Cap on intermediate word length for criterion 1.  With 12_000 the full
 # 200-pair x every-relator sweep decides more than six thousand instances
-# exactly (see module docstring) and takes about 81 s on a 2-core Xeon VM.
+# exactly (see module docstring) and takes 25-29 s on a 2-core Xeon VM.
 INSERTION_CAP = 12_000
 # Coverage floors: the sweep must decide at least this many base pairs per
 # n and at least this many contexts per relator, or the criterion fails.
@@ -116,14 +116,17 @@ def test_01_relator_insertion_invariance() -> None:
             except WordSizeExceededError:
                 continue
         mismatches = undecided = decided = 0
+        undecided_s = 0.0
         min_contexts = None
         for r in p.relators:
             contexts = 0
             for u, v, nf in base:
+                started = time.perf_counter()
                 try:
                     inserted = comb(p, u * r * v, word_cap=INSERTION_CAP)
                 except WordSizeExceededError:
                     undecided += 1
+                    undecided_s += time.perf_counter() - started
                     continue
                 decided += 1
                 contexts += 1
@@ -139,7 +142,7 @@ def test_01_relator_insertion_invariance() -> None:
         )
         parts.append(
             f"n={n}: {decided} decided, {mismatches} mismatches, "
-            f"{undecided} over cap, >= {min_contexts} contexts/relator"
+            f"{undecided} over cap ({undecided_s:.1f}s), >= {min_contexts} contexts/relator"
         )
     detail = "; ".join(parts) + f" (cap {INSERTION_CAP}, {time.perf_counter() - t0:.1f}s)"
     _report(1, "relator insertion leaves combed forms unchanged", ok, detail)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcomb import combing
 from braidcomb.combing import (
+    DEFAULT_WORD_CAP,
     CenterReport,
     NormalForm,
     center_check,
@@ -32,6 +36,7 @@ from braidcomb.words import (
     exponent_sum,
     orbit_gen,
     parse_word,
+    reduce,
 )
 
 G2 = orbit_presentation(2)
@@ -295,6 +300,102 @@ def test_comb_respects_multiplication(u, v):
 def test_band_tower_combs_too(w):
     nf = comb(P4, w)
     assert words_equal(P4, w, nf.to_word())
+
+
+# --- the integer path against the validating constructors ---
+
+
+@pytest.mark.parametrize("p", [G3, P4], ids=["G3", "P4"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_comb_equals_its_validated_rebuild(p, data):
+    nf = comb(p, data.draw(_words(p)))
+    rebuilt = NormalForm(
+        tuple(
+            Word(tuple(Letter(letter.symbol, letter.exponent) for letter in level.letters))
+            for level in nf.levels
+        )
+    )
+    assert nf == rebuilt
+    assert hash(nf) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("p", [G3, P4], ids=["G3", "P4"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_words_equal_compares_combed_levels(p, data):
+    u = data.draw(_words(p))
+    v = data.draw(
+        st.one_of(
+            _words(p),
+            st.just(comb(p, u).to_word()),
+            st.sampled_from(p.relators).map(lambda r: u * r),
+        )
+    )
+    assert words_equal(p, u, v) == (comb(p, u).levels == comb(p, v).levels)
+
+
+@pytest.mark.parametrize("p", [G3, P4], ids=["G3", "P4"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_identity_reads_the_combed_word(p, data):
+    u = data.draw(_words(p))
+    w = data.draw(
+        st.one_of(
+            st.just(u),
+            st.sampled_from(p.relators).map(lambda r: u * r * u.inverse()),
+        )
+    )
+    assert is_identity(p, w) == comb(p, w).to_word().is_identity
+
+
+@pytest.mark.parametrize("p", [G3, P4], ids=["G3", "P4"])
+def test_word_cap_boundary_is_exact(p):
+    rng = random.Random(0)
+    w = reduce(Letter(rng.choice(p.generators), rng.choice((1, -1))) for _ in range(20))
+
+    def combs(cap):
+        try:
+            comb(p, w, word_cap=cap)
+        except WordSizeExceededError:
+            return False
+        return True
+
+    lo, hi = 1, DEFAULT_WORD_CAP
+    assert combs(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if combs(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    assert lo > len(w)  # the engine's cap fires, not the input check
+    comb(p, w, word_cap=lo)
+    with pytest.raises(WordSizeExceededError) as err:
+        comb(p, w, word_cap=lo - 1)
+    assert (err.value.length, err.value.cap) == (lo, lo - 1)
+
+
+def test_integer_output_check_is_live(monkeypatch):
+    # Every answer leaves the engine through the integer output check, so a
+    # broken action table must surface as a typed error, never as a word.
+    c = combing._Comber(G2.tower)
+    monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
+    x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
+    w = parse_word("r(1,0) r(2,0)")
+    c.action_table(x)[y] = (x,)  # a level-1 letter in a level-2 image
+    with pytest.raises(InvalidArgumentError):
+        comb(G2, w)
+    with pytest.raises(InvalidArgumentError):
+        words_equal(G2, w, w)
+    with pytest.raises(InvalidArgumentError):
+        is_identity(G2, w)
+    c.action_table(x)[y] = (y, -y)  # an unreduced image
+    with pytest.raises(InvalidArgumentError):
+        comb(G2, w)
+    with pytest.raises(InvalidArgumentError):
+        c.check_part(2, [y, -y])
+    c.check_part(2, [y, y])
 
 
 # --- projections and sections ---

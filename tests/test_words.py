@@ -12,6 +12,7 @@ from braidcomb import (
     Letter,
     MissingImageError,
     Word,
+    WordSizeExceededError,
     apply_homomorphism,
     band_gen,
     concat,
@@ -163,6 +164,20 @@ def test_parse_exponent_expansion():
     assert parse_word("r(1,0)^-2") == parse_word("r(1,0)^-1 r(1,0)^-1")
     with pytest.raises(InvalidArgumentError):
         parse_word("r(1,0)^0")
+
+
+def test_parse_bounds_expansion_by_the_cap():
+    assert len(parse_word("r(1,0)^10", word_cap=10)) == 10
+    assert len(parse_word("r(1,0)^-10", word_cap=10)) == 10
+    with pytest.raises(WordSizeExceededError) as err:
+        parse_word("r(1,0)^11", word_cap=10)
+    assert (err.value.length, err.value.cap) == (11, 10)
+    # The running length counts expanded letters before any reduction.
+    with pytest.raises(WordSizeExceededError) as err:
+        parse_word("r(1,0)^5 r(2,1)^6", word_cap=10)
+    assert (err.value.length, err.value.cap) == (11, 10)
+    with pytest.raises(WordSizeExceededError):
+        parse_word("r(1,0)^6 r(1,0)^-5", word_cap=10)
 
 
 def test_parse_rejects_garbage():

@@ -30,6 +30,7 @@ from .fibration import (
     boundary_image,
     boundary_matrix_ab,
     exactness_report,
+    iota_sharp_vector,
     pi2_basis,
     quotient_check,
     split_ses_check,
@@ -338,9 +339,11 @@ _SPLIT_COEFFS = (
 def _suite_split(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
     if ns.n < 2:
         raise _UsageError("--suite split needs --n of at least 2")
-    vectors = [("diagonal", (1,) * ns.n)]
+    # iota_sharp on pi_2: diagonal over RP^2 for every n, anti-diagonal over
+    # S^2 at n = 2.
+    vectors = [("diagonal", iota_sharp_vector(Surface.RP2, ns.n, 2))]
     if ns.n == 2:
-        vectors.append(("anti-diagonal", (1, -1)))
+        vectors.append(("anti-diagonal", iota_sharp_vector(Surface.S2, 2, 2)))
     checks = []
     for coeff_name, coeff in _SPLIT_COEFFS:
         for vec_name, vector in vectors:

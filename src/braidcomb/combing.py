@@ -10,14 +10,19 @@ right to left so each lower letter acts exactly once on the accumulated
 level-k prefix.
 
 Positive actor letters read their action straight off the defining
-relations (action_conjugator).  A negative actor needs the inverse of that
-automorphism of the level-k free group; it is recovered once per
-(actor, level) pair by Nielsen-reducing the forward images while mirroring
-every move on expression words, then verified by composing back to the
-identity substitution.  Each actor letter has one action table, {target:
-image}, filled on demand and kept per tower; conjugating a level word
-fetches the actor's table once and cancels each image against the output
-only where the two meet, since both are freely reduced.
+relations (action_conjugator).  Each such action sends every target y to a
+conjugate u y u^-1, so it is a basis-conjugating automorphism of the
+level-k free group (McCool, Can. J. Math. 38, 1986).  A negative actor
+needs its inverse, which is recovered once per (actor, level) pair by peak
+reduction (Collins, Comment. Math. Helv. 64, 1989): left-compose partial
+conjugations y_t -> c y_t c^-1, each the first that strictly shortens the
+total length of the images, until the images are the bare letters.  The
+composite of the moves is the inverse; it is verified by composing back to
+the identity substitution before it enters the table.  Each actor letter
+has one action table, {target: image} for both signs of every target,
+filled on demand and kept per tower; conjugating a level word fetches the
+actor's table once and cancels each image against the output only where
+the two meet, since both are freely reduced.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
@@ -30,7 +35,7 @@ integers and decodes nothing.
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -112,87 +117,69 @@ def _push(stack: list[int], v: int) -> None:
         stack.append(v)
 
 
-def _red_concat(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = list(a)
-    for v in b:
-        _push(out, v)
-    return tuple(out)
-
-
-def _inv_ints(w: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-v for v in reversed(w))
-
-
-def _apply_local(subst: Sequence[tuple[int, ...]], word: Sequence[int]) -> tuple[int, ...]:
+def _substitute(
+    word: Sequence[int], images: dict[int, tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The freely reduced image of word under y -> images[y], fixing every
+    letter without an entry."""
     out: list[int] = []
     for v in word:
-        image = subst[abs(v) - 1]
-        for u in image if v > 0 else _inv_ints(image):
-            _push(out, u)
+        image = images.get(abs(v), (abs(v),))
+        for u in image if v > 0 else [-u for u in reversed(image)]:
+            if out and out[-1] == -u:
+                out.pop()
+            else:
+                out.append(u)
     return tuple(out)
 
 
-def _invert_substitution(images: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Invert the free-group substitution x_i -> images[i].
+def _conjugated(
+    words: dict[int, tuple[int, ...]], t: int, c: int
+) -> dict[int, tuple[int, ...]]:
+    """The words that the partial conjugation y_t -> c y_t c^-1 changes,
+    with their new values."""
+    move = {t: (c, t, -c)}
+    return {y: _substitute(w, move) for y, w in words.items() if t in w or -t in w}
 
-    Nielsen-style reduction: elementary transformations that never lengthen
-    an entry, explored best-first by total length, with every move mirrored
-    on expression words so that substitution(expr_i) = word_i throughout.
-    A basis tuple reduces to bare letters, at which point the expressions
-    read off the inverse substitution.
+
+def _shortening_move(
+    images: dict[int, tuple[int, ...]],
+) -> tuple[int, int, dict[int, tuple[int, ...]]] | None:
+    """The first partial conjugation y_t -> c y_t c^-1 that strictly shortens
+    the total length of the images, as (t, c, the images it changes), or
+    None when there is none.
+
+    The candidates c for each y_t are read off the letters next to its
+    occurrences, most frequent first: those are the letters it cancels.
     """
-    m = len(images)
-    if m == 0:
-        return []
-    start = tuple(images)
-    exprs = tuple((i + 1,) for i in range(m))
-    heap = [(sum(map(len, start)), 0, start, exprs)]
-    seen = {start}
-    tick = 0
-    while heap:
-        total, _, ws, es = heapq.heappop(heap)
-        if all(len(w) == 1 for w in ws):
-            psi: list[tuple[int, ...] | None] = [None] * m
-            for w, e in zip(ws, es):
-                slot = abs(w[0]) - 1
-                if psi[slot] is not None:
-                    break
-                psi[slot] = e if w[0] > 0 else _inv_ints(e)
-            else:
-                if all(p is not None for p in psi):
-                    return psi  # type: ignore[return-value]
-            continue
-        for i in range(m):
-            wi, ei = ws[i], es[i]
-            for j in range(m):
-                if i == j:
-                    continue
-                for wj, ej in ((ws[j], es[j]), (_inv_ints(ws[j]), _inv_ints(es[j]))):
-                    for new_w, new_e in (
-                        (_red_concat(wi, wj), _red_concat(ei, ej)),
-                        (_red_concat(wj, wi), _red_concat(ej, ei)),
-                    ):
-                        if not new_w or len(new_w) > len(wi):
-                            continue
-                        cand = ws[:i] + (new_w,) + ws[i + 1 :]
-                        if cand in seen:
-                            continue
-                        seen.add(cand)
-                        tick += 1
-                        if tick > 100_000:
-                            raise AssertionError(
-                                "substitution inversion exceeded its search budget"
-                            )
-                        heapq.heappush(
-                            heap,
-                            (
-                                total - len(wi) + len(new_w),
-                                tick,
-                                cand,
-                                es[:i] + (new_e,) + es[i + 1 :],
-                            ),
-                        )
-    raise AssertionError("substitution is not invertible; the action table is broken")
+    for t in images:
+        near: Counter[int] = Counter()
+        for w in images.values():
+            for i, v in enumerate(w):
+                if abs(v) == t:
+                    if i:
+                        near[-w[i - 1]] += 1
+                    if i + 1 < len(w):
+                        near[w[i + 1]] += 1
+        for c, _ in near.most_common():
+            changed = _conjugated(images, t, c)
+            if sum(len(images[y]) - len(w) for y, w in changed.items()) > 0:
+                return t, c, changed
+    return None
+
+
+def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """Left-compose shortening partial conjugations onto the substitution
+    y -> forward[y] until none is left, and return the composite of the
+    moves taken.  On a basis-conjugating substitution the images end as the
+    bare letters, so the composite is the inverse; the caller verifies it."""
+    images = dict(forward)
+    inverse = {y: (y,) for y in forward}
+    while (move := _shortening_move(images)) is not None:
+        t, c, changed = move
+        images.update(changed)
+        inverse.update(_conjugated(inverse, t, c))
+    return inverse
 
 
 # --- the per-tower machine -----------------------------------------------------
@@ -225,7 +212,6 @@ class _Comber:
         )
         # actor id -> {target id: reversed image}, filled on demand.
         self._actions: dict[int, dict[int, tuple[int, ...]]] = {}
-        self._psi: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
     def encode(self, w: Word) -> list[int]:
         out = []
@@ -267,35 +253,34 @@ class _Comber:
         validating them again."""
         return _trusted(NormalForm, levels=tuple(map(self.word, parts)))
 
-    def _forward_image(self, actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:
-        u = action_conjugator(actor, target)
-        return u * Word((Letter(target),)) * u.inverse()
+    def _forward_image(self, x: int, y: int) -> tuple[int, ...]:
+        """The image u y u^-1 of the positive letter y under conjugation by
+        the positive letter x, with u read off the defining relations."""
+        target = self.symbols[y - 1]
+        u = action_conjugator(self.symbols[x - 1], target)
+        return tuple(self.encode(u * Word((Letter(target),)) * u.inverse()))
 
-    def _psi_images(self, actor_id: int, k: int) -> dict[int, tuple[int, ...]]:
-        key = (actor_id, k)
-        cached = self._psi.get(key)
-        if cached is not None:
-            return cached
-        actor = self.symbols[actor_id - 1]
-        targets = self.tower.alphabet(k)
-        shift = self.ids[targets[0]] - 1
-        localize = lambda v: v - shift if v > 0 else v + shift  # noqa: E731
-        forward = [
-            tuple(localize(v) for v in self.encode(self._forward_image(actor, t)))
-            for t in targets
-        ]
-        psi = _invert_substitution(forward)
-        for idx, img in enumerate(forward):
-            if _apply_local(psi, img) != (idx + 1,):
+    def _fill(self, x: int, images: dict[int, tuple[int, ...]]) -> None:
+        """Enter the images of the positive targets, and of their inverses,
+        into the actor x's table, reversed."""
+        table = self.action_table(x)
+        for y, image in images.items():
+            table[y] = image[::-1]
+            table[-y] = tuple(-v for v in image)
+
+    def _fill_inverse(self, actor_id: int, k: int) -> None:
+        """Fill the table of the actor -actor_id on all of level k, once the
+        inverse found by peak reduction composes back to the identity."""
+        first, last = self.bounds[k]
+        forward = {y: self._forward_image(actor_id, y) for y in range(first, last + 1)}
+        inverse = _peak_reduce(forward)
+        for y, image in forward.items():
+            if _substitute(image, inverse) != (y,):
                 raise AssertionError(
-                    f"inverse action of {actor} on level {k} failed verification"
+                    f"inverse action of {self.symbols[actor_id - 1]} on level {k} "
+                    "failed verification"
                 )
-        table = {
-            shift + 1 + idx: tuple(v + shift if v > 0 else v - shift for v in expr)
-            for idx, expr in enumerate(psi)
-        }
-        self._psi[key] = table
-        return table
+        self._fill(-actor_id, inverse)
 
     def action_table(self, x: int) -> dict[int, tuple[int, ...]]:
         """The actor x's table {target id: reversed image}, as filled so far."""
@@ -305,17 +290,12 @@ class _Comber:
         """Image of the letter y under conjugation by the letter x, stored
         reversed (the scan maintains level words back to front)."""
         table = self.action_table(x)
-        cached = table.get(y)
-        if cached is not None:
-            return cached
-        target = self.symbols[abs(y) - 1]
-        if x > 0:
-            forward = tuple(self.encode(self._forward_image(self.symbols[x - 1], target)))
-        else:
-            forward = self._psi_images(-x, target.level)[abs(y)]
-        rev = tuple(reversed(forward)) if y > 0 else tuple(-v for v in forward)
-        table[y] = rev
-        return rev
+        if y not in table:
+            if x > 0:
+                self._fill(x, {abs(y): self._forward_image(x, abs(y))})
+            else:
+                self._fill_inverse(-x, self.level_of[abs(y)])
+        return table[y]
 
     def _conjugate_rev(
         self, x: int, rev_k: list[int], cap: int, overhead: int
@@ -401,7 +381,7 @@ def _combed(p: Presentation, w: Word, word_cap: int) -> tuple[_Comber, list[list
     c = _comber_for(_require_tower(p))
     ints = c.encode(w)
     if len(ints) > word_cap:
-        raise WordSizeExceededError(len(ints), word_cap)
+        raise WordSizeExceededError(len(ints), word_cap, "input word")
     parts = c.comb(ints, word_cap)
     for k, part in zip(range(c.tower.n, 0, -1), parts):
         c.check_part(k, part)

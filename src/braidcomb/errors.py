@@ -22,18 +22,18 @@ class MissingImageError(BraidCombError, LookupError):
 
 
 class WordSizeExceededError(BraidCombError, RuntimeError):
-    """An intermediate word grew past the configured cap during rewriting.
+    """A word is longer than the configured cap: an input word before any
+    rewriting starts, or an intermediate word during rewriting.
 
     The offending length is kept on the exception so front ends can report
-    it; rewriting never truncates silently.
+    it, and the message names which word it was; rewriting never truncates
+    silently.
     """
 
-    def __init__(self, length: int, cap: int):
+    def __init__(self, length: int, cap: int, word: str = "intermediate word"):
         self.length = length
         self.cap = cap
-        super().__init__(
-            f"intermediate word of length {length} exceeds the cap of {cap}"
-        )
+        super().__init__(f"{word} of length {length} exceeds the cap of {cap}")
 
 
 class NoUnitCoordinateError(BraidCombError, ValueError):

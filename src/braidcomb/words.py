@@ -313,7 +313,7 @@ def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
         if k == 0:
             raise InvalidArgumentError(f"zero exponent in {token!r}")
         if len(raw) + abs(k) > word_cap:
-            raise WordSizeExceededError(len(raw) + abs(k), word_cap)
+            raise WordSizeExceededError(len(raw) + abs(k), word_cap, "input word")
         sign = 1 if k > 0 else -1
         raw.extend(Letter(symbol, sign) for _ in range(abs(k)))
     return reduce(raw)

@@ -103,7 +103,7 @@ def test_comb_refuses_an_over_cap_power_before_expanding_it(capsys):
         capsys, "comb", "--group", "gn", "--n", "2", "--word", "r(1,0)^1001", "--word-cap", "1000"
     )
     assert code == EXIT_WORD_CAP
-    assert "length 1001" in err and "cap of 1000" in err
+    assert "input word of length 1001 exceeds the cap of 1000" in err
 
 
 def test_comb_word_cap_zero_is_usage_error(capsys):

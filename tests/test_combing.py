@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -24,16 +25,19 @@ from braidcomb.combing import (
 )
 from braidcomb.errors import InvalidArgumentError, WordSizeExceededError
 from braidcomb.presentations import (
+    TowerSpec,
     artin_presentation,
     element_Theta,
     orbit_presentation,
 )
 from braidcomb.words import (
     IDENTITY,
+    GenFamily,
     Letter,
     Word,
     band_gen,
     exponent_sum,
+    format_word,
     orbit_gen,
     parse_word,
     reduce,
@@ -156,6 +160,59 @@ def test_inverse_action_undoes_action_everywhere():
                     tower, Letter(actor, -1), letter
                 )
             assert pulled_back == gen_word(target)
+
+
+# sha256 of every inverse action table of G_1..G_6 and of P_1..P_7, dumped
+# by _inverse_table_dump.  They were recorded from the best-first Nielsen
+# search that filled the tables before peak reduction did; an automorphism
+# has one inverse, so any correct inversion reproduces them.
+PINNED_INVERSE_TABLES_SHA256 = {
+    GenFamily.ORBIT: "40883c29109bb21a108913898d394883cf255e71cb3e5624bd8c5f090de67d50",
+    GenFamily.BAND: "7bcef8166fc8ac6812307e3ea5c24fcfd8192fff7e7f76056c30cd80468cb487",
+}
+
+
+def _inverse_table_dump(family, n):
+    """One line "actor^-1 target -> image" for both signs of every target of
+    every negative actor, filled on a fresh engine."""
+    c = combing._Comber(TowerSpec(family, n))
+    lines = []
+    for actor in c.symbols:
+        x = -c.ids[actor]
+        for target in c.symbols:
+            if actor.level >= target.level:
+                continue
+            for y in (c.ids[target], -c.ids[target]):
+                image = c.word(c.rev_image(x, y)[::-1])
+                lines.append(f"{c.letters[x]} {c.letters[y]} -> {format_word(image)}\n")
+    return "".join(lines)
+
+
+def test_inverse_tables_are_pinned():
+    for family, top in ((GenFamily.ORBIT, 6), (GenFamily.BAND, 7)):
+        text = "".join(_inverse_table_dump(family, n) for n in range(1, top + 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_INVERSE_TABLES_SHA256[family]
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        # y_1 -> y_1 y_2 is an automorphism that conjugates no letter, so
+        # peak reduction stalls on it.
+        lambda y1, y2: {y1: (y1, y2)},
+        # A swap has no shortening move at all and fails the compose-back.
+        lambda y1, y2: {y1: (y2,), y2: (y1,)},
+    ],
+    ids=["stall", "swap"],
+)
+def test_inverse_fill_refuses_a_substitution_it_cannot_undo(images):
+    c = combing._Comber(G2.tower)
+    forward = images(c.ids[orbit_gen(2, 0)], c.ids[orbit_gen(2, 1)])
+    c._forward_image = lambda x, y: forward.get(y, (y,))
+    x = -c.ids[orbit_gen(1, 0)]
+    with pytest.raises(AssertionError, match=r"inverse action of r\(1,0\) on level 2 "):
+        c.rev_image(x, c.ids[orbit_gen(2, 2)])
+    assert c.action_table(x) == {}
 
 
 def test_action_rejects_bad_levels():
@@ -374,6 +431,10 @@ def test_word_cap_boundary_is_exact(p):
     with pytest.raises(WordSizeExceededError) as err:
         comb(p, w, word_cap=lo - 1)
     assert (err.value.length, err.value.cap) == (lo, lo - 1)
+    assert str(err.value).startswith(f"intermediate word of length {lo} ")
+    with pytest.raises(WordSizeExceededError) as err:
+        comb(p, w, word_cap=len(w) - 1)
+    assert str(err.value).startswith(f"input word of length {len(w)} ")
 
 
 def test_integer_output_check_is_live(monkeypatch):

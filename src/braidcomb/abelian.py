@@ -91,9 +91,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
-    def entry(self, r: int, c: int) -> int:
-        return self.entries[r * self.cols + c]
-
     def row(self, r: int) -> tuple[int, ...]:
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
@@ -221,9 +218,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         for row in v:
             row[i] -= q * row[j]
 
-    def row_add(i: int, j: int) -> None:  # row i += row j
-        row_sub(i, j, -1)
-
     # At each step t: move the smallest nonzero entry to (t,t), clear its row
     # and column by euclidean steps (swapping any smaller remainder into the
     # pivot seat), and finally insist the pivot divide the whole remaining
@@ -269,7 +263,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             )
             if offender is None:
                 break
-            row_add(t, offender)
+            row_sub(t, offender, -1)  # row t += row offender
         t += 1
     rank = t
 

@@ -2,10 +2,11 @@
 abelianization, and the boundary calculus, with text or JSON output.
 
 Exit codes are frozen for CI use: 0 success, 1 a verification check failed,
-2 usage error (the message names the offending flag), 3 an intermediate
-word outgrew --word-cap (the message carries the offending length).  All
-randomness flows from a single generator seeded by --seed, and every
-randomized suite prints its seed, so reports are byte-reproducible.
+2 usage error (the message names the offending flag), 3 the input word
+after ^k expansion, or an intermediate word, outgrew --word-cap (the
+message names which word and carries its length).  All randomness flows
+from a single generator seeded by --seed, and every randomized suite
+prints its seed, so reports are byte-reproducible.
 """
 
 from __future__ import annotations

@@ -9,20 +9,22 @@ this big-step, one level at a time from the top of the tower down, scanning
 right to left so each lower letter acts exactly once on the accumulated
 level-k prefix.
 
-Positive actor letters read their action straight off the defining
-relations (action_conjugator).  Each such action sends every target y to a
-conjugate u y u^-1, so it is a basis-conjugating automorphism of the
-level-k free group (McCool, Can. J. Math. 38, 1986).  A negative actor
-needs its inverse, which is recovered once per (actor, level) pair by peak
-reduction (Collins, Comment. Math. Helv. 64, 1989): left-compose partial
-conjugations y_t -> c y_t c^-1, each the first that strictly shortens the
-total length of the images, until the images are the bare letters.  The
-composite of the moves is the inverse; it is verified by composing back to
-the identity substitution before it enters the table.  Each actor letter
-has one action table, {target: image} for both signs of every target,
-filled on demand and kept per tower; conjugating a level word fetches the
-actor's table once and cancels each image against the output only where
-the two meet, since both are freely reduced.
+Each signed actor letter has one action table, {target: image} for both
+signs of every target, kept per tower and filled a whole level at a time
+on the first miss there.  A positive actor reads its images straight off
+the defining relations (action_conjugator).  Each sends every target y to
+a conjugate u y u^-1, so the action is a basis-conjugating automorphism of
+the level-k free group (McCool, Can. J. Math. 38, 1986).  A negative
+actor's images are the inverse, found by peak reduction (Collins, Comment.
+Math. Helv. 64, 1989): left-compose partial conjugations y_t -> c y_t c^-1,
+each the first that strictly shortens the total length of the images,
+until the images are the bare letters.  A move's length change is counted
+from the letters next to each y_t, not built, so each accepted move is
+applied once.  The composite of the moves is the inverse; it enters the
+table only after it composes back to the identity substitution.
+Conjugating a level word fetches the actor's table once and cancels each
+image against the output only where the two meet, since both are freely
+reduced.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
@@ -142,29 +144,33 @@ def _conjugated(
     return {y: _substitute(w, move) for y, w in words.items() if t in w or -t in w}
 
 
-def _shortening_move(
-    images: dict[int, tuple[int, ...]],
-) -> tuple[int, int, dict[int, tuple[int, ...]]] | None:
+def _shortening_move(images: dict[int, tuple[int, ...]]) -> tuple[int, int] | None:
     """The first partial conjugation y_t -> c y_t c^-1 that strictly shortens
-    the total length of the images, as (t, c, the images it changes), or
-    None when there is none.
+    the total length of the freely reduced images, as (t, c), or None when
+    there is none.
 
-    The candidates c for each y_t are read off the letters next to its
-    occurrences, most frequent first: those are the letters it cancels.
+    The move wraps each of the occ occurrences of y_t^+-1 in c ... c^-1 and
+    cancels one pair for each of its near[c] neighbours that meet c and for
+    each adjacent y_t^e y_t^e, so it changes the total length by exactly
+    2 (occ - near[c] - adjacent).  Only the most frequent neighbour c != +-t
+    can therefore be the move for y_t.
     """
     for t in images:
         near: Counter[int] = Counter()
+        occ = 0
         for w in images.values():
             for i, v in enumerate(w):
                 if abs(v) == t:
+                    occ += 1
                     if i:
                         near[-w[i - 1]] += 1
                     if i + 1 < len(w):
                         near[w[i + 1]] += 1
-        for c, _ in near.most_common():
-            changed = _conjugated(images, t, c)
-            if sum(len(images[y]) - len(w) for y, w in changed.items()) > 0:
-                return t, c, changed
+        # Each adjacent y_t^e y_t^e is counted once from either side.
+        adjacent = (near[t] + near[-t]) // 2
+        c = max((c for c in near if abs(c) != t), key=near.__getitem__, default=None)
+        if c is not None and near[c] > occ - adjacent:
+            return t, c
     return None
 
 
@@ -176,8 +182,8 @@ def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ..
     images = dict(forward)
     inverse = {y: (y,) for y in forward}
     while (move := _shortening_move(images)) is not None:
-        t, c, changed = move
-        images.update(changed)
+        t, c = move
+        images.update(_conjugated(images, t, c))
         inverse.update(_conjugated(inverse, t, c))
     return inverse
 
@@ -260,27 +266,25 @@ class _Comber:
         u = action_conjugator(self.symbols[x - 1], target)
         return tuple(self.encode(u * Word((Letter(target),)) * u.inverse()))
 
-    def _fill(self, x: int, images: dict[int, tuple[int, ...]]) -> None:
-        """Enter the images of the positive targets, and of their inverses,
-        into the actor x's table, reversed."""
+    def _fill(self, x: int, k: int) -> None:
+        """Enter the images of both signs of every level-k target into the
+        table of the signed actor x, reversed.  A negative actor's images are
+        the peak-reduction inverse of the positive actor's, entered only once
+        they compose back to the identity."""
+        first, last = self.bounds[k]
+        images = {y: self._forward_image(abs(x), y) for y in range(first, last + 1)}
+        if x < 0:
+            forward, images = images, _peak_reduce(images)
+            for y, image in forward.items():
+                if _substitute(image, images) != (y,):
+                    raise AssertionError(
+                        f"inverse action of {self.symbols[-x - 1]} on level {k} "
+                        "failed verification"
+                    )
         table = self.action_table(x)
         for y, image in images.items():
             table[y] = image[::-1]
             table[-y] = tuple(-v for v in image)
-
-    def _fill_inverse(self, actor_id: int, k: int) -> None:
-        """Fill the table of the actor -actor_id on all of level k, once the
-        inverse found by peak reduction composes back to the identity."""
-        first, last = self.bounds[k]
-        forward = {y: self._forward_image(actor_id, y) for y in range(first, last + 1)}
-        inverse = _peak_reduce(forward)
-        for y, image in forward.items():
-            if _substitute(image, inverse) != (y,):
-                raise AssertionError(
-                    f"inverse action of {self.symbols[actor_id - 1]} on level {k} "
-                    "failed verification"
-                )
-        self._fill(-actor_id, inverse)
 
     def action_table(self, x: int) -> dict[int, tuple[int, ...]]:
         """The actor x's table {target id: reversed image}, as filled so far."""
@@ -291,10 +295,7 @@ class _Comber:
         reversed (the scan maintains level words back to front)."""
         table = self.action_table(x)
         if y not in table:
-            if x > 0:
-                self._fill(x, {abs(y): self._forward_image(x, abs(y))})
-            else:
-                self._fill_inverse(-x, self.level_of[abs(y)])
+            self._fill(x, self.level_of[abs(y)])
         return table[y]
 
     def _conjugate_rev(

@@ -170,11 +170,9 @@ def quotient_by(p: Presentation, extra: Iterable[Word]) -> Presentation:
 
 
 def _conjugation_relator(actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:
-    u = action_conjugator(actor, target)
-    a = Word((Letter(actor),))
-    t = Word((Letter(target),))
-    rhs = u * t * u.inverse()
-    return a * t * a.inverse() * rhs.inverse()
+    u = action_conjugator(actor, target).letters
+    a, t = Letter(actor), Letter(target)
+    return reduce((a, t, a.inverse(), *u, t.inverse(), *(x.inverse() for x in reversed(u))))
 
 
 # --- distinguished elements --------------------------------------------------

@@ -243,19 +243,14 @@ def apply_homomorphism(w: Word, images: Mapping[GeneratorSymbol, Word]) -> Word:
 
     Raises MissingImageError if some generator occurring in w has no image.
     """
-    stack: list[Letter] = []
+    raw: list[Letter] = []
     for letter in w.letters:
         try:
             image = images[letter.symbol]
         except KeyError:
             raise MissingImageError(letter.symbol) from None
-        seq = image.letters if letter.exponent == 1 else invert(image).letters
-        for out in seq:
-            if stack and stack[-1].symbol == out.symbol and stack[-1].exponent == -out.exponent:
-                stack.pop()
-            else:
-                stack.append(out)
-    return Word(tuple(stack))
+        raw.extend(image.letters if letter.exponent == 1 else invert(image).letters)
+    return reduce(raw)
 
 
 # --- text syntax ------------------------------------------------------------

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidcomb import combing
 from braidcomb.combing import (
@@ -213,6 +214,60 @@ def test_inverse_fill_refuses_a_substitution_it_cannot_undo(images):
     with pytest.raises(AssertionError, match=r"inverse action of r\(1,0\) on level 2 "):
         c.rev_image(x, c.ids[orbit_gen(2, 2)])
     assert c.action_table(x) == {}
+
+
+def _built_shortening_move(images):
+    """The move search that peak reduction used before it counted moves:
+    for each y_t, build the images under y_t -> c y_t c^-1 for every
+    neighbour c, most frequent first, and take the first that is shorter."""
+    for t in images:
+        near = Counter()
+        for w in images.values():
+            for i, v in enumerate(w):
+                if abs(v) == t:
+                    if i:
+                        near[-w[i - 1]] += 1
+                    if i + 1 < len(w):
+                        near[w[i + 1]] += 1
+        for c, _ in near.most_common():
+            changed = combing._conjugated(images, t, c)
+            if sum(len(images[y]) - len(w) for y, w in changed.items()) > 0:
+                return t, c
+    return None
+
+
+@st.composite
+def _image_dicts(draw):
+    """Freely reduced images of the letters 1..m, m <= 4, drawn as runs of
+    one letter so that y_t y_t pairs and +-y_t neighbours are frequent."""
+    m = draw(st.integers(1, 4))
+    letter = st.integers(1, m).flatmap(lambda a: st.sampled_from((a, -a)))
+    images = {}
+    for y in range(1, m + 1):
+        runs = draw(st.lists(st.tuples(letter, st.integers(1, 3)), max_size=6))
+        images[y] = combing._substitute([v for v, r in runs for _ in range(r)], {})
+    return images
+
+
+@settings(max_examples=300, deadline=None)
+@given(images=_image_dicts())
+# The move shortens only because of the adjacent y_1 y_1: 2 1 1 -2 -> 1 1.
+@example(images={1: (2, 1, 1, -2)})
+# y_1's most frequent neighbours are y_1 and y_1^-1, which move nothing.
+@example(images={1: (1, 1, 1, 2)})
+def test_counted_move_is_the_built_move(images):
+    assert combing._shortening_move(images) == _built_shortening_move(images)
+
+
+@pytest.mark.parametrize("p", [G4, P4], ids=["G4", "P4"])
+def test_a_miss_fills_one_whole_level_of_one_table(p):
+    lowest = p.tower.all_generators()[0].level
+    for k in range(lowest + 1, p.tower.n + 1):
+        for x in (1, -1):
+            c = combing._Comber(p.tower)
+            c.rev_image(x, c.bounds[k][0])
+            assert set(c._actions) == {x}
+            assert len(c.action_table(x)) == 2 * p.tower.kernel_rank(k)
 
 
 def test_action_rejects_bad_levels():

@@ -1,5 +1,6 @@
 """Package surface: every name a module exports is importable from braidcomb,
-and every name a module imports is used."""
+every name a module imports is used, and every private function, method or
+class a module defines is read somewhere in the package."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import pytest
 import braidcomb
 
 MODULES = [m.name for m in pkgutil.iter_modules(braidcomb.__path__) if m.name != "__main__"]
-SOURCES = sorted(p for p in Path(braidcomb.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE_SOURCES = sorted(Path(braidcomb.__file__).parent.glob("*.py"))
+SOURCES = [p for p in PACKAGE_SOURCES if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -56,3 +58,46 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_definitions(source: str, package: list[str]) -> list[str]:
+    """The _names that source defines as a function, method or class and no
+    source in package reads, as a name, an attribute or an imported name."""
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    read = set()
+    for text in package:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(defined - read)
+
+
+def test_unread_private_definitions_are_found():
+    source = (
+        "class _Engine:\n"
+        "    def __init__(self):\n        self._fill_inverse = None\n"
+        "    def _fill(self):\n        return _helper()\n"
+        "    def _orphan(self):\n        pass\n"
+        "def _helper():\n    return 1\n"
+        "def _imported_elsewhere():\n    return 2\n"
+        "def _fill_inverse():\n    return 3\n"
+        "def run():\n    return _Engine()._fill()\n"
+    )
+    other = "from engine import _imported_elsewhere\n"
+    assert unread_private_definitions(source, [source, other]) == ["_fill_inverse", "_orphan"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_definitions(path):
+    package = [p.read_text() for p in PACKAGE_SOURCES]
+    assert unread_private_definitions(path.read_text(), package) == []

@@ -40,6 +40,7 @@ from .fibration import (
 )
 from .presentations import (
     Presentation,
+    TowerSpec,
     artin_presentation,
     element_Theta,
     export_presentation,
@@ -48,6 +49,7 @@ from .presentations import (
 from .words import (
     DEFAULT_WORD_CAP,
     IDENTITY,
+    GenFamily,
     Letter,
     Word,
     exponent_sum,
@@ -132,7 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _presentation_for(group: str, n: int) -> Presentation:
+    """The group's presentation, for the commands that print or read its
+    relators."""
     return orbit_presentation(n) if group == "gn" else artin_presentation(n)
+
+
+def _tower_for(group: str, n: int) -> TowerSpec:
+    """The group's tower: all that combing reads."""
+    return TowerSpec(GenFamily.ORBIT if group == "gn" else GenFamily.BAND, n)
 
 
 def _parse_word_flag(text: str, word_cap: int) -> Word:
@@ -161,8 +170,8 @@ def cmd_presentation(ns: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_comb(ns: argparse.Namespace, out: TextIO) -> int:
-    p = _presentation_for(ns.group, ns.n)
-    normal_form = comb(p, _parse_word_flag(ns.word, ns.word_cap), ns.word_cap)
+    tower = _tower_for(ns.group, ns.n)
+    normal_form = comb(tower, _parse_word_flag(ns.word, ns.word_cap), ns.word_cap)
     levels = list(zip(range(ns.n, 0, -1), normal_form.levels))
     if ns.fmt == "json":
         payload = {
@@ -273,11 +282,11 @@ def _suite_relators(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]]
 def _suite_center(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
     if ns.group != "gn":
         raise _UsageError("--suite center applies to --group gn only")
-    p = orbit_presentation(ns.n)
-    failures = center_check(p).commutation_failures
+    tower = _tower_for(ns.group, ns.n)
+    failures = center_check(tower).commutation_failures
     theta = element_Theta(ns.n)
     checks = []
-    for g in p.generators:
+    for g in tower.all_generators():
         ok = g not in failures
         detail = ""
         if not ok:
@@ -364,15 +373,16 @@ def _suite_theta(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], b
     if ns.group != "gn":
         raise _UsageError("--suite theta applies to --group gn only")
     rng = random.Random(ns.seed)
-    p = orbit_presentation(ns.n)
+    tower = _tower_for(ns.group, ns.n)
+    generators = tower.all_generators()
     theta = element_Theta(ns.n)
     kernel_functional = orbit_gen(1, 0)
     checks = []
     for idx in range(SUITE_PAIRS):
-        w = _random_word(rng, p.generators, SUITE_WORD_LENGTH)
-        exponent, remainder = theta_decompose(p, w)
+        w = _random_word(rng, generators, SUITE_WORD_LENGTH)
+        exponent, remainder = theta_decompose(tower, w)
         ok = exponent_sum(remainder, kernel_functional) == 0 and words_equal(
-            p, word_power(theta, exponent) * remainder, w, ns.word_cap
+            tower, word_power(theta, exponent) * remainder, w, ns.word_cap
         )
         checks.append(
             (

@@ -353,7 +353,10 @@ def _comber_for(tower: TowerSpec) -> _Comber:
     return _Comber(tower)
 
 
-def _require_tower(p: Presentation) -> TowerSpec:
+def _require_tower(p: Presentation | TowerSpec) -> TowerSpec:
+    """The tower p is, or the tower the presentation p carries."""
+    if isinstance(p, TowerSpec):
+        return p
     if p.tower is None:
         raise InvalidArgumentError("this presentation carries no tower to comb against")
     return p.tower
@@ -377,7 +380,9 @@ def conjugation_action(tower: TowerSpec, actor: Letter, target: Letter) -> Word:
     return c.word(image)
 
 
-def _combed(p: Presentation, w: Word, word_cap: int) -> tuple[_Comber, list[list[int]]]:
+def _combed(
+    p: Presentation | TowerSpec, w: Word, word_cap: int
+) -> tuple[_Comber, list[list[int]]]:
     """The engine for p's tower and w's checked parts, kernel first."""
     c = _comber_for(_require_tower(p))
     ints = c.encode(w)
@@ -389,14 +394,17 @@ def _combed(p: Presentation, w: Word, word_cap: int) -> tuple[_Comber, list[list
     return c, parts
 
 
-def comb(p: Presentation, w: Word, word_cap: int = DEFAULT_WORD_CAP) -> NormalForm:
-    """Comb w into its kernel-first normal form along p's tower."""
+def comb(
+    p: Presentation | TowerSpec, w: Word, word_cap: int = DEFAULT_WORD_CAP
+) -> NormalForm:
+    """Comb w into its kernel-first normal form along the tower p, or the
+    tower the presentation p carries; no relator is read."""
     c, parts = _combed(p, w, word_cap)
     return c.normal_form(parts)
 
 
 def words_equal(
-    p: Presentation, u: Word, v: Word, word_cap: int = DEFAULT_WORD_CAP
+    p: Presentation | TowerSpec, u: Word, v: Word, word_cap: int = DEFAULT_WORD_CAP
 ) -> bool:
     """Group-element equality via uniqueness of the combed form."""
     # Through comb, so that whatever observes comb sees both sides; the
@@ -404,7 +412,9 @@ def words_equal(
     return comb(p, u, word_cap) == comb(p, v, word_cap)
 
 
-def is_identity(p: Presentation, w: Word, word_cap: int = DEFAULT_WORD_CAP) -> bool:
+def is_identity(
+    p: Presentation | TowerSpec, w: Word, word_cap: int = DEFAULT_WORD_CAP
+) -> bool:
     return not any(_combed(p, w, word_cap)[1])
 
 
@@ -453,12 +463,12 @@ def section_sprime(w: Word, n: int) -> Word:
     return apply_homomorphism(w, images)
 
 
-def theta_decompose(p: Presentation, w: Word) -> tuple[int, Word]:
+def theta_decompose(p: Presentation | TowerSpec, w: Word) -> tuple[int, Word]:
     """Split w as Theta^exponent * remainder, where exponent is the r(1,0)
     exponent sum (the retraction onto the central factor) and the remainder
     has r(1,0) exponent sum zero."""
-    tower = p.tower
-    if tower is None or tower.family is not GenFamily.ORBIT:
+    tower = _require_tower(p)
+    if tower.family is not GenFamily.ORBIT:
         raise InvalidArgumentError("theta decomposition needs an orbit tower")
     exponent = exponent_sum(w, orbit_gen(1, 0))
     return exponent, word_power(element_Theta(tower.n), -exponent) * w
@@ -484,34 +494,36 @@ class CenterReport:
         return self.theta_commutes and self.all_witnessed
 
 
-def center_check(p: Presentation, witness_budget: int = 8) -> CenterReport:
+def center_check(p: Presentation | TowerSpec, witness_budget: int = 8) -> CenterReport:
     """Verify Theta_n is central and every non-Theta generator is not,
-    where n is the height of p's orbit tower.
+    where n is the height of the orbit tower p, or of the tower the
+    presentation p carries.
 
     For each generator g that is not a power of Theta, search up to
     witness_budget candidate generators h for one with gh != hg; a None
     witness in the report means none was found within budget.
     """
-    tower = p.tower
-    if tower is None or tower.family is not GenFamily.ORBIT:
-        raise InvalidArgumentError("centre check needs an orbit presentation")
+    tower = _require_tower(p)
+    if tower.family is not GenFamily.ORBIT:
+        raise InvalidArgumentError("centre check needs an orbit tower")
     n = tower.n
+    generators = tower.all_generators()
     theta = element_Theta(n)
     failures = []
-    for g in p.generators:
+    for g in generators:
         gw = Word((Letter(g),))
         if not words_equal(p, theta * gw, gw * theta):
             failures.append(g)
     theta_powers = []
     witnesses = []
-    for g in p.generators:
+    for g in generators:
         gw = Word((Letter(g),))
         _, remainder = theta_decompose(p, gw)
         if is_identity(p, remainder):
             theta_powers.append(g)
             continue
         candidates = sorted(
-            (h for h in p.generators if h != g),
+            (h for h in generators if h != g),
             key=lambda h: (abs(h.level - g.level), h.indices),
         )
         found = None

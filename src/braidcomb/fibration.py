@@ -35,6 +35,7 @@ from .combing import DEFAULT_WORD_CAP, words_equal
 from .errors import InvalidArgumentError, NoUnitCoordinateError
 from .presentations import (
     Presentation,
+    TowerSpec,
     artin_presentation,
     element_Theta,
     element_full_twist,
@@ -89,6 +90,19 @@ def fibre_presentation(surface: Surface, n: int) -> Presentation:
     if surface is Surface.S2:
         return artin_presentation(n - 1)
     return orbit_presentation(n - 1)
+
+
+@lru_cache(maxsize=None)
+def _fibre_tower(surface: Surface, n: int) -> TowerSpec:
+    """The tower of R_{n-1}: all that combing reads; no relator is built."""
+    _require_n(surface, n)
+    return TowerSpec(surface.fibre_family, n - 1)
+
+
+@lru_cache(maxsize=None)
+def _fibre_generators(surface: Surface, n: int) -> tuple[GeneratorSymbol, ...]:
+    """The generators of R_{n-1}, in presentation order."""
+    return _fibre_tower(surface, n).all_generators()
 
 
 @dataclass(frozen=True)
@@ -164,7 +178,7 @@ def fibre_elements_equal(
         raise InvalidArgumentError("elements live in different fibre groups")
     if a.z_part != b.z_part:
         return False
-    return words_equal(fibre_presentation(a.surface, a.n), a.r_part, b.r_part, word_cap)
+    return words_equal(_fibre_tower(a.surface, a.n), a.r_part, b.r_part, word_cap)
 
 
 def pi2_basis(surface: Surface, n: int) -> tuple[str, ...]:
@@ -281,8 +295,7 @@ def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     presentation order.  The layout is a fixed convention of this package;
     only Smith-form invariants and cokernels are contractual.
     """
-    _require_n(surface, n)
-    gens = fibre_presentation(surface, n).generators
+    gens = _fibre_generators(surface, n)
     columns = []
     for label in pi2_basis(surface, n):
         img = boundary_image(surface, n, label)
@@ -536,7 +549,7 @@ def boundary_sum_identity(
         total = total * img
     squared = _tau_hat_squared(surface, n)
     agree = total.z_part == squared.z_part and words_equal(
-        fibre_presentation(surface, n), total.r_part, squared.r_part, word_cap
+        _fibre_tower(surface, n), total.r_part, squared.r_part, word_cap
     )
     return BoundarySumReport(surface, n, total, squared, agree)
 

@@ -15,9 +15,13 @@ The same storage scheme covers the classical pure braid presentation on the
 band generators ``A(i,j)``, whose action rules have four cases instead of
 the orbit family's sixteen.
 
-Everything in this module is a pure function of its arguments, so the
-builders can be called freely from tests and from the combing engine, which
-replays the same conjugators when pushing letters down the tower.
+Everything in this module is a pure function of its arguments.  The
+combing engine calls none of the builders: it reads only the tower and
+replays action_conjugator when pushing letters down it.
+
+Two sizes are bounded before anything is allocated: a tower holds at most
+MAX_TOWER_GENERATORS generators, and a presentation built or imported here
+at most MAX_RELATORS relators.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from .words import (
 )
 
 __all__ = [
+    "MAX_TOWER_GENERATORS",
+    "MAX_RELATORS",
     "TowerSpec",
     "Presentation",
     "orbit_presentation",
@@ -58,6 +64,13 @@ __all__ = [
 
 
 # --- tower bookkeeping -------------------------------------------------------
+
+# The most generators a tower may have: n**2 for the orbit family, so
+# n <= 50, and n(n-1)/2 for the band family, so n <= 71.
+MAX_TOWER_GENERATORS = 2_500
+# The most relators a presentation may have when it is built or imported:
+# G_n up to n = 14 (17,381 relators), P_n up to n = 20 (16,815).
+MAX_RELATORS = 20_000
 
 
 @dataclass(frozen=True)
@@ -79,10 +92,34 @@ class TowerSpec:
             raise InvalidArgumentError("towers are built over the orbit or band alphabets")
         if self.n < 1:
             raise InvalidArgumentError(f"a tower needs at least one level, got n={self.n}")
+        if self.generator_count() > MAX_TOWER_GENERATORS:
+            raise InvalidArgumentError(
+                f"a tower of height n={self.n} has {self.generator_count()} generators, "
+                f"past the bound MAX_TOWER_GENERATORS={MAX_TOWER_GENERATORS}"
+            )
 
     def kernel_rank(self, j: int) -> int:
         """Rank of the free kernel adjoined at stage j."""
-        return len(self.alphabet(j))
+        if not 1 <= j <= self.n:
+            raise InvalidArgumentError(f"no level {j} in a tower of height {self.n}")
+        return 2 * j - 1 if self.family is GenFamily.ORBIT else j - 1
+
+    def generator_count(self) -> int:
+        """n**2 for the orbit tower, n(n-1)/2 for the band tower."""
+        n = self.n
+        return n * n if self.family is GenFamily.ORBIT else n * (n - 1) // 2
+
+    def relator_count(self) -> int:
+        """The number of relators of the tower's presentation, one per
+        (actor, target) pair at levels j < k: the sum over j < k of
+        rank(j) * rank(k), that is (sum of ranks)**2 minus the sum of
+        squared ranks, halved.  Nothing is built."""
+        n = self.n
+        if self.family is GenFamily.ORBIT:  # ranks 1, 3, ..., 2n-1
+            squares = n * (2 * n - 1) * (2 * n + 1) // 3
+        else:  # ranks 0, 1, ..., n-1
+            squares = (n - 1) * n * (2 * n - 1) // 6
+        return (self.generator_count() ** 2 - squares) // 2
 
     def alphabet(self, j: int) -> tuple[GeneratorSymbol, ...]:
         if not 1 <= j <= self.n:
@@ -130,7 +167,7 @@ class Presentation:
 def orbit_presentation(n: int) -> Presentation:
     """The orbit braid group on n points: n**2 generators r(j,i) and one
     conjugation relator per ordered pair of levels j < k."""
-    tower = TowerSpec(GenFamily.ORBIT, n)
+    tower = _presentable_tower(GenFamily.ORBIT, n)
     gens = tower.all_generators()
     # Relators run (family, j, i, k, l)-lexicographically: family (I) has
     # actors r(j,0), family (II) actors r(j,i) with 1 <= i < j, family (III)
@@ -145,8 +182,15 @@ def orbit_presentation(n: int) -> Presentation:
 
 def artin_presentation(n: int) -> Presentation:
     """The pure braid group on n strands, presented on the bands A(i,j)."""
-    tower = TowerSpec(GenFamily.BAND, n)
+    tower = _presentable_tower(GenFamily.BAND, n)
     return _tower_presentation(tower, tower.all_generators())
+
+
+def _presentable_tower(family: GenFamily, n: int) -> TowerSpec:
+    """The tower, once its relator count, in closed form, is within bounds."""
+    tower = TowerSpec(family, n)
+    _check_relator_count(tower.relator_count(), f"the presentation of height n={n}")
+    return tower
 
 
 def _tower_presentation(
@@ -161,6 +205,13 @@ def _tower_presentation(
         for target in tower.alphabet(k)
     )
     return Presentation(tower.all_generators(), relators, tower)
+
+
+def _check_relator_count(count: int, what: str) -> None:
+    if count > MAX_RELATORS:
+        raise InvalidArgumentError(
+            f"{what} has {count} relators, past the bound MAX_RELATORS={MAX_RELATORS}"
+        )
 
 
 def quotient_by(p: Presentation, extra: Iterable[Word]) -> Presentation:
@@ -406,6 +457,7 @@ def _parse_text(source: str) -> Presentation:
         raise InvalidArgumentError("text presentation must open with a 'generators:' line")
     gens = [_symbol_from_text(token) for token in lines[0][len("generators:") :].split()]
     body = lines[1:]
+    _check_relator_count(len(body), "the text presentation")
     if body == ["(no relators)"]:
         relators: tuple[Word, ...] = ()
     else:
@@ -444,15 +496,17 @@ def _parse_json(source: str) -> Presentation:
         raise InvalidArgumentError(f"malformed json: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema_version") != 1:
         raise InvalidArgumentError("expected a schema_version 1 presentation object")
+    tower_info = payload.get("tower")
+    tower = None if tower_info is None else _json_tower(tower_info)
+    raw_relators = _json_list(payload.get("relators"), "relators")
+    _check_relator_count(len(raw_relators), "the json presentation")
     gens = tuple(
         _symbol_from_text(tok) for tok in _json_list(payload.get("generators"), "generators")
     )
     relators = tuple(
         reduce(_json_letter(item) for item in _json_list(letters, "a relator"))
-        for letters in _json_list(payload.get("relators"), "relators")
+        for letters in raw_relators
     )
-    tower_info = payload.get("tower")
-    tower = None if tower_info is None else _json_tower(tower_info)
     return Presentation(gens, relators, tower)
 
 

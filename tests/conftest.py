@@ -1,0 +1,18 @@
+"""Fixtures shared by the test modules."""
+
+from __future__ import annotations
+
+import pytest
+
+from braidcomb import presentations
+
+
+@pytest.fixture
+def no_relators_built(monkeypatch):
+    """Make building any tower presentation fail for the rest of the test
+    (until monkeypatch.undo())."""
+
+    def refuse(*args):
+        raise AssertionError("a presentation was built")
+
+    monkeypatch.setattr(presentations, "_tower_presentation", refuse)

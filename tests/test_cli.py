@@ -11,8 +11,9 @@ import pytest
 
 from braidcomb import cli
 from braidcomb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_WORD_CAP, main
-from braidcomb.presentations import orbit_presentation, parse_presentation
-from braidcomb.words import orbit_gen
+from braidcomb.combing import comb
+from braidcomb.presentations import TowerSpec, orbit_presentation, parse_presentation
+from braidcomb.words import GenFamily, orbit_gen, parse_word
 
 
 def run(capsys, *argv):
@@ -120,6 +121,85 @@ def test_comb_rejects_gap_format(capsys):
     )
     assert code == EXIT_USAGE
     assert "--format" in err
+
+
+# --- the cold path reads only the tower --------------------------------------------
+
+
+TOWER_ONLY_ARGVS = [
+    ("comb", "--group", "gn", "--n", "4", "--word", "r(1,0) r(4,6)^-1 r(2,1) r(3,4) r(1,0)^-1"),
+    ("comb", "--group", "pn", "--n", "6", "--word", "A(1,3)^-1 A(2,6) A(4,5) A(1,3)", "--format", "json"),
+    ("verify", "--suite", "center", "--n", "3"),
+    ("verify", "--suite", "theta", "--n", "3", "--seed", "11"),
+]
+
+
+@pytest.mark.parametrize("argv", TOWER_ONLY_ARGVS, ids=lambda argv: "-".join(argv[:3]))
+def test_tower_only_commands_build_no_presentation(capsys, monkeypatch, argv, no_relators_built):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    monkeypatch.undo()
+    assert run(capsys, *argv) == (EXIT_OK, out, "")
+
+
+def test_comb_fills_the_top_level_of_g30_without_relators(capsys, no_relators_built):
+    # r(29,31)^-1 acting on r(30,1) fills the inverse table at level 30.
+    code, out, _ = run(
+        capsys, "comb", "--group", "gn", "--n", "30", "--word", "r(29,31)^-1 r(30,1) r(29,31)"
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"level {k}" for k in range(30, 0, -1)]
+    assert all(line.endswith(": 1") for line in lines[1:])
+    # Conjugating the image back by r(29,31) returns r(30,1).
+    image = parse_word(lines[0].split(": ")[1])
+    actor = parse_word("r(29,31)")
+    back = comb(TowerSpec(GenFamily.ORBIT, 30), actor * image * actor.inverse())
+    assert back.to_word() == parse_word("r(30,1)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("comb", "--group", "gn", "--n", "51", "--word", "r(1,0)"),
+        ("comb", "--group", "pn", "--n", "72", "--word", "A(1,2)"),
+        ("comb", "--group", "gn", "--n", "100000", "--word", "r(1,0)"),
+        ("verify", "--suite", "center", "--n", "51"),
+        ("verify", "--suite", "theta", "--n", "51"),
+    ],
+    ids=lambda argv: "-".join(argv[:5]),
+)
+def test_towers_past_the_generator_bound_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "MAX_TOWER_GENERATORS=2500" in err
+
+
+def test_tallest_towers_comb(capsys):
+    code, out, _ = run(capsys, "comb", "--group", "gn", "--n", "50", "--word", "r(50,0)")
+    assert code == EXIT_OK
+    assert out.startswith("level 50: r(50,0)\nlevel 49: 1\n")
+    code, out, _ = run(capsys, "comb", "--group", "pn", "--n", "71", "--word", "A(1,71)")
+    assert code == EXIT_OK
+    assert out.startswith("level 71: A(1,71)\nlevel 70: 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("presentation", "--group", "gn", "--n", "15"),
+        ("presentation", "--group", "pn", "--n", "21", "--format", "json"),
+        ("abelianize", "--group", "gn", "--n", "15"),
+        ("abelianize", "--group", "pn", "--n", "21"),
+        ("verify", "--suite", "relators", "--group", "gn", "--n", "15"),
+        ("verify", "--suite", "relators", "--group", "pn", "--n", "21"),
+    ],
+    ids=lambda argv: "-".join(argv[:5]),
+)
+def test_presentations_past_the_relator_bound_are_usage_errors(capsys, argv, no_relators_built):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "MAX_RELATORS=20000" in err
 
 
 # --- abelianize -----------------------------------------------------------------

@@ -461,6 +461,40 @@ def test_is_identity_reads_the_combed_word(p, data):
     assert is_identity(p, w) == comb(p, w).to_word().is_identity
 
 
+# --- the tower alone against the towered presentation ---
+
+
+@pytest.mark.parametrize("p", [G3, P4], ids=["G3", "P4"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tower_and_presentation_agree(p, data):
+    tower = TowerSpec(p.tower.family, p.tower.n)
+    u = data.draw(_words(p))
+    v = data.draw(
+        st.one_of(
+            _words(p),
+            st.just(comb(p, u).to_word()),
+            st.sampled_from(p.relators).map(lambda r: u * r),
+        )
+    )
+    assert comb(tower, u) == comb(p, u)
+    assert words_equal(tower, u, v) == words_equal(p, u, v)
+    assert is_identity(tower, u * v.inverse()) == is_identity(p, u * v.inverse())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_center_check_of_the_tower_is_that_of_the_presentation(n):
+    assert center_check(TowerSpec(GenFamily.ORBIT, n)) == center_check(orbit_presentation(n))
+
+
+def test_band_tower_has_no_centre_check_or_theta_split():
+    tower = TowerSpec(GenFamily.BAND, 4)
+    with pytest.raises(InvalidArgumentError):
+        center_check(tower)
+    with pytest.raises(InvalidArgumentError):
+        theta_decompose(tower, parse_word("A(1,2)"))
+
+
 @pytest.mark.parametrize("p", [G3, P4], ids=["G3", "P4"])
 def test_word_cap_boundary_is_exact(p):
     rng = random.Random(0)

@@ -304,3 +304,20 @@ def test_fibre_presentation_matches_surface():
     assert all(g.family.value == "r" for g in fibre_presentation(RP2, 3).generators)
     with pytest.raises(InvalidArgumentError):
         fibre_presentation(S2, 1)
+
+
+def test_boundary_and_equality_read_only_the_tower(monkeypatch, no_relators_built):
+    fibre_presentation.cache_clear()
+    cases = ((S2, 4), (RP2, 3))
+
+    def results():
+        out = []
+        for surface, n in cases:
+            img = boundary_image(surface, n, pi2_basis(surface, n)[0])
+            assert fibre_elements_equal(img, img * FibreElement.identity(surface, n))
+            out.append((boundary_matrix_ab(surface, n), boundary_sum_identity(surface, n)))
+        return out
+
+    tower_only = results()
+    monkeypatch.undo()
+    assert tower_only == results()

@@ -18,6 +18,8 @@ from braidcomb import (
     parse_word,
 )
 from braidcomb.presentations import (
+    MAX_RELATORS,
+    MAX_TOWER_GENERATORS,
     Presentation,
     TowerSpec,
     action_conjugator,
@@ -88,6 +90,83 @@ def test_artin_inventories():
     for n in range(1, 6):
         expected = sum((k - 1) * (k - 1) * (k - 2) // 2 for k in range(3, n + 1))
         assert len(artin_presentation(n).relators) == expected
+
+
+def _pair_sum(ranks):
+    return sum(ranks[j] * ranks[k] for j in range(len(ranks)) for k in range(j + 1, len(ranks)))
+
+
+def test_tower_counts_match_the_presentations():
+    for n in range(1, 7):
+        for tower, p in (
+            (TowerSpec(GenFamily.ORBIT, n), orbit_presentation(n)),
+            (TowerSpec(GenFamily.BAND, n), artin_presentation(n)),
+        ):
+            assert tower.generator_count() == len(tower.all_generators()) == len(p.generators)
+            assert tower.relator_count() == len(p.relators)
+
+
+@pytest.mark.parametrize("family", [GenFamily.ORBIT, GenFamily.BAND])
+def test_relator_count_closed_form_is_the_pair_sum(family):
+    # Up to the tallest tower the generator bound allows; nothing is built.
+    n = 1
+    while True:
+        try:
+            tower = TowerSpec(family, n)
+        except InvalidArgumentError:
+            break
+        ranks = [2 * j - 1 if family is GenFamily.ORBIT else j - 1 for j in range(1, n + 1)]
+        assert [tower.kernel_rank(j) for j in range(1, n + 1)] == ranks
+        assert tower.generator_count() == sum(ranks)
+        assert tower.relator_count() == _pair_sum(ranks)
+        n += 1
+    assert n - 1 == (50 if family is GenFamily.ORBIT else 71)
+
+
+@pytest.mark.parametrize(
+    "family, tallest", [(GenFamily.ORBIT, 50), (GenFamily.BAND, 71)], ids=["orbit", "band"]
+)
+def test_tower_generator_bound(family, tallest):
+    assert TowerSpec(family, tallest).generator_count() <= MAX_TOWER_GENERATORS
+    for n in (tallest + 1, 10**9):
+        with pytest.raises(InvalidArgumentError, match="MAX_TOWER_GENERATORS=2500"):
+            TowerSpec(family, n)
+
+
+@pytest.mark.parametrize(
+    "builder, family, tallest",
+    [(orbit_presentation, GenFamily.ORBIT, 14), (artin_presentation, GenFamily.BAND, 20)],
+    ids=["orbit", "band"],
+)
+def test_presentation_relator_bound(no_relators_built, builder, family, tallest):
+    assert TowerSpec(family, tallest).relator_count() <= MAX_RELATORS
+    assert TowerSpec(family, tallest + 1).relator_count() > MAX_RELATORS
+    for n in (tallest + 1, 50):
+        with pytest.raises(InvalidArgumentError, match="MAX_RELATORS=20000"):
+            builder(n)
+    with pytest.raises(InvalidArgumentError, match="MAX_TOWER_GENERATORS"):
+        builder(10**9)
+
+
+def test_imports_refuse_more_relators_than_the_bound():
+    text = "generators: r(1,0)\n" + "r(1,0)\n" * MAX_RELATORS
+    assert len(parse_presentation(text, "text").relators) == MAX_RELATORS
+    with pytest.raises(InvalidArgumentError, match="MAX_RELATORS"):
+        parse_presentation(text + "r(1,0)\n", "text")
+
+    payload = {"schema_version": 1, "generators": ["r(1,0)"], "tower": None}
+    payload["relators"] = [[]] * MAX_RELATORS
+    assert len(parse_presentation(json.dumps(payload), "json").relators) == MAX_RELATORS
+    payload["relators"].append([])
+    with pytest.raises(InvalidArgumentError, match="MAX_RELATORS"):
+        parse_presentation(json.dumps(payload), "json")
+
+
+def test_json_import_refuses_a_tower_past_the_generator_bound():
+    payload = json.loads(export_presentation(orbit_presentation(1), "json"))
+    payload["tower"]["n"] = 51
+    with pytest.raises(InvalidArgumentError, match="MAX_TOWER_GENERATORS"):
+        parse_presentation(json.dumps(payload), "json")
 
 
 def test_invalid_n_rejected():

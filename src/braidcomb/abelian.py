@@ -11,16 +11,18 @@ returning, so a wrong answer cannot escape silently.
 Costs follow the non-zero entries: matrix products skip zeros, so that
 multiply-back check costs time in proportion to the non-zeros of U, m and
 V, and cokernel drops zero and repeated columns, which span nothing new,
-before it reduces.
+before it reduces.  Words become exponent vectors in one pass each, every
+letter read once against a generator index built once; h1 hands those
+vectors straight to the cokernel and builds no relation matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
-from .words import GeneratorSymbol, Word, exponent_sum
+from .words import GeneratorSymbol, Word
 
 __all__ = [
     "IntMatrix",
@@ -286,16 +288,29 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 # --- presentations to matrices ------------------------------------------------
 
 
+def _exponent_vectors(
+    words: Iterable[Word], generators: Sequence[GeneratorSymbol]
+) -> Iterator[tuple[int, ...]]:
+    """The exponent vector of each word over the ordered generators, read
+    in one pass per word.  A letter outside generators raises
+    MissingImageError naming its symbol."""
+    column = {g: c for c, g in enumerate(generators)}
+    for word in words:
+        vector = [0] * len(column)
+        for letter in word.letters:
+            try:
+                vector[column[letter.symbol]] += letter.exponent
+            except KeyError:
+                raise MissingImageError(letter.symbol) from None
+        yield tuple(vector)
+
+
 def relation_matrix(p) -> IntMatrix:
     """Abelianized relator matrix: one row per relator, one column per
     generator (in the presentation's generator order)."""
-    width = len(p.generators)
-    column = {g: c for c, g in enumerate(p.generators)}
-    entries = [0] * (len(p.relators) * width)
-    for r, relator in enumerate(p.relators):
-        for letter in relator.letters:
-            entries[r * width + column[letter.symbol]] += letter.exponent
-    return IntMatrix(len(p.relators), width, tuple(entries))
+    rows = _exponent_vectors(p.relators, p.generators)
+    entries = tuple(x for row in rows for x in row)
+    return IntMatrix(len(p.relators), len(p.generators), entries)
 
 
 def _cokernel_of_columns(rows: int, columns: Iterable[tuple[int, ...]]) -> FGAbelianGroup:
@@ -320,9 +335,8 @@ def cokernel(m: IntMatrix) -> FGAbelianGroup:
 
 def h1(p) -> FGAbelianGroup:
     """First homology (abelianization) of a presented group: Z^generators
-    modulo the span of the relation matrix's rows."""
-    m = relation_matrix(p)
-    return _cokernel_of_columns(m.cols, (m.row(r) for r in range(m.rows)))
+    modulo the span of the relators' exponent vectors."""
+    return _cokernel_of_columns(len(p.generators), _exponent_vectors(p.relators, p.generators))
 
 
 def hom_on_h1(
@@ -330,17 +344,14 @@ def hom_on_h1(
 ) -> IntMatrix:
     """Matrix of the induced map H1(source) -> H1(target) on generator
     classes: one column per source generator, one row per target generator.
-    """
-    target_gens = tuple(target.generators)
-    known = set(target_gens)
-    columns = []
-    for g in source.generators:
-        try:
-            image = images[g]
-        except KeyError:
-            raise MissingImageError(g) from None
-        for sym in image.symbols():
-            if sym not in known:
-                raise MissingImageError(sym)
-        columns.append([exponent_sum(image, t) for t in target_gens])
-    return IntMatrix.from_columns(len(target_gens), columns)
+    The first source generator without an image, or with a letter outside
+    the target, raises MissingImageError naming that generator or letter."""
+
+    def images_in_order() -> Iterator[Word]:
+        for g in source.generators:
+            if g not in images:
+                raise MissingImageError(g)
+            yield images[g]
+
+    columns = list(_exponent_vectors(images_in_order(), target.generators))
+    return IntMatrix.from_columns(len(target.generators), columns)

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from typing import TextIO
 
 from .abelian import FGAbelianGroup, h1, smith_normal_form
-from .combing import center_check, comb, theta_decompose, words_equal
+from .combing import NormalForm, center_check, comb, theta_decompose, words_equal
 from .errors import (
     InvalidArgumentError,
     NoUnitCoordinateError,
@@ -266,11 +266,15 @@ def _suite_relators(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]]
         (_random_word(rng, gens, SUITE_WORD_LENGTH), _random_word(rng, gens, SUITE_WORD_LENGTH))
         for _ in range(SUITE_PAIRS)
     ]
+    base_forms: dict[int, NormalForm] = {}  # pair index -> comb of u * v, at first use
     checks = []
     for idx, relator in enumerate(p.relators):
         bad = ""
-        for u, v in pairs:
-            if comb(p, u * relator * v, ns.word_cap) != comb(p, u * v, ns.word_cap):
+        for i, (u, v) in enumerate(pairs):
+            form = comb(p, u * relator * v, ns.word_cap)
+            if i not in base_forms:
+                base_forms[i] = comb(p, u * v, ns.word_cap)
+            if form != base_forms[i]:
                 bad = f"reproducer: {format_word(u * relator * v)}"
                 break
         checks.append(

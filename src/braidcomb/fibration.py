@@ -26,6 +26,7 @@ from functools import lru_cache, reduce
 from .abelian import (
     FGAbelianGroup,
     IntMatrix,
+    _exponent_vectors,
     cokernel,
     h1,
     has_torsion,
@@ -49,7 +50,6 @@ from .words import (
     Letter,
     Word,
     band_gen,
-    exponent_sum,
     orbit_gen,
     surface_gen,
 )
@@ -97,12 +97,6 @@ def _fibre_tower(surface: Surface, n: int) -> TowerSpec:
     """The tower of R_{n-1}: all that combing reads; no relator is built."""
     _require_n(surface, n)
     return TowerSpec(surface.fibre_family, n - 1)
-
-
-@lru_cache(maxsize=None)
-def _fibre_generators(surface: Surface, n: int) -> tuple[GeneratorSymbol, ...]:
-    """The generators of R_{n-1}, in presentation order."""
-    return _fibre_tower(surface, n).all_generators()
 
 
 @dataclass(frozen=True)
@@ -295,13 +289,10 @@ def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     presentation order.  The layout is a fixed convention of this package;
     only Smith-form invariants and cokernels are contractual.
     """
-    gens = _fibre_generators(surface, n)
-    columns = []
-    for label in pi2_basis(surface, n):
-        img = boundary_image(surface, n, label)
-        columns.append(
-            list(img.z_part) + [exponent_sum(img.r_part, g) for g in gens]
-        )
+    gens = _fibre_tower(surface, n).all_generators()
+    images = [boundary_image(surface, n, label) for label in pi2_basis(surface, n)]
+    braid_parts = _exponent_vectors((img.r_part for img in images), gens)
+    columns = [img.z_part + part for img, part in zip(images, braid_parts)]
     return IntMatrix.from_columns(n - 1 + len(gens), columns)
 
 
@@ -507,7 +498,7 @@ def nonsplit_witness_s2(n: int) -> NonSplitReport:
         raise InvalidArgumentError(
             f"the non-splitting witness needs n >= 3, got n = {n}"
         )
-    middle = h1(artin_presentation(n - 1)).direct_sum(FGAbelianGroup(n - 1))
+    middle = h1(fibre_presentation(Surface.S2, n)).direct_sum(FGAbelianGroup(n - 1))
     quot = cokernel(boundary_matrix_ab(Surface.S2, n))
     return NonSplitReport(
         n, middle, quot, not has_torsion(middle), 2 in quot.torsion
@@ -548,9 +539,7 @@ def boundary_sum_identity(
             img = img.inverse()
         total = total * img
     squared = _tau_hat_squared(surface, n)
-    agree = total.z_part == squared.z_part and words_equal(
-        _fibre_tower(surface, n), total.r_part, squared.r_part, word_cap
-    )
+    agree = fibre_elements_equal(total, squared, word_cap)
     return BoundarySumReport(surface, n, total, squared, agree)
 
 

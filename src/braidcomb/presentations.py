@@ -128,12 +128,6 @@ class TowerSpec:
             return tuple(orbit_gen(j, i) for i in range(2 * j - 1))
         return tuple(band_gen(i, j) for i in range(1, j))
 
-    def level_of(self, symbol: GeneratorSymbol) -> int:
-        j = symbol.level
-        if symbol.family is not self.family or not 1 <= j <= self.n:
-            raise InvalidArgumentError(f"{symbol} is not a generator of this tower")
-        return j
-
     def all_generators(self) -> tuple[GeneratorSymbol, ...]:
         return tuple(sym for j in range(1, self.n + 1) for sym in self.alphabet(j))
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from braidcomb import InvalidArgumentError, MissingImageError, orbit_gen, parse_word
+from braidcomb import InvalidArgumentError, MissingImageError, orbit_gen, parse_word, surface_gen
 from braidcomb.abelian import (
     FGAbelianGroup,
     IntMatrix,
@@ -317,3 +318,103 @@ def test_hom_on_h1_missing_image():
             p2,
             p2,
         )
+
+
+# --- exponent vectors against per-generator sums ------------------------------
+
+_G3 = orbit_presentation(3).generators
+_P4 = artin_presentation(4).generators
+_FOREIGN = surface_gen(1)  # in neither alphabet
+
+
+def _words_over(alphabet, max_letters=10):
+    letters = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+    return st.lists(letters, max_size=max_letters).map(
+        lambda pairs: reduce(Letter(sym, e) for sym, e in pairs)
+    )
+
+
+def _foreign_in(words, generators):
+    """The first letter's symbol, in reading order, outside the generators."""
+    symbols = (letter.symbol for w in words for letter in w.letters)
+    return next((sym for sym in symbols if sym not in generators), None)
+
+
+def _reference_rows(words, generators):
+    return [[exponent_sum(w, g) for g in generators] for w in words]
+
+
+def _reference_h1(rows, width):
+    if not rows:
+        return FGAbelianGroup(width)
+    matrix = Matrix(len(rows), width, [x for row in rows for x in row])
+    factors = [abs(x) for x in invariant_factors(matrix) if x != 0]
+    return FGAbelianGroup(width - len(factors), tuple(d for d in factors if d > 1))
+
+
+@st.composite
+def _presented(draw):
+    """Generators of G_3 or P_4 and a few words over them, the foreign
+    letter allowed in some draws."""
+    gens = draw(st.sampled_from((_G3, _P4)))
+    alphabet = gens + (_FOREIGN,) if draw(st.booleans()) else gens
+    return gens, draw(st.lists(_words_over(alphabet), max_size=6))
+
+
+@settings(deadline=None)
+@given(_presented())
+def test_relation_matrix_and_h1_match_per_generator_sums(case):
+    gens, words = case
+    p = SimpleNamespace(generators=gens, relators=tuple(words))
+    foreign = _foreign_in(words, gens)
+    if foreign is not None:
+        for f in (relation_matrix, h1):
+            with pytest.raises(MissingImageError) as info:
+                f(p)
+            assert info.value.symbol == foreign
+        return
+    rows = _reference_rows(words, gens)
+    m = relation_matrix(p)
+    assert (m.rows, m.cols) == (len(words), len(gens))
+    assert m.entries == tuple(x for row in rows for x in row)
+    assert h1(p) == _reference_h1(rows, len(gens))
+
+
+@st.composite
+def _homomorphisms(draw):
+    """Images of the source generators over the target's, the foreign
+    letter allowed in some draws and up to two images left out."""
+    source, target = draw(st.sampled_from(((_G3, _P4), (_P4, _G3), (_G3, _G3))))
+    alphabet = target + (_FOREIGN,) if draw(st.booleans()) else target
+    images = {g: draw(_words_over(alphabet)) for g in source}
+    for g in draw(st.lists(st.sampled_from(source), max_size=2)):
+        images.pop(g, None)
+    return source, target, images
+
+
+def _reference_hom(images, source, target):
+    """The induced matrix, or the symbol that the first source generator
+    without a usable image names."""
+    columns = []
+    for g in source:
+        if g not in images:
+            return g
+        foreign = _foreign_in([images[g]], target)
+        if foreign is not None:
+            return foreign
+        columns.append(_reference_rows([images[g]], target)[0])
+    return IntMatrix.from_columns(len(target), columns)
+
+
+@settings(deadline=None)
+@given(_homomorphisms())
+def test_hom_on_h1_matches_per_generator_sums(case):
+    source, target, images = case
+    expected = _reference_hom(images, source, target)
+    groups = SimpleNamespace(generators=source), SimpleNamespace(generators=target)
+    if isinstance(expected, IntMatrix):
+        assert hom_on_h1(images, *groups) == expected
+    else:
+        with pytest.raises(MissingImageError) as info:
+            hom_on_h1(images, *groups)
+        assert info.value.symbol == expected

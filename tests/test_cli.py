@@ -345,6 +345,21 @@ def test_verify_center_formats_library_failures(capsys, monkeypatch):
     ) in out
 
 
+def test_verify_relators_combs_each_base_word_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(cli, "comb", counted)
+    code, out, _ = run(capsys, "verify", "--suite", "relators", "--group", "gn", "--n", "3")
+    assert code == EXIT_OK
+    assert out.count("PASS relator") == 23
+    # One comb per relator and pair, plus one per pair's base word u * v.
+    assert len(calls) == 23 * 25 + 25
+
+
 def test_verify_relators_on_p1_reports_no_checks(capsys):
     # P_1 has no generators and no relators: an empty, passing report.
     code, out, _ = run(capsys, "verify", "--suite", "relators", "--group", "pn", "--n", "1")

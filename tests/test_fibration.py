@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcomb.abelian import FGAbelianGroup, smith_normal_form
+from braidcomb.abelian import FGAbelianGroup, IntMatrix, smith_normal_form
 from braidcomb.errors import InvalidArgumentError, NoUnitCoordinateError
 from braidcomb.fibration import (
     FibreElement,
@@ -27,7 +27,7 @@ from braidcomb.fibration import (
     tau_hat,
     upsilon_images,
 )
-from braidcomb.words import IDENTITY, orbit_gen, parse_word
+from braidcomb.words import IDENTITY, exponent_sum, orbit_gen, parse_word
 
 S2 = Surface.S2
 RP2 = Surface.RP2
@@ -171,6 +171,18 @@ def test_boundary_matrix_pinned_shapes():
     m = boundary_matrix_ab(RP2, 2)
     assert smith_normal_form(m).d == (1, 2)
     assert (m.rows, m.cols) == (2, 2)
+
+
+@pytest.mark.parametrize("surface", (S2, RP2), ids=lambda s: s.value)
+def test_boundary_matrix_matches_per_generator_exponent_sums(surface):
+    for n in range(surface.n0, 10):
+        gens = fibre_presentation(surface, n).generators
+        columns = []
+        for label in pi2_basis(surface, n):
+            img = boundary_image(surface, n, label)
+            columns.append(list(img.z_part) + [exponent_sum(img.r_part, g) for g in gens])
+        expected = IntMatrix.from_columns(n - 1 + len(gens), columns)
+        assert boundary_matrix_ab(surface, n) == expected
 
 
 def test_boundary_matrix_injectivity_and_saturation():

@@ -183,11 +183,6 @@ def test_orbit_tower_ranks():
     assert tower is not None
     assert tower.n == 4
     assert [tower.kernel_rank(j) for j in range(1, 5)] == [1, 3, 5, 7]
-    assert tower.level_of(orbit_gen(3, 4)) == 3
-    with pytest.raises(InvalidArgumentError):
-        tower.level_of(band_gen(1, 2))
-    with pytest.raises(InvalidArgumentError):
-        tower.level_of(orbit_gen(5, 0))
 
 
 def test_artin_tower_ranks():

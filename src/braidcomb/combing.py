@@ -331,16 +331,19 @@ class _Comber:
         for k in range(self.tower.n, 0, -1):
             rev_k: list[int] = []
             rev_rest: list[int] = []
-            for pos in range(len(rest) - 1, -1, -1):
-                x = rest[pos]
-                if level_of[abs(x)] == k:
-                    _push(rev_k, x)
-                else:
-                    if rev_k:
-                        rev_k = self._conjugate_rev(
-                            x, rev_k, cap, pos + len(rev_rest) + 1
-                        )
-                    _push(rev_rest, x)
+            try:
+                for pos in range(len(rest) - 1, -1, -1):
+                    x = rest[pos]
+                    if level_of[abs(x)] == k:
+                        _push(rev_k, x)
+                    else:
+                        if rev_k:
+                            rev_k = self._conjugate_rev(
+                                x, rev_k, cap, pos + len(rev_rest) + 1
+                            )
+                        _push(rev_rest, x)
+            except WordSizeExceededError as exc:
+                raise WordSizeExceededError(exc.length, exc.cap, level=k) from None
             rev_k.reverse()
             parts.append(rev_k)
             rev_rest.reverse()

@@ -27,13 +27,23 @@ class WordSizeExceededError(BraidCombError, RuntimeError):
 
     The offending length is kept on the exception so front ends can report
     it, and the message names which word it was; rewriting never truncates
-    silently.
+    silently.  For an intermediate word, level is the tower level k whose
+    scan hit the cap, once the scan has named it; for an input word it is
+    None.
     """
 
-    def __init__(self, length: int, cap: int, word: str = "intermediate word"):
+    def __init__(
+        self,
+        length: int,
+        cap: int,
+        word: str = "intermediate word",
+        level: int | None = None,
+    ):
         self.length = length
         self.cap = cap
-        super().__init__(f"{word} of length {length} exceeds the cap of {cap}")
+        self.level = level
+        where = "" if level is None else f" at level {level}"
+        super().__init__(f"{word} of length {length} exceeds the cap of {cap}{where}")
 
 
 class NoUnitCoordinateError(BraidCombError, ValueError):

@@ -13,6 +13,13 @@ A Word is an immutable, freely reduced sequence of signed letters; the empty
 word is the identity.  All operations are pure and return fresh words, which
 makes words safe to share, hash and memoize.
 
+Every symbol that orbit_gen, band_gen, surface_gen and parse_word hand out
+is shared: one (family, indices) is one object, held in a cache bounded by
+a fixed number of symbols, so presentations, combing and the abelian layer
+meet the same objects and a dict lookup matches them by identity.  A
+symbol's hash is computed once, from integers only (its family's ordinal
+and its indices), so it is the same in every interpreter.
+
 The canonical text syntax (used by the CLI and the presentation exporters)
 writes letters as ``r(j,i)``, ``A(i,j)`` or ``p(j)``, optionally followed by
 ``^-1`` or ``^k`` for a nonzero integer ``k`` (expanded into ``|k|``
@@ -25,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidArgumentError, MissingImageError, WordSizeExceededError
@@ -54,6 +62,12 @@ __all__ = [
 # or an intermediate word of the combing engine.
 DEFAULT_WORD_CAP = 10**6
 
+# How many shared symbols the cache keeps: every generator of the tallest
+# towers of both families at once (2,500 for G_50 and 2,485 for P_71, the
+# bound presentations.MAX_TOWER_GENERATORS allows) with room to spare.  A
+# symbol evicted past it is rebuilt on its next use, equal but not identical.
+_SHARED_SYMBOLS = 8192
+
 
 class GenFamily(Enum):
     """The three generator alphabets; the value is the text-syntax letter."""
@@ -63,9 +77,19 @@ class GenFamily(Enum):
     SURFACE = "p"
 
 
+_FAMILIES = tuple(GenFamily)  # a family's position here is its ordinal
+
+
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """A single indexed generator, e.g. r(3,1) or A(1,2) or p(2)."""
+    """A single indexed generator, e.g. r(3,1) or A(1,2) or p(2).
+
+    The helpers orbit_gen, band_gen, surface_gen and parse_word return one
+    shared instance per (family, indices); a symbol built directly is equal
+    and hash-equal to it.  The hash is computed once, after validation,
+    from the family's ordinal and the indices, never from a str or an Enum,
+    whose hashes change from one interpreter to the next.
+    """
 
     family: GenFamily
     indices: tuple[int, ...]
@@ -94,6 +118,10 @@ class GeneratorSymbol:
             (j,) = idx
             if j < 1:
                 raise InvalidArgumentError(f"surface generator p({j}) out of range: need j >= 1")
+        object.__setattr__(self, "_hash", hash((_FAMILIES.index(self.family), *idx)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def level(self) -> int:
@@ -106,19 +134,30 @@ class GeneratorSymbol:
         return f"{self.family.value}({','.join(str(i) for i in self.indices)})"
 
 
+@lru_cache(maxsize=_SHARED_SYMBOLS)
+def _symbol(char: str, indices: tuple[int, ...]) -> GeneratorSymbol:
+    """The shared symbol written char(indices), e.g. r(3,1) for ("r", (3, 1)).
+
+    The one place the package builds a GeneratorSymbol.  It is keyed on the
+    text-syntax letter, whose hash Python caches, not on the GenFamily
+    member, whose hash is computed in Python on every lookup.
+    """
+    return GeneratorSymbol(GenFamily(char), indices)
+
+
 def orbit_gen(j: int, i: int) -> GeneratorSymbol:
     """The orbit generator r(j,i)."""
-    return GeneratorSymbol(GenFamily.ORBIT, (j, i))
+    return _symbol("r", (j, i))
 
 
 def band_gen(i: int, j: int) -> GeneratorSymbol:
     """The band generator A(i,j) of the pure braid alphabet."""
-    return GeneratorSymbol(GenFamily.BAND, (i, j))
+    return _symbol("A", (i, j))
 
 
 def surface_gen(j: int) -> GeneratorSymbol:
     """The surface generator p(j)."""
-    return GeneratorSymbol(GenFamily.SURFACE, (j,))
+    return _symbol("p", (j,))
 
 
 @dataclass(frozen=True)
@@ -259,8 +298,6 @@ _TOKEN_RE = re.compile(
     r"^([rAp])\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)(?:\^(-?\d+))?$"
 )
 
-_FAMILY_BY_CHAR = {f.value: f for f in GenFamily}
-
 
 def format_letter(letter: Letter) -> str:
     base = str(letter.symbol)
@@ -294,8 +331,7 @@ def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
         if match is None:
             raise InvalidArgumentError(f"cannot parse word letter {token!r}")
         char, first, second, power = match.groups()
-        family = _FAMILY_BY_CHAR[char]
-        if family is GenFamily.SURFACE:
+        if char == "p":
             if second is not None:
                 raise InvalidArgumentError(f"p takes one index: {token!r}")
             indices: tuple[int, ...] = (int(first),)
@@ -303,7 +339,7 @@ def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
             if second is None:
                 raise InvalidArgumentError(f"{char} takes two indices: {token!r}")
             indices = (int(first), int(second))
-        symbol = GeneratorSymbol(family, indices)
+        symbol = _symbol(char, indices)
         k = 1 if power is None else int(power)
         if k == 0:
             raise InvalidArgumentError(f"zero exponent in {token!r}")

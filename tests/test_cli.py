@@ -107,6 +107,16 @@ def test_comb_refuses_an_over_cap_power_before_expanding_it(capsys):
     assert "input word of length 1001 exceeds the cap of 1000" in err
 
 
+def test_comb_over_cap_reports_the_level(capsys):
+    word = "r(1,0) r(3,4) r(3,2) r(3,4) r(1,0)^-1"
+    code, out, err = run(
+        capsys, "comb", "--group", "gn", "--n", "3", "--word", word, "--word-cap", "8"
+    )
+    assert code == EXIT_WORD_CAP
+    assert out == ""
+    assert "intermediate word of length 15 exceeds the cap of 8 at level 3" in err
+
+
 def test_comb_word_cap_zero_is_usage_error(capsys):
     code, _, err = run(
         capsys, "comb", "--group", "gn", "--n", "2", "--word", "r(1,0)", "--word-cap", "0"

@@ -344,6 +344,25 @@ def test_word_cap_during_combing():
     comb(G3, w)  # default cap is roomy
 
 
+@pytest.mark.parametrize(
+    "text, cap, level",
+    [
+        ("r(1,0) r(3,4) r(3,2) r(3,4) r(1,0)^-1", 8, 3),
+        # No level-3 letter: the level-2 scan is the first to grow a word.
+        ("r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1", 5, 2),
+        ("r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1", 4, None),  # the input itself
+    ],
+)
+def test_word_cap_names_the_level_whose_scan_hit_it(text, cap, level):
+    with pytest.raises(WordSizeExceededError) as err:
+        comb(G3, parse_word(text), word_cap=cap)
+    assert err.value.level == level
+    assert err.value.cap == cap
+    assert str(err.value).endswith(
+        f"exceeds the cap of {cap}" + ("" if level is None else f" at level {level}")
+    )
+
+
 # --- words_equal / is_identity ---
 
 

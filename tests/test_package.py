@@ -1,6 +1,7 @@
 """Package surface: every name a module exports is importable from braidcomb,
-every name a module imports is used, and every private function, method or
-class a module defines is read somewhere in the package."""
+every name a module imports is used, every private function, method or
+class a module defines is read somewhere in the package, and every
+generator symbol is built by the one constructor that shares them."""
 
 from __future__ import annotations
 
@@ -101,3 +102,49 @@ def test_unread_private_definitions_are_found():
 def test_no_unread_private_definitions(path):
     package = [p.read_text() for p in PACKAGE_SOURCES]
     assert unread_private_definitions(path.read_text(), package) == []
+
+
+def symbols_built_outside_the_shared_constructor(source: str) -> list[int]:
+    """The lines of source that call GeneratorSymbol, or hand the class to a
+    call other than isinstance/issubclass (such as object.__new__), outside
+    words._symbol, the one constructor whose symbols are shared."""
+
+    def is_class(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "GeneratorSymbol") or (
+            isinstance(node, ast.Attribute) and node.attr == "GeneratorSymbol"
+        )
+
+    tree = ast.parse(source)
+    inside = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_symbol"
+        for inner in ast.walk(node)
+    }
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        checks_type = isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass")
+        if is_class(node.func) or (not checks_type and any(map(is_class, node.args))):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_symbols_built_outside_the_shared_constructor_are_found():
+    source = (
+        "from braidcomb import words\n"
+        "def _symbol(char, indices):\n"
+        "    return GeneratorSymbol(GenFamily(char), indices)\n"
+        "def orbit_gen(j, i):\n    return _symbol('r', (j, i))\n"
+        "def bypass(j, i):\n    return GeneratorSymbol(GenFamily.ORBIT, (j, i))\n"
+        "def qualified(j):\n    return words.GeneratorSymbol(GenFamily.SURFACE, (j,))\n"
+        "def unchecked():\n    return object.__new__(GeneratorSymbol)\n"
+        "def check(s: GeneratorSymbol) -> bool:\n    return isinstance(s, GeneratorSymbol)\n"
+    )
+    assert symbols_built_outside_the_shared_constructor(source) == [7, 9, 11]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_symbols_are_built_only_by_the_shared_constructor(path):
+    assert symbols_built_outside_the_shared_constructor(path.read_text()) == []

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import braidcomb
 from braidcomb import (
     GenFamily,
     GeneratorSymbol,
     InvalidArgumentError,
     Letter,
     MissingImageError,
+    TowerSpec,
     Word,
     WordSizeExceededError,
     apply_homomorphism,
@@ -24,6 +33,7 @@ from braidcomb import (
     reduce,
     surface_gen,
     word_power,
+    words,
 )
 
 R10 = orbit_gen(1, 0)
@@ -67,6 +77,84 @@ def test_surface_gen_validation():
     surface_gen(1)
     with pytest.raises(InvalidArgumentError):
         surface_gen(0)
+
+
+# --- shared symbols -----------------------------------------------------------
+
+
+def test_helpers_share_one_symbol_per_generator():
+    assert orbit_gen(3, 1) is orbit_gen(3, 1)
+    assert band_gen(2, 5) is band_gen(2, 5)
+    assert surface_gen(4) is surface_gen(4)
+    assert parse_word("r(3,1)").letters[0].symbol is orbit_gen(3, 1)
+    assert parse_word("A(2,5)^-2").letters[1].symbol is band_gen(2, 5)
+    assert parse_word("p(4)").letters[0].symbol is surface_gen(4)
+
+
+def test_a_directly_built_symbol_equals_the_shared_one():
+    direct = GeneratorSymbol(GenFamily.ORBIT, (3, 1))
+    assert direct == orbit_gen(3, 1)
+    assert hash(direct) == hash(orbit_gen(3, 1))
+    assert {orbit_gen(3, 1): "found"}[direct] == "found"
+    assert GeneratorSymbol(GenFamily.BAND, (3, 4)) != orbit_gen(3, 4)
+    for twin in (pickle.loads(pickle.dumps(orbit_gen(3, 1))), copy.deepcopy(orbit_gen(3, 1))):
+        assert twin == orbit_gen(3, 1) and hash(twin) == hash(orbit_gen(3, 1))
+
+
+def test_invalid_indices_are_refused_and_cached_nowhere():
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError):
+            orbit_gen(2, 3)
+        with pytest.raises(InvalidArgumentError):
+            parse_word("A(3,2)")
+    assert orbit_gen(2, 2).indices == (2, 2)
+    assert band_gen(2, 3).indices == (2, 3)
+
+
+_PICKLE_SYMBOLS = """
+import pickle, sys
+from braidcomb import GenFamily, GeneratorSymbol, band_gen, orbit_gen, surface_gen
+symbols = [GeneratorSymbol(GenFamily.ORBIT, (3, 1)), band_gen(2, 5), surface_gen(4)]
+sys.stdout.buffer.write(pickle.dumps((symbols, [hash(s) for s in symbols])))
+"""
+
+_LOOK_UP_SYMBOLS = """
+import pickle, sys
+from braidcomb import GenFamily, GeneratorSymbol
+symbols, hashes = pickle.loads(sys.stdin.buffer.read())
+fresh = {
+    GeneratorSymbol(GenFamily.ORBIT, (3, 1)): 0,
+    GeneratorSymbol(GenFamily.BAND, (2, 5)): 1,
+    GeneratorSymbol(GenFamily.SURFACE, (4,)): 2,
+}
+print([fresh.get(s) for s in symbols], hashes == [hash(s) for s in fresh])
+"""
+
+
+def test_a_symbol_pickled_under_one_hash_seed_is_found_under_another():
+    def child(code, seed, stdin=b""):
+        src = str(Path(braidcomb.__file__).parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    pickled = child(_PICKLE_SYMBOLS, 1)
+    assert child(_LOOK_UP_SYMBOLS, 2, pickled).decode().split() == ["[0,", "1,", "2]", "True"]
+
+
+def test_the_shared_symbols_are_bounded():
+    tallest = TowerSpec(GenFamily.ORBIT, 50), TowerSpec(GenFamily.BAND, 71)
+    assert sum(t.generator_count() for t in tallest) <= words._SHARED_SYMBOLS
+    for j in range(1, words._SHARED_SYMBOLS + 11):
+        surface_gen(j)
+    info = words._symbol.cache_info()
+    assert info.currsize == info.maxsize == words._SHARED_SYMBOLS
+    # Eviction costs identity, never equality.
+    assert GeneratorSymbol(GenFamily.SURFACE, (1,)) == surface_gen(1)
 
 
 def test_levels():

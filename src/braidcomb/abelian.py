@@ -19,7 +19,7 @@ vectors straight to the cokernel and builds no relation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
 from .words import GeneratorSymbol, Word
@@ -31,7 +31,6 @@ __all__ = [
     "smith_normal_form",
     "relation_matrix",
     "h1",
-    "hom_on_h1",
     "cokernel",
     "has_torsion",
 ]
@@ -89,18 +88,11 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls.diagonal((1,) * n, n, n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def row(self, r: int) -> tuple[int, ...]:
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(r)) for r in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns(self.cols, self.to_rows())
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -121,9 +113,6 @@ class IntMatrix:
                         acc[c] += x * y
             out.extend(acc)
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 @dataclass(frozen=True)
@@ -337,21 +326,3 @@ def h1(p) -> FGAbelianGroup:
     """First homology (abelianization) of a presented group: Z^generators
     modulo the span of the relators' exponent vectors."""
     return _cokernel_of_columns(len(p.generators), _exponent_vectors(p.relators, p.generators))
-
-
-def hom_on_h1(
-    images: Mapping[GeneratorSymbol, Word], source, target
-) -> IntMatrix:
-    """Matrix of the induced map H1(source) -> H1(target) on generator
-    classes: one column per source generator, one row per target generator.
-    The first source generator without an image, or with a letter outside
-    the target, raises MissingImageError naming that generator or letter."""
-
-    def images_in_order() -> Iterator[Word]:
-        for g in source.generators:
-            if g not in images:
-                raise MissingImageError(g)
-            yield images[g]
-
-    columns = list(_exponent_vectors(images_in_order(), target.generators))
-    return IntMatrix.from_columns(len(target.generators), columns)

@@ -69,7 +69,6 @@ __all__ = [
     "words_equal",
     "is_identity",
     "project_qn",
-    "section_sn",
     "section_sprime",
     "theta_decompose",
     "center_check",
@@ -442,15 +441,6 @@ def _require_below(w: Word, n: int) -> None:
             raise InvalidArgumentError(
                 f"{letter.symbol} does not lie strictly below level {n}"
             )
-
-
-def section_sn(w: Word, n: int) -> Word:
-    """The standard section: symbols are simply reinterpreted one stage up,
-    so the word is returned unchanged (after a level check)."""
-    if n < 2:
-        raise InvalidArgumentError("sections run into level n >= 2")
-    _require_below(w, n)
-    return w
 
 
 def section_sprime(w: Word, n: int) -> Word:

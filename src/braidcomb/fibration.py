@@ -43,16 +43,7 @@ from .presentations import (
     orbit_presentation,
     quotient_by,
 )
-from .words import (
-    IDENTITY,
-    GenFamily,
-    GeneratorSymbol,
-    Letter,
-    Word,
-    band_gen,
-    orbit_gen,
-    surface_gen,
-)
+from .words import IDENTITY, GenFamily, Word
 
 
 class Surface(enum.Enum):
@@ -541,39 +532,3 @@ def boundary_sum_identity(
     squared = _tau_hat_squared(surface, n)
     agree = fibre_elements_equal(total, squared, word_cap)
     return BoundarySumReport(surface, n, total, squared, agree)
-
-
-# --- the map into one more point on the projective plane -----------------------
-
-
-def _single(symbol: GeneratorSymbol, exponent: int = 1) -> Word:
-    return Word((Letter(symbol, exponent),))
-
-
-def upsilon_images(n: int) -> dict[GeneratorSymbol, Word]:
-    """Generator images of the embedding into the (n+1)-point projective
-    plane group, written over bands A(i,j) and point loops p(j).
-
-    For r(j,i): the plain band A(i,j) when 0 < i < j; the loop-conjugated
-    band p(j) A(i-j+1,j) p(j)^-1 when j <= i <= 2j-2; and at i = 0 the
-    sandwich p(j) A(1,j) ... A(j-1,j) p(j), which degenerates to p(1)^2 at
-    level one.  Images are returned for all n^2 generators; no relation
-    checking happens here because the target presentation is out of scope.
-    """
-    if n < 1:
-        raise InvalidArgumentError(f"upsilon_images needs n >= 1, got n = {n}")
-    images: dict[GeneratorSymbol, Word] = {}
-    for j in range(1, n + 1):
-        loop = _single(surface_gen(j))
-        band_run = IDENTITY
-        for t in range(1, j):
-            band_run = band_run * _single(band_gen(t, j))
-        for i in range(0, 2 * j - 1):
-            if i == 0:
-                image = loop * band_run * loop
-            elif i < j:
-                image = _single(band_gen(i, j))
-            else:
-                image = loop * _single(band_gen(i - j + 1, j)) * loop.inverse()
-            images[orbit_gen(j, i)] = image
-    return images

@@ -88,8 +88,6 @@ class TowerSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.family is GenFamily.SURFACE:
-            raise InvalidArgumentError("towers are built over the orbit or band alphabets")
         if self.n < 1:
             raise InvalidArgumentError(f"a tower needs at least one level, got n={self.n}")
         if self.generator_count() > MAX_TOWER_GENERATORS:
@@ -294,10 +292,8 @@ def action_conjugator(actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:
     conjugation within the higher level's own alphabet.  The conjugator u
     is supported entirely on the target's level.
     """
-    if actor.family is not target.family or actor.family is GenFamily.SURFACE:
-        raise InvalidArgumentError(
-            f"no action of {actor} on {target}: alphabets must match and be towered"
-        )
+    if actor.family is not target.family:
+        raise InvalidArgumentError(f"no action of {actor} on {target}: alphabets must match")
     if actor.level >= target.level:
         raise InvalidArgumentError(
             f"actor {actor} must sit strictly below target {target} in the tower"

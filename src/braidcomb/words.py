@@ -1,30 +1,29 @@
 """Free-group words over the package's indexed generator alphabets.
 
-Three alphabets appear throughout:
+Two alphabets appear throughout:
 
 * ``r(j, i)`` — orbit generators, level ``j >= 1`` with offset
   ``0 <= i <= 2j - 2``; level ``j`` contributes ``2j - 1`` of them.
 * ``A(i, j)`` — band generators of the pure braid group, ``1 <= i < j``;
   the level of ``A(i, j)`` is ``j`` (the higher strand).
-* ``p(j)`` — the extra surface generators that only occur as images of the
-  word-level map into the projective-plane braid group.
 
 A Word is an immutable, freely reduced sequence of signed letters; the empty
 word is the identity.  All operations are pure and return fresh words, which
 makes words safe to share, hash and memoize.
 
-Every symbol that orbit_gen, band_gen, surface_gen and parse_word hand out
-is shared: one (family, indices) is one object, held in a cache bounded by
-a fixed number of symbols, so presentations, combing and the abelian layer
-meet the same objects and a dict lookup matches them by identity.  A
+Every symbol that orbit_gen, band_gen and parse_word hand out is shared:
+one (family, indices) is one object, held in a cache bounded by a fixed
+number of symbols, so presentations, combing and the abelian layer meet
+the same objects and a dict lookup matches them by identity.  A
 symbol's hash is computed once, from integers only (its family's ordinal
 and its indices), so it is the same in every interpreter.
 
 The canonical text syntax (used by the CLI and the presentation exporters)
-writes letters as ``r(j,i)``, ``A(i,j)`` or ``p(j)``, optionally followed by
-``^-1`` or ``^k`` for a nonzero integer ``k`` (expanded into ``|k|``
-letters, within the parser's word cap).  Whitespace separates letters; the empty string and the single
-token ``1`` both denote the identity.  The printer only ever emits ``^-1``.
+writes letters as ``r(j,i)`` or ``A(i,j)``, optionally followed by ``^-1``
+or ``^k`` for a nonzero integer ``k`` (expanded into ``|k|`` letters, within
+the parser's word cap).  Whitespace separates letters; the empty string and
+the single token ``1`` both denote the identity.  The printer only ever
+emits ``^-1``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "IDENTITY",
     "orbit_gen",
     "band_gen",
-    "surface_gen",
     "reduce",
     "concat",
     "invert",
@@ -70,11 +68,10 @@ _SHARED_SYMBOLS = 8192
 
 
 class GenFamily(Enum):
-    """The three generator alphabets; the value is the text-syntax letter."""
+    """The two generator alphabets; the value is the text-syntax letter."""
 
     ORBIT = "r"
     BAND = "A"
-    SURFACE = "p"
 
 
 _FAMILIES = tuple(GenFamily)  # a family's position here is its ordinal
@@ -82,11 +79,11 @@ _FAMILIES = tuple(GenFamily)  # a family's position here is its ordinal
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """A single indexed generator, e.g. r(3,1) or A(1,2) or p(2).
+    """A single indexed generator, e.g. r(3,1) or A(1,2).
 
-    The helpers orbit_gen, band_gen, surface_gen and parse_word return one
-    shared instance per (family, indices); a symbol built directly is equal
-    and hash-equal to it.  The hash is computed once, after validation,
+    The helpers orbit_gen, band_gen and parse_word return one shared
+    instance per (family, indices); a symbol built directly is equal and
+    hash-equal to it.  The hash is computed once, after validation,
     from the family's ordinal and the indices, never from a str or an Enum,
     whose hashes change from one interpreter to the next.
     """
@@ -104,7 +101,7 @@ class GeneratorSymbol:
                 raise InvalidArgumentError(
                     f"orbit generator r({j},{i}) out of range: need j >= 1, 0 <= i <= 2j-2"
                 )
-        elif self.family is GenFamily.BAND:
+        else:
             if len(idx) != 2:
                 raise InvalidArgumentError(f"band generator needs 2 indices, got {idx}")
             i, j = idx
@@ -112,12 +109,6 @@ class GeneratorSymbol:
                 raise InvalidArgumentError(
                     f"band generator A({i},{j}) out of range: need 1 <= i < j"
                 )
-        else:
-            if len(idx) != 1:
-                raise InvalidArgumentError(f"surface generator needs 1 index, got {idx}")
-            (j,) = idx
-            if j < 1:
-                raise InvalidArgumentError(f"surface generator p({j}) out of range: need j >= 1")
         object.__setattr__(self, "_hash", hash((_FAMILIES.index(self.family), *idx)))
 
     def __hash__(self) -> int:
@@ -125,7 +116,7 @@ class GeneratorSymbol:
 
     @property
     def level(self) -> int:
-        """Tower level: j for r(j,i), j for A(i,j), j for p(j)."""
+        """Tower level: j for r(j,i), j for A(i,j)."""
         if self.family is GenFamily.BAND:
             return self.indices[1]
         return self.indices[0]
@@ -153,11 +144,6 @@ def orbit_gen(j: int, i: int) -> GeneratorSymbol:
 def band_gen(i: int, j: int) -> GeneratorSymbol:
     """The band generator A(i,j) of the pure braid alphabet."""
     return _symbol("A", (i, j))
-
-
-def surface_gen(j: int) -> GeneratorSymbol:
-    """The surface generator p(j)."""
-    return _symbol("p", (j,))
 
 
 @dataclass(frozen=True)
@@ -295,7 +281,7 @@ def apply_homomorphism(w: Word, images: Mapping[GeneratorSymbol, Word]) -> Word:
 # --- text syntax ------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"^([rAp])\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)(?:\^(-?\d+))?$"
+    r"^([rA])\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)(?:\^(-?\d+))?$"
 )
 
 
@@ -331,15 +317,9 @@ def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
         if match is None:
             raise InvalidArgumentError(f"cannot parse word letter {token!r}")
         char, first, second, power = match.groups()
-        if char == "p":
-            if second is not None:
-                raise InvalidArgumentError(f"p takes one index: {token!r}")
-            indices: tuple[int, ...] = (int(first),)
-        else:
-            if second is None:
-                raise InvalidArgumentError(f"{char} takes two indices: {token!r}")
-            indices = (int(first), int(second))
-        symbol = _symbol(char, indices)
+        if second is None:
+            raise InvalidArgumentError(f"{char} takes two indices: {token!r}")
+        symbol = _symbol(char, (int(first), int(second)))
         k = 1 if power is None else int(power)
         if k == 0:
             raise InvalidArgumentError(f"zero exponent in {token!r}")

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from braidcomb import InvalidArgumentError, MissingImageError, orbit_gen, parse_word, surface_gen
+from braidcomb import InvalidArgumentError, MissingImageError, orbit_gen
 from braidcomb.abelian import (
     FGAbelianGroup,
     IntMatrix,
@@ -18,7 +18,6 @@ from braidcomb.abelian import (
     cokernel,
     h1,
     has_torsion,
-    hom_on_h1,
     relation_matrix,
     smith_normal_form,
 )
@@ -50,7 +49,7 @@ def test_matmul_and_transpose():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
     assert a @ b == M([[2, 1], [4, 3]])
-    assert a.transpose() == M([[1, 3], [2, 4]])
+    assert IntMatrix.from_columns(2, a.to_rows()) == M([[1, 3], [2, 4]])
     with pytest.raises(InvalidArgumentError):
         a @ M([[1, 2, 3]])
 
@@ -76,9 +75,9 @@ def _sympy(m):
 
 @settings(deadline=None)
 @given(_matmul_pairs)
-@example((IntMatrix.zeros(0, 3), M([[1, 0], [0, 0], [2, -1]])))
-@example((M([[1, 2, 0], [0, 0, 3]]), IntMatrix.zeros(3, 0)))
-@example((IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 3)))
+@example((IntMatrix.diagonal((), 0, 3), M([[1, 0], [0, 0], [2, -1]])))
+@example((M([[1, 2, 0], [0, 0, 3]]), IntMatrix.diagonal((), 3, 0)))
+@example((IntMatrix.diagonal((), 2, 0), IntMatrix.diagonal((), 0, 3)))
 @example((M([[2**70, 0, -3], [0, 2**65 + 1, 0]]), M([[0, 2**64 + 7], [-(2**66), 0], [5, 1]])))
 def test_matmul_is_exact(pair):
     a, b = pair
@@ -89,8 +88,8 @@ def test_matmul_is_exact(pair):
 
 def test_from_columns_keeps_empty_shapes():
     assert IntMatrix.from_columns(2, [[1, 3], [2, 4]]) == M([[1, 2], [3, 4]])
-    assert IntMatrix.from_columns(3, []) == IntMatrix.zeros(3, 0)
-    assert IntMatrix.from_columns(0, [[], []]) == IntMatrix.zeros(0, 2)
+    assert IntMatrix.from_columns(3, []) == IntMatrix.diagonal((), 3, 0)
+    assert IntMatrix.from_columns(0, [[], []]) == IntMatrix.diagonal((), 0, 2)
     with pytest.raises(InvalidArgumentError):
         IntMatrix.from_columns(2, [[1, 2], [3]])
 
@@ -98,7 +97,7 @@ def test_from_columns_keeps_empty_shapes():
 def test_rectangular_diagonal():
     assert IntMatrix.diagonal((2, 6), 2, 3) == M([[2, 0, 0], [0, 6, 0]])
     assert IntMatrix.diagonal((5,), 3, 2) == M([[5, 0], [0, 0], [0, 0]])
-    assert IntMatrix.diagonal((), 2, 2) == IntMatrix.zeros(2, 2)
+    assert IntMatrix.diagonal((), 2, 2) == M([[0, 0], [0, 0]])
     with pytest.raises(InvalidArgumentError):
         IntMatrix.diagonal((1, 2), 3, 1)
 
@@ -116,7 +115,7 @@ def test_snf_pinned_boundary_example():
 
 
 def test_snf_zero_matrix():
-    form = smith_normal_form(IntMatrix.zeros(3, 4))
+    form = smith_normal_form(IntMatrix.diagonal((), 3, 4))
     assert form.d == ()
     assert form.rank == 0
 
@@ -129,8 +128,8 @@ def test_snf_divisibility_forcing():
 
 def test_snf_empty_shapes():
     assert smith_normal_form(IntMatrix(0, 0, ())).d == ()
-    assert smith_normal_form(IntMatrix.zeros(0, 3)).d == ()
-    assert smith_normal_form(IntMatrix.zeros(3, 0)).d == ()
+    assert smith_normal_form(IntMatrix.diagonal((), 0, 3)).d == ()
+    assert smith_normal_form(IntMatrix.diagonal((), 3, 0)).d == ()
 
 
 def test_snf_multiply_back_check_is_live(monkeypatch):
@@ -188,9 +187,9 @@ def test_snf_is_permutation_invariant(rows, rng):
 def test_cokernel_examples():
     assert cokernel(M([[2]])) == FGAbelianGroup(0, (2,))
     assert cokernel(M([[1, 0, 1], [0, 1, 1], [0, 0, -2]])) == FGAbelianGroup(0, (2,))
-    assert cokernel(IntMatrix.zeros(0, 4)) == FGAbelianGroup(0)
-    assert cokernel(IntMatrix.zeros(3, 0)) == FGAbelianGroup(3)
-    assert cokernel(IntMatrix.zeros(2, 2)) == FGAbelianGroup(2)
+    assert cokernel(IntMatrix.diagonal((), 0, 4)) == FGAbelianGroup(0)
+    assert cokernel(IntMatrix.diagonal((), 3, 0)) == FGAbelianGroup(3)
+    assert cokernel(IntMatrix.diagonal((), 2, 2)) == FGAbelianGroup(2)
 
 
 def _reference_cokernel(rows):
@@ -251,7 +250,7 @@ def test_group_printing():
 
 def test_relation_matrix_of_conjugation_presentations_is_zero():
     for p in (orbit_presentation(3), artin_presentation(4)):
-        assert relation_matrix(p).is_zero()
+        assert not any(relation_matrix(p).entries)
 
 
 def test_relation_matrix_of_theta_quotient():
@@ -293,38 +292,11 @@ def test_h1_values():
         assert h1(q) == FGAbelianGroup(n * n - 1, (2,))
 
 
-def test_hom_on_h1_identity_and_projection():
-    p2 = orbit_presentation(2)
-    identity_images = {g: parse_word(str(g)) for g in p2.generators}
-    assert hom_on_h1(identity_images, p2, p2) == IntMatrix.identity(4)
-
-    p1 = orbit_presentation(1)
-    to_level_one = {
-        orbit_gen(1, 0): parse_word("r(1,0)"),
-        orbit_gen(2, 0): parse_word("1"),
-        orbit_gen(2, 1): parse_word("1"),
-        orbit_gen(2, 2): parse_word("1"),
-    }
-    assert hom_on_h1(to_level_one, p2, p1) == M([[1, 0, 0, 0]])
-
-
-def test_hom_on_h1_missing_image():
-    p2 = orbit_presentation(2)
-    with pytest.raises(MissingImageError):
-        hom_on_h1({}, p2, p2)
-    with pytest.raises(MissingImageError):
-        hom_on_h1(
-            {g: parse_word("A(1,2)") for g in p2.generators},
-            p2,
-            p2,
-        )
-
-
 # --- exponent vectors against per-generator sums ------------------------------
 
 _G3 = orbit_presentation(3).generators
 _P4 = artin_presentation(4).generators
-_FOREIGN = surface_gen(1)  # in neither alphabet
+_FOREIGN = orbit_gen(9, 0)  # in neither alphabet
 
 
 def _words_over(alphabet, max_letters=10):
@@ -378,43 +350,3 @@ def test_relation_matrix_and_h1_match_per_generator_sums(case):
     assert (m.rows, m.cols) == (len(words), len(gens))
     assert m.entries == tuple(x for row in rows for x in row)
     assert h1(p) == _reference_h1(rows, len(gens))
-
-
-@st.composite
-def _homomorphisms(draw):
-    """Images of the source generators over the target's, the foreign
-    letter allowed in some draws and up to two images left out."""
-    source, target = draw(st.sampled_from(((_G3, _P4), (_P4, _G3), (_G3, _G3))))
-    alphabet = target + (_FOREIGN,) if draw(st.booleans()) else target
-    images = {g: draw(_words_over(alphabet)) for g in source}
-    for g in draw(st.lists(st.sampled_from(source), max_size=2)):
-        images.pop(g, None)
-    return source, target, images
-
-
-def _reference_hom(images, source, target):
-    """The induced matrix, or the symbol that the first source generator
-    without a usable image names."""
-    columns = []
-    for g in source:
-        if g not in images:
-            return g
-        foreign = _foreign_in([images[g]], target)
-        if foreign is not None:
-            return foreign
-        columns.append(_reference_rows([images[g]], target)[0])
-    return IntMatrix.from_columns(len(target), columns)
-
-
-@settings(deadline=None)
-@given(_homomorphisms())
-def test_hom_on_h1_matches_per_generator_sums(case):
-    source, target, images = case
-    expected = _reference_hom(images, source, target)
-    groups = SimpleNamespace(generators=source), SimpleNamespace(generators=target)
-    if isinstance(expected, IntMatrix):
-        assert hom_on_h1(images, *groups) == expected
-    else:
-        with pytest.raises(MissingImageError) as info:
-            hom_on_h1(images, *groups)
-        assert info.value.symbol == expected

@@ -82,6 +82,13 @@ def test_comb_bad_word_names_the_flag(capsys):
     assert "--word" in err
 
 
+def test_comb_refuses_a_letter_of_no_alphabet(capsys):
+    code, out, err = run(capsys, "comb", "--n", "2", "--word", "p(1)")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--word is not a valid word" in err
+
+
 def test_comb_word_cap_exit_code(capsys):
     code, _, err = run(
         capsys,

@@ -19,7 +19,6 @@ from braidcomb.combing import (
     conjugation_action,
     is_identity,
     project_qn,
-    section_sn,
     section_sprime,
     theta_decompose,
     words_equal,
@@ -589,15 +588,7 @@ def test_project_validates():
 
 def test_sections_validate_levels():
     with pytest.raises(InvalidArgumentError):
-        section_sn(parse_word("r(3,0)"), 3)
-    with pytest.raises(InvalidArgumentError):
         section_sprime(parse_word("r(3,0)"), 3)
-
-
-def test_section_sn_is_verbatim():
-    w = parse_word("r(2,1) r(1,0)^-1")
-    assert section_sn(w, 3) == w
-    assert project_qn(section_sn(w, 3), 3) == w
 
 
 def test_section_sprime_doubles_the_right_generator():
@@ -613,7 +604,7 @@ def test_section_sprime_sends_theta_to_theta():
 @settings(max_examples=60, deadline=None)
 @given(w=_words(G2))
 def test_projection_splits_both_sections(w):
-    assert project_qn(section_sn(w, 3), 3) == w
+    assert project_qn(w, 3) == w  # the standard section is the inclusion
     assert project_qn(section_sprime(w, 3), 3) == w
 
 

@@ -25,7 +25,6 @@ from braidcomb.fibration import (
     strict_corollary_discrepancy,
     strict_corollary_image,
     tau_hat,
-    upsilon_images,
 )
 from braidcomb.words import IDENTITY, exponent_sum, orbit_gen, parse_word
 
@@ -288,27 +287,6 @@ def test_nonsplit_witness():
 
     with pytest.raises(InvalidArgumentError):
         nonsplit_witness_s2(2)
-
-
-# --- the extra-point embedding ---------------------------------------------------
-
-
-def test_upsilon_images_pins():
-    images = upsilon_images(3)
-    assert images[orbit_gen(2, 1)] == parse_word("A(1,2)")
-    assert images[orbit_gen(2, 0)] == parse_word("p(2) A(1,2) p(2)")
-    assert images[orbit_gen(2, 2)] == parse_word("p(2) A(1,2) p(2)^-1")
-    assert images[orbit_gen(1, 0)] == parse_word("p(1)^2")
-    assert images[orbit_gen(3, 0)] == parse_word("p(3) A(1,3) A(2,3) p(3)")
-    assert images[orbit_gen(3, 4)] == parse_word("p(3) A(2,3) p(3)^-1")
-
-
-def test_upsilon_images_total_and_level_homogeneous():
-    for n in range(1, 5):
-        images = upsilon_images(n)
-        assert len(images) == n * n
-        for source, word in images.items():
-            assert all(letter.symbol.level == source.level for letter in word)
 
 
 def test_fibre_presentation_matches_surface():

@@ -193,8 +193,6 @@ def test_artin_tower_ranks():
 
 def test_tower_spec_rejects_bad_shapes():
     with pytest.raises(InvalidArgumentError):
-        TowerSpec(GenFamily.SURFACE, 2)
-    with pytest.raises(InvalidArgumentError):
         TowerSpec(GenFamily.ORBIT, 0)
 
 
@@ -384,6 +382,13 @@ def test_json_import_rejects_a_tower_of_the_wrong_height():
     payload = json.loads(export_presentation(orbit_presentation(2), "json"))
     payload["tower"]["n"] = 3
     with pytest.raises(InvalidArgumentError):
+        parse_presentation(json.dumps(payload), "json")
+
+
+def test_json_import_names_a_tower_family_of_no_alphabet():
+    payload = json.loads(export_presentation(orbit_presentation(2), "json"))
+    payload["tower"]["family"] = "p"
+    with pytest.raises(InvalidArgumentError, match="unknown tower family 'p'"):
         parse_presentation(json.dumps(payload), "json")
 
 

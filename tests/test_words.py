@@ -31,7 +31,6 @@ from braidcomb import (
     orbit_gen,
     parse_word,
     reduce,
-    surface_gen,
     word_power,
     words,
 )
@@ -73,22 +72,14 @@ def test_band_gen_validation():
         band_gen(0, 1)
 
 
-def test_surface_gen_validation():
-    surface_gen(1)
-    with pytest.raises(InvalidArgumentError):
-        surface_gen(0)
-
-
 # --- shared symbols -----------------------------------------------------------
 
 
 def test_helpers_share_one_symbol_per_generator():
     assert orbit_gen(3, 1) is orbit_gen(3, 1)
     assert band_gen(2, 5) is band_gen(2, 5)
-    assert surface_gen(4) is surface_gen(4)
     assert parse_word("r(3,1)").letters[0].symbol is orbit_gen(3, 1)
     assert parse_word("A(2,5)^-2").letters[1].symbol is band_gen(2, 5)
-    assert parse_word("p(4)").letters[0].symbol is surface_gen(4)
 
 
 def test_a_directly_built_symbol_equals_the_shared_one():
@@ -113,8 +104,8 @@ def test_invalid_indices_are_refused_and_cached_nowhere():
 
 _PICKLE_SYMBOLS = """
 import pickle, sys
-from braidcomb import GenFamily, GeneratorSymbol, band_gen, orbit_gen, surface_gen
-symbols = [GeneratorSymbol(GenFamily.ORBIT, (3, 1)), band_gen(2, 5), surface_gen(4)]
+from braidcomb import GenFamily, GeneratorSymbol, band_gen, orbit_gen
+symbols = [GeneratorSymbol(GenFamily.ORBIT, (3, 1)), band_gen(2, 5), orbit_gen(4, 6)]
 sys.stdout.buffer.write(pickle.dumps((symbols, [hash(s) for s in symbols])))
 """
 
@@ -125,7 +116,7 @@ symbols, hashes = pickle.loads(sys.stdin.buffer.read())
 fresh = {
     GeneratorSymbol(GenFamily.ORBIT, (3, 1)): 0,
     GeneratorSymbol(GenFamily.BAND, (2, 5)): 1,
-    GeneratorSymbol(GenFamily.SURFACE, (4,)): 2,
+    GeneratorSymbol(GenFamily.ORBIT, (4, 6)): 2,
 }
 print([fresh.get(s) for s in symbols], hashes == [hash(s) for s in fresh])
 """
@@ -150,17 +141,16 @@ def test_the_shared_symbols_are_bounded():
     tallest = TowerSpec(GenFamily.ORBIT, 50), TowerSpec(GenFamily.BAND, 71)
     assert sum(t.generator_count() for t in tallest) <= words._SHARED_SYMBOLS
     for j in range(1, words._SHARED_SYMBOLS + 11):
-        surface_gen(j)
+        orbit_gen(j, 0)
     info = words._symbol.cache_info()
     assert info.currsize == info.maxsize == words._SHARED_SYMBOLS
     # Eviction costs identity, never equality.
-    assert GeneratorSymbol(GenFamily.SURFACE, (1,)) == surface_gen(1)
+    assert GeneratorSymbol(GenFamily.ORBIT, (1, 0)) == orbit_gen(1, 0)
 
 
 def test_levels():
     assert orbit_gen(3, 4).level == 3
     assert band_gen(1, 4).level == 4
-    assert surface_gen(2).level == 2
 
 
 # --- words and reduction ----------------------------------------------------
@@ -233,12 +223,8 @@ def test_apply_homomorphism_missing_image():
 
 
 def test_parse_basic():
-    w = parse_word("r(2,1) A(1,3)^-1 p(2)")
-    assert w.letters == (
-        L(orbit_gen(2, 1)),
-        L(band_gen(1, 3), -1),
-        L(surface_gen(2)),
-    )
+    w = parse_word("r(2,1) A(1,3)^-1")
+    assert w.letters == (L(orbit_gen(2, 1)), L(band_gen(1, 3), -1))
 
 
 def test_parse_identity_forms():
@@ -269,7 +255,7 @@ def test_parse_bounds_expansion_by_the_cap():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["q(1,0)", "r(1)", "p(1,2)", "r(1,0]^2", "r(1,0)^", "A(3,2)"]:
+    for bad in ["q(1,0)", "r(1)", "p(1)", "p(1)^2", "p(1,2)", "r(1,0]^2", "r(1,0)^", "A(3,2)"]:
         with pytest.raises(InvalidArgumentError):
             parse_word(bad)
 
@@ -287,7 +273,6 @@ def test_format_uses_only_unit_exponents():
 # --- property tests ----------------------------------------------------------
 
 _symbols = st.one_of(
-    st.tuples(st.integers(1, 4)).map(lambda t: surface_gen(t[0])),
     st.integers(1, 4).flatmap(
         lambda j: st.integers(0, 2 * j - 2).map(lambda i: orbit_gen(j, i))
     ),

@@ -8,18 +8,28 @@ benchmark's homology workload times this layer, but exactness comes first:
 smith_normal_form re-multiplies its transforms against the input before
 returning, so a wrong answer cannot escape silently.
 
-Costs follow the non-zero entries: matrix products skip zeros, so that
-multiply-back check costs time in proportion to the non-zeros of U, m and
-V, and cokernel drops zero and repeated columns, which span nothing new,
-before it reduces.  Words become exponent vectors in one pass each, every
-letter read once against a generator index built once; h1 hands those
-vectors straight to the cokernel and builds no relation matrix.
+Costs follow the non-zero entries.  Smith reduction keeps the working
+matrix and U as sparse rows and V as sparse columns ({index: value} dicts
+of the non-zeros), pivots on the smallest non-zero entry (a unit ends the
+search), and leaves the divisibility of the diagonal to one final pass of
+2x2 gcd moves between diagonal entries (Kannan-Bachem; on sparse integer
+Smith forms see Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+The multiply-back check runs on the same sparse lines, and U and V become
+IntMatrix values only when a caller first reads them.
+
+cokernel drops zero and repeated columns, which span nothing new, and
+hands the rest to Smith reduction as sparse columns, never as a dense
+matrix.  Words become exponent vectors in one pass each, every letter read
+once against a generator index built once.  h1 skips the conjugation
+relators of a tower that presentations marks, whose exponent vectors are
+zero, and hands the other vectors straight to the cokernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
 from .words import GeneratorSymbol, Word
@@ -58,7 +68,7 @@ class IntMatrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise InvalidArgumentError("ragged rows")
-        return cls(rows, cols, tuple(int(x) for row in data for x in row))
+        return cls(rows, cols, tuple([int(x) for row in data for x in row]))
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -69,7 +79,7 @@ class IntMatrix:
         return cls(
             rows,
             len(columns),
-            tuple(int(col[r]) for r in range(rows) for col in columns),
+            tuple([int(col[r]) for r in range(rows) for col in columns]),
         )
 
     @classmethod
@@ -115,24 +125,51 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(out))
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """Invariant factors d (positive, each dividing the next) together with
-    unimodular transforms U, V satisfying U @ M @ V = diag(d)."""
+    unimodular transforms U, V satisfying U @ M @ V = diag(d).
 
-    d: tuple[int, ...]
-    rank: int
-    U: IntMatrix
-    V: IntMatrix
+    U and V are IntMatrix values, or zero-argument functions that build one.
+    smith_normal_form passes functions, so the rows x rows cells of U are
+    only built for a caller that reads U; the first read keeps the matrix.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rank != len(self.d):
+    __slots__ = ("d", "rank", "_U", "_V")
+
+    def __init__(
+        self,
+        d: tuple[int, ...],
+        rank: int,
+        U: IntMatrix | Callable[[], IntMatrix],
+        V: IntMatrix | Callable[[], IntMatrix],
+    ) -> None:
+        d = tuple(d)
+        if rank != len(d):
             raise InvalidArgumentError("rank must equal the number of invariant factors")
-        for a, b in zip(self.d, self.d[1:]):
+        for a, b in zip(d, d[1:]):
             if a <= 0 or b % a != 0:
-                raise InvalidArgumentError(f"broken divisibility chain {self.d}")
-        if self.d and self.d[-1] <= 0:
-            raise InvalidArgumentError(f"invariant factors must be positive: {self.d}")
+                raise InvalidArgumentError(f"broken divisibility chain {d}")
+        if d and d[-1] <= 0:
+            raise InvalidArgumentError(f"invariant factors must be positive: {d}")
+        self.d = d
+        self.rank = rank
+        self._U = U
+        self._V = V
+
+    @property
+    def U(self) -> IntMatrix:
+        if not isinstance(self._U, IntMatrix):
+            self._U = self._U()
+        return self._U
+
+    @property
+    def V(self) -> IntMatrix:
+        if not isinstance(self._V, IntMatrix):
+            self._V = self._V()
+        return self._V
+
+    def __repr__(self) -> str:
+        return f"SmithForm(d={self.d}, rank={self.rank})"
 
 
 @dataclass(frozen=True)
@@ -174,104 +211,250 @@ def has_torsion(g: FGAbelianGroup) -> bool:
 
 # --- Smith normal form -------------------------------------------------------
 
+# A sparse line is one row or one column of a matrix, as a dict from
+# position to its non-zero value.
+
+
+class _SparseColumns(NamedTuple):
+    """A rows x cols matrix given by its columns as sparse lines: the form
+    in which cokernels hand their relations to smith_normal_form."""
+
+    rows: int
+    cols: int
+    columns: tuple[dict[int, int], ...]
+
+
+def _unit_lines(n: int) -> list[dict[int, int]]:
+    """The rows, equally the columns, of the n x n identity."""
+    return [{i: 1} for i in range(n)]
+
+
+def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src for sparse lines and q != 0; cancelled entries go."""
+    for k, y in src.items():
+        x = dst.get(k, 0) + q * y
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
+def _combine(x: int, p: dict[int, int], y: int, q: dict[int, int]) -> dict[int, int]:
+    """The sparse line x * p + y * q."""
+    out = {k: x * val for k, val in p.items()} if x else {}
+    if y:
+        _add_multiple(out, q, y)
+    return out
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s * a + t * b, for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _dense(n: int, lines: list[dict[int, int]], by_rows: bool) -> IntMatrix:
+    """The n x n matrix whose rows (by_rows) or columns are the lines."""
+    entries = [0] * (n * n)
+    for t, line in enumerate(lines):
+        for k, x in line.items():
+            entries[t * n + k if by_rows else k * n + t] = x
+    return IntMatrix(n, n, tuple(entries))
+
+
+def _reduce(
+    lines: list[dict[int, int]], width: int
+) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """Smith reduction of the len(lines) x width matrix A with these rows.
+
+    Returns (d, rows of U, columns of V) with U @ A @ V = diag(d) and d a
+    positive divisibility chain.  Only non-zero entries are stored or
+    visited, and lines is left as it was.
+    """
+    height = len(lines)
+    a = [dict(line) for line in lines]
+    u = _unit_lines(height)
+    v = _unit_lines(width)
+    where: list[set[int]] = [set() for _ in range(width)]  # column -> its rows
+    for i, row in enumerate(a):
+        for k in row:
+            where[k].add(i)
+    # Rows not yet pivots, in order; a row that empties stays empty.
+    active = dict.fromkeys(i for i, row in enumerate(a) if row)
+
+    def add_row(i: int, r: int, q: int) -> None:  # row i += q * row r
+        row = a[i]
+        for k, y in a[r].items():
+            old = row.get(k)
+            x = (old or 0) + q * y
+            if x:
+                if old is None:
+                    where[k].add(i)
+                row[k] = x
+            else:
+                del row[k]
+                where[k].discard(i)
+        _add_multiple(u[i], u[r], q)
+
+    def add_col(k: int, c: int, r: int, q: int) -> None:
+        # col k += q * col c, where column c is zero off the pivot row r.
+        row = a[r]
+        x = row[k] + q * row[c]
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+            where[k].discard(r)
+        _add_multiple(v[k], v[c], q)
+
+    pivots: list[tuple[int, int]] = []
+    while active:
+        # The smallest non-zero entry is the pivot; a unit ends the search.
+        r = c = -1
+        best = 0
+        emptied = []
+        for i in active:
+            row = a[i]
+            if not row:
+                emptied.append(i)
+                continue
+            for k, x in row.items():
+                if not best or abs(x) < best:
+                    r, c, best = i, k, abs(x)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        for i in emptied:
+            del active[i]
+        if not best:
+            break
+        # Clear column c, then row r, by euclidean steps; a non-zero
+        # remainder is smaller than the pivot and takes its seat.
+        while True:
+            p = a[r][c]
+            for i in [i for i in where[c] if i != r]:
+                q = a[i][c] // p
+                if q:
+                    add_row(i, r, -q)
+            rest = [i for i in where[c] if i != r]
+            if rest:
+                r = min(rest, key=lambda i: abs(a[i][c]))
+                continue
+            row = a[r]
+            for k in [k for k in row if k != c]:
+                q = row[k] // p
+                if q:
+                    add_col(k, c, r, -q)
+            rest = [k for k in row if k != c]
+            if rest:
+                c = min(rest, key=lambda k: abs(row[k]))
+                continue
+            break
+        pivots.append((r, c))
+        del active[r]
+
+    d = []
+    for r, c in pivots:
+        if a[r][c] < 0:
+            u[r] = {k: -x for k, x in u[r].items()}
+        d.append(abs(a[r][c]))
+    # Kannan-Bachem: a 2x2 gcd move turns diag(x, y) into diag(g, xy/g),
+    # g = gcd(x, y) = s x + t y, by the unimodular row move
+    # [[s, t], [-y/g, x/g]] and column move [[1, -t y/g], [1, s x/g]].
+    # After the pass over j, d[i] divides every later entry, and later
+    # moves only replace entries by gcds and lcms of multiples of d[i].
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x, y = d[i], d[j]
+            if y % x:
+                g, s, t = _xgcd(x, y)
+                (ri, ci), (rj, cj) = pivots[i], pivots[j]
+                u[ri], u[rj] = (
+                    _combine(s, u[ri], t, u[rj]),
+                    _combine(-y // g, u[ri], x // g, u[rj]),
+                )
+                v[ci], v[cj] = (
+                    _combine(1, v[ci], 1, v[cj]),
+                    _combine(-t * y // g, v[ci], s * x // g, v[cj]),
+                )
+                d[i], d[j] = g, x // g * y
+
+    # Pivots move to the front, in chain order, followed by the rest.
+    pivot_rows = [r for r, _ in pivots]
+    pivot_cols = [c for _, c in pivots]
+    taken_rows, taken_cols = set(pivot_rows), set(pivot_cols)
+    u_rows = [u[r] for r in pivot_rows] + [u[i] for i in range(height) if i not in taken_rows]
+    v_cols = [v[c] for c in pivot_cols] + [v[k] for k in range(width) if k not in taken_cols]
+    return d, u_rows, v_cols
+
+
+def _multiplies_back(
+    lines: list[dict[int, int]],
+    width: int,
+    u_rows: list[dict[int, int]],
+    v_cols: list[dict[int, int]],
+    d: list[int],
+) -> bool:
+    """Whether U @ A @ V = diag(d) for A with the given rows, computed on
+    the non-zero entries alone."""
+    v_rows: list[dict[int, int]] = [{} for _ in range(width)]
+    for t, col in enumerate(v_cols):
+        for k, x in col.items():
+            v_rows[k][t] = x
+    for t, u_row in enumerate(u_rows):
+        ua: dict[int, int] = {}
+        for k, x in u_row.items():
+            _add_multiple(ua, lines[k], x)
+        uav: dict[int, int] = {}
+        for k, x in ua.items():
+            _add_multiple(uav, v_rows[k], x)
+        if uav != ({t: d[t]} if t < len(d) else {}):
+            return False
+    return True
+
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize m over Z with tracked unimodular row/column transforms.
 
-    Pivoting picks the smallest nonzero entry by absolute value, which keeps
-    coefficient growth tolerable at the matrix sizes that arise here.  The
-    result is verified by multiplying U @ m @ V back together before
-    returning, on exactly the m given; the products skip zeros, so the check
-    costs time in proportion to the non-zeros of U, m and V.
+    The rows of the working matrix and of U are sparse lines, V is kept as
+    sparse columns, and each step visits only non-zero entries.  Each pivot
+    is the smallest non-zero entry left, found by a search that stops at
+    the first unit; clearing its row and column by euclidean steps moves
+    the pivot seat to any smaller remainder.  A final pass of 2x2 gcd moves
+    between diagonal entries makes the diagonal a divisibility chain.
+
+    The result is verified by multiplying U @ m @ V back together before
+    returning, on exactly the m given and on the non-zero entries alone.
+    U and V become IntMatrix values only when first read.
+
+    cokernel hands m over as sparse columns (rows, cols and columns);
+    that case reduces the transpose, whose rows they are.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i: int, j: int, q: int) -> None:  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:  # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    # At each step t: move the smallest nonzero entry to (t,t), clear its row
-    # and column by euclidean steps (swapping any smaller remainder into the
-    # pivot seat), and finally insist the pivot divide the whole remaining
-    # submatrix — folding an offending row into row t otherwise, which shrinks
-    # the pivot on the next pass.  Pivots therefore divide all later pivots,
-    # so the diagonal comes out already in divisibility order.
-    t = 0
-    while True:
-        pivot = None
-        for r in range(t, rows):
-            for c in range(t, cols):
-                val = a[r][c]
-                if val and (pivot is None or abs(val) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            moved = False
-            for r in range(t + 1, rows):
-                if a[r][t]:
-                    row_sub(r, t, a[r][t] // a[t][t])
-                    if a[r][t]:  # the euclidean remainder becomes the pivot
-                        swap_rows(t, r)
-                        moved = True
-            for c in range(t + 1, cols):
-                if a[t][c]:
-                    col_sub(c, t, a[t][c] // a[t][t])
-                    if a[t][c]:
-                        swap_cols(t, c)
-                        moved = True
-            if moved:
-                continue
-            offender = next(
-                (
-                    r
-                    for r in range(t + 1, rows)
-                    for c in range(t + 1, cols)
-                    if a[r][c] % a[t][t] != 0
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            row_sub(t, offender, -1)  # row t += row offender
-        t += 1
-    rank = t
-
-    for i in range(rank):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    form = SmithForm(
-        d=tuple(a[i][i] for i in range(rank)),
-        rank=rank,
-        U=IntMatrix.from_rows(u),
-        V=IntMatrix.from_rows(v),
-    )
-    if form.U @ m @ form.V != IntMatrix.diagonal(form.d, rows, cols):
+    if isinstance(m, IntMatrix):
+        width = m.cols
+        lines = [
+            {k: x for k, x in enumerate(m.entries[i * width : (i + 1) * width]) if x}
+            for i in range(m.rows)
+        ]
+    else:
+        lines = list(m.columns)
+        width = m.rows
+    d, u_rows, v_cols = _reduce(lines, width)
+    if not _multiplies_back(lines, width, u_rows, v_cols, d):
         raise AssertionError("smith reduction failed its multiply-back verification")
-    return form
+    if isinstance(m, IntMatrix):
+        U = partial(_dense, len(lines), u_rows, True)
+        V = partial(_dense, width, v_cols, False)
+    else:  # m is the transpose of what was reduced: U = V'^T and V = U'^T
+        U = partial(_dense, width, v_cols, True)
+        V = partial(_dense, len(lines), u_rows, False)
+    return SmithForm(tuple(d), len(d), U, V)
 
 
 # --- presentations to matrices ------------------------------------------------
@@ -298,7 +481,7 @@ def relation_matrix(p) -> IntMatrix:
     """Abelianized relator matrix: one row per relator, one column per
     generator (in the presentation's generator order)."""
     rows = _exponent_vectors(p.relators, p.generators)
-    entries = tuple(x for row in rows for x in row)
+    entries = tuple([x for row in rows for x in row])
     return IntMatrix(len(p.relators), len(p.generators), entries)
 
 
@@ -309,11 +492,13 @@ def _cokernel_of_columns(rows: int, columns: Iterable[tuple[int, ...]]) -> FGAbe
     so they are dropped before any matrix is built; the Smith reduction and
     its multiply-back check then run on the columns that are left.
     """
-    kept = [col for col in dict.fromkeys(columns) if any(col)]
+    kept = [
+        {r: x for r, x in enumerate(col) if x} for col in dict.fromkeys(columns) if any(col)
+    ]
     if not kept:
         return FGAbelianGroup(rows)
-    form = smith_normal_form(IntMatrix.from_columns(rows, kept))
-    torsion = tuple(d for d in form.d if d > 1)
+    form = smith_normal_form(_SparseColumns(rows, len(kept), tuple(kept)))
+    torsion = tuple([d for d in form.d if d > 1])
     return FGAbelianGroup(rows - form.rank, torsion)
 
 
@@ -324,5 +509,14 @@ def cokernel(m: IntMatrix) -> FGAbelianGroup:
 
 def h1(p) -> FGAbelianGroup:
     """First homology (abelianization) of a presented group: Z^generators
-    modulo the span of the relators' exponent vectors."""
-    return _cokernel_of_columns(len(p.generators), _exponent_vectors(p.relators, p.generators))
+    modulo the span of the relators' exponent vectors.
+
+    A presentation that presentations marks (a built tower, or a quotient
+    of one) is read through its extras alone: its tower's conjugation
+    relators have zero exponent vectors, so they are neither built nor
+    read, and H1 costs the letters of the extras.  Any other presentation,
+    an imported one among them, has every relator read.
+    """
+    marked = getattr(p, "_marked", None)
+    relators = p.relators if marked is None else marked[1]
+    return _cokernel_of_columns(len(p.generators), _exponent_vectors(relators, p.generators))

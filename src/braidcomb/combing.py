@@ -251,12 +251,12 @@ class _Comber:
     def word(self, part: Sequence[int]) -> Word:
         """The Word of a part that passed check_part, built from the shared
         letters without validating it again."""
-        return _trusted(Word, letters=tuple(map(self.letters.__getitem__, part)))
+        return _trusted(Word, letters=tuple(list(map(self.letters.__getitem__, part))))
 
     def normal_form(self, parts: Sequence[Sequence[int]]) -> NormalForm:
         """The NormalForm of parts that each passed check_part, without
         validating them again."""
-        return _trusted(NormalForm, levels=tuple(map(self.word, parts)))
+        return _trusted(NormalForm, levels=tuple(list(map(self.word, parts))))
 
     def _forward_image(self, x: int, y: int) -> tuple[int, ...]:
         """The image u y u^-1 of the positive letter y under conjugation by
@@ -283,7 +283,7 @@ class _Comber:
         table = self.action_table(x)
         for y, image in images.items():
             table[y] = image[::-1]
-            table[-y] = tuple(-v for v in image)
+            table[-y] = tuple([-v for v in image])
 
     def action_table(self, x: int) -> dict[int, tuple[int, ...]]:
         """The actor x's table {target id: reversed image}, as filled so far."""

@@ -139,7 +139,7 @@ class FibreElement:
             self.surface,
             self.n,
             self.r_part * other.r_part,
-            tuple(a + b for a, b in zip(self.z_part, other.z_part)),
+            tuple([a + b for a, b in zip(self.z_part, other.z_part)]),
         )
 
     def inverse(self) -> "FibreElement":
@@ -147,7 +147,7 @@ class FibreElement:
             self.surface,
             self.n,
             self.r_part.inverse(),
-            tuple(-a for a in self.z_part),
+            tuple([-a for a in self.z_part]),
         )
 
     def __str__(self) -> str:
@@ -175,8 +175,8 @@ def pi2_basis(surface: Surface, n: int) -> tuple[str, ...]:
     """
     _require_n(surface, n)
     if surface is Surface.S2:
-        return tuple(f"x{i}" for i in range(n - 2)) + ("z0", "-z0")
-    return tuple(f"x{i}" for i in range(n - 1)) + ("z0",)
+        return tuple([f"x{i}" for i in range(n - 2)]) + ("z0", "-z0")
+    return tuple([f"x{i}" for i in range(n - 1)]) + ("z0",)
 
 
 def delta_generator(surface: Surface, n: int, i: int) -> FibreElement:
@@ -188,7 +188,7 @@ def delta_generator(surface: Surface, n: int, i: int) -> FibreElement:
             f"delta index must satisfy 0 <= i <= {n - 2}, got {i}"
         )
     return FibreElement(
-        surface, n, IDENTITY, tuple(1 if t == i else 0 for t in range(n - 1))
+        surface, n, IDENTITY, tuple([1 if t == i else 0 for t in range(n - 1)])
     )
 
 
@@ -312,7 +312,7 @@ def exactness_report(surface: Surface, n: int) -> ExactnessReport:
     """
     m = boundary_matrix_ab(surface, n)
     sf = smith_normal_form(m)
-    z_block = IntMatrix.from_rows(m.to_rows()[: n - 1])
+    z_block = IntMatrix(n - 1, m.cols, m.entries[: (n - 1) * m.cols])
     z_sf = smith_normal_form(z_block)
     saturated = z_sf.rank == n - 1 and all(d == 1 for d in z_sf.d)
     return ExactnessReport(surface, n, sf.rank, sf.rank == n, saturated)
@@ -410,7 +410,7 @@ def split_ses_check(
     vector with no +1/-1 entry raises NoUnitCoordinateError: the argument
     needs a unit somewhere and promises nothing without one.
     """
-    vec = tuple(int(c) for c in vector)
+    vec = tuple([int(c) for c in vector])
     if n < 2:
         raise InvalidArgumentError(f"split_ses_check needs n >= 2, got n = {n}")
     if len(vec) != n:

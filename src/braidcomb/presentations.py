@@ -19,6 +19,16 @@ Everything in this module is a pure function of its arguments.  The
 combing engine calls none of the builders: it reads only the tower and
 replays action_conjugator when pushing letters down it.
 
+Every conjugation relator has exponent sum zero in each generator, so it
+adds nothing to H1.  orbit_presentation and artin_presentation therefore
+return marked presentations: they hold the tower and any extra relators,
+derive the tower's conjugation relators only when ``relators`` is first
+read, and let abelian.h1 read the extras alone.  quotient_by keeps the
+mark.  The mark is private, not a constructor argument, and takes no part
+in equality, hashing or repr.  A presentation built by hand or imported
+(parse_presentation) is never marked, even when it names a tower: its
+relators are whatever the text says, so all of them are read.
+
 Two sizes are bounded before anything is allocated: a tower holds at most
 MAX_TOWER_GENERATORS generators, and a presentation built or imported here
 at most MAX_RELATORS relators.
@@ -27,8 +37,8 @@ at most MAX_RELATORS relators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import InvalidArgumentError, MissingImageError
 from .words import (
@@ -37,6 +47,7 @@ from .words import (
     GeneratorSymbol,
     Letter,
     Word,
+    _trusted,
     band_gen,
     format_word,
     orbit_gen,
@@ -123,11 +134,11 @@ class TowerSpec:
         if not 1 <= j <= self.n:
             raise InvalidArgumentError(f"no level {j} in a tower of height {self.n}")
         if self.family is GenFamily.ORBIT:
-            return tuple(orbit_gen(j, i) for i in range(2 * j - 1))
-        return tuple(band_gen(i, j) for i in range(1, j))
+            return tuple([orbit_gen(j, i) for i in range(2 * j - 1)])
+        return tuple([band_gen(i, j) for i in range(1, j)])
 
     def all_generators(self) -> tuple[GeneratorSymbol, ...]:
-        return tuple(sym for j in range(1, self.n + 1) for sym in self.alphabet(j))
+        return tuple([sym for j in range(1, self.n + 1) for sym in self.alphabet(j)])
 
 
 # --- presentations -----------------------------------------------------------
@@ -138,44 +149,50 @@ class Presentation:
     """Generators, relators (each relator r asserts r = identity), and an
     optional tower ``(family, n)`` describing the semidirect decomposition.
 
-    A tower must derive exactly the generators, in the same order."""
+    A tower must derive exactly the generators, in the same order.
+
+    A presentation that orbit_presentation or artin_presentation built, or
+    a quotient_by of one, is marked: its relators are its tower's
+    conjugation relators followed by the extras, and they are derived on
+    the first read of ``relators``.
+    """
 
     generators: tuple[GeneratorSymbol, ...]
     relators: tuple[Word, ...]
     tower: TowerSpec | None = None
+    # (tower, extras) for a marked presentation; only the builders here set it.
+    _marked: tuple[TowerSpec, tuple[Word, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         known = set(self.generators)
         if len(known) != len(self.generators):
             raise InvalidArgumentError("duplicate generator")
-        for relator in self.relators:
-            for sym in relator.symbols():
-                if sym not in known:
-                    raise MissingImageError(sym)
+        _check_symbols(self.relators, known)
         if self.tower is not None and self.tower.all_generators() != self.generators:
             raise InvalidArgumentError("tower alphabets must exhaust the generators in order")
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the relators of
+        # a marked presentation before their first read.
+        if name != "relators" or self._marked is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tower, extras = self._marked
+        relators = _tower_relators(tower) + extras
+        object.__setattr__(self, "relators", relators)
+        return relators
 
 
 def orbit_presentation(n: int) -> Presentation:
     """The orbit braid group on n points: n**2 generators r(j,i) and one
     conjugation relator per ordered pair of levels j < k."""
-    tower = _presentable_tower(GenFamily.ORBIT, n)
-    gens = tower.all_generators()
-    # Relators run (family, j, i, k, l)-lexicographically: family (I) has
-    # actors r(j,0), family (II) actors r(j,i) with 1 <= i < j, family (III)
-    # actors r(j,i) with j <= i <= 2j-2.
-    actors = (
-        [g for g in gens if g.indices[1] == 0]
-        + [g for g in gens if 0 < g.indices[1] < g.level]
-        + [g for g in gens if g.indices[1] >= g.level]
-    )
-    return _tower_presentation(tower, actors)
+    return _tower_presentation(_presentable_tower(GenFamily.ORBIT, n))
 
 
 def artin_presentation(n: int) -> Presentation:
     """The pure braid group on n strands, presented on the bands A(i,j)."""
-    tower = _presentable_tower(GenFamily.BAND, n)
-    return _tower_presentation(tower, tower.all_generators())
+    return _tower_presentation(_presentable_tower(GenFamily.BAND, n))
 
 
 def _presentable_tower(family: GenFamily, n: int) -> TowerSpec:
@@ -185,18 +202,41 @@ def _presentable_tower(family: GenFamily, n: int) -> TowerSpec:
     return tower
 
 
-def _tower_presentation(
-    tower: TowerSpec, actors: Sequence[GeneratorSymbol]
-) -> Presentation:
+def _tower_presentation(tower: TowerSpec) -> Presentation:
+    """The marked presentation of the tower; no relator is built yet."""
+    return _trusted(
+        Presentation, generators=tower.all_generators(), tower=tower, _marked=(tower, ())
+    )
+
+
+def _tower_relators(tower: TowerSpec) -> tuple[Word, ...]:
     """One conjugation relator per (actor, target) with the target at a
-    higher level, actors in the given order, targets level by level."""
-    relators = tuple(
+    higher level, actors in the family's order, targets level by level."""
+    gens = tower.all_generators()
+    if tower.family is GenFamily.ORBIT:
+        # Relators run (family, j, i, k, l)-lexicographically: family (I)
+        # has actors r(j,0), family (II) actors r(j,i) with 1 <= i < j,
+        # family (III) actors r(j,i) with j <= i <= 2j-2.
+        actors = (
+            [g for g in gens if g.indices[1] == 0]
+            + [g for g in gens if 0 < g.indices[1] < g.level]
+            + [g for g in gens if g.indices[1] >= g.level]
+        )
+    else:
+        actors = gens
+    return tuple([
         _conjugation_relator(actor, target)
         for actor in actors
         for k in range(actor.level + 1, tower.n + 1)
         for target in tower.alphabet(k)
-    )
-    return Presentation(tower.all_generators(), relators, tower)
+    ])
+
+
+def _check_symbols(relators: Iterable[Word], known: set[GeneratorSymbol]) -> None:
+    for relator in relators:
+        for sym in relator.symbols():
+            if sym not in known:
+                raise MissingImageError(sym)
 
 
 def _check_relator_count(count: int, what: str) -> None:
@@ -208,8 +248,26 @@ def _check_relator_count(count: int, what: str) -> None:
 
 def quotient_by(p: Presentation, extra: Iterable[Word]) -> Presentation:
     """p with extra relators imposed; the tower is dropped (quotients are
-    presentations only, not combable groups)."""
-    return Presentation(p.generators, p.relators + tuple(extra), tower=None)
+    presentations only, not combable groups).
+
+    p was validated when it was built, so only the extras are checked.  A
+    quotient of a marked presentation stays marked, with the extras
+    appended to its extras; it builds no relator of the tower, and shares
+    p's if they were read before.
+    """
+    extra = tuple(extra)
+    _check_symbols(extra, set(p.generators))
+    if p._marked is None:
+        return _trusted(
+            Presentation, generators=p.generators, relators=p.relators + extra, tower=None
+        )
+    tower, extras = p._marked
+    q = _trusted(
+        Presentation, generators=p.generators, tower=None, _marked=(tower, extras + extra)
+    )
+    if "relators" in vars(p):  # p's relators were read already: share them
+        object.__setattr__(q, "relators", p.relators + extra)
+    return q
 
 
 def _conjugation_relator(actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:
@@ -233,7 +291,7 @@ def element_D(j: int, k: int) -> Word:
     """D(j,k) = r(k,j) r(k,j+1) ... r(k,k-1); empty when j = k."""
     if not 1 <= j <= k:
         raise InvalidArgumentError(f"element_D needs 1 <= j <= k, got j={j}, k={k}")
-    return Word(tuple(Letter(orbit_gen(k, m)) for m in range(j, k)))
+    return Word(tuple([Letter(orbit_gen(k, m)) for m in range(j, k)]))
 
 
 def element_C(k: int, j: int) -> Word:
@@ -257,14 +315,14 @@ def _run_E(k: int, m: int, q: int) -> Word:
     # Internal variant: q = m-1 yields the empty run, which the relation
     # tables need (e.g. family (I) with j=1, or family (II) with i=j-1).
     assert k <= m <= q + 1 and q <= 2 * k - 2, (k, m, q)
-    return Word(tuple(Letter(orbit_gen(k, t)) for t in range(m, q + 1)))
+    return Word(tuple([Letter(orbit_gen(k, t)) for t in range(m, q + 1)]))
 
 
 def element_Theta(n: int) -> Word:
     """The central element r(1,0) r(2,0) ... r(n,0) of the orbit group."""
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    return Word(tuple(Letter(orbit_gen(j, 0)) for j in range(1, n + 1)))
+    return Word(tuple([Letter(orbit_gen(j, 0)) for j in range(1, n + 1)]))
 
 
 def element_full_twist(n: int) -> Word:
@@ -273,7 +331,7 @@ def element_full_twist(n: int) -> Word:
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     return Word(
-        tuple(Letter(band_gen(i, j)) for j in range(2, n + 1) for i in range(1, j))
+        tuple([Letter(band_gen(i, j)) for j in range(2, n + 1) for i in range(1, j)])
     )
 
 
@@ -451,7 +509,7 @@ def _parse_text(source: str) -> Presentation:
     if body == ["(no relators)"]:
         relators: tuple[Word, ...] = ()
     else:
-        relators = tuple(parse_word(line) for line in body)
+        relators = tuple([parse_word(line) for line in body])
     return Presentation(tuple(gens), relators)
 
 
@@ -490,13 +548,13 @@ def _parse_json(source: str) -> Presentation:
     tower = None if tower_info is None else _json_tower(tower_info)
     raw_relators = _json_list(payload.get("relators"), "relators")
     _check_relator_count(len(raw_relators), "the json presentation")
-    gens = tuple(
+    gens = tuple([
         _symbol_from_text(tok) for tok in _json_list(payload.get("generators"), "generators")
-    )
-    relators = tuple(
+    ])
+    relators = tuple([
         reduce(_json_letter(item) for item in _json_list(letters, "a relator"))
         for letters in raw_relators
-    )
+    ])
     return Presentation(gens, relators, tower)
 
 

@@ -177,7 +177,11 @@ class Word:
     def __post_init__(self) -> None:
         prev = None
         for cur in self.letters:
-            if prev is not None and prev.symbol == cur.symbol and prev.exponent == -cur.exponent:
+            if (
+                prev is not None
+                and prev.exponent == -cur.exponent
+                and (prev.symbol is cur.symbol or prev.symbol == cur.symbol)
+            ):
                 raise InvalidArgumentError(
                     f"word is not freely reduced at ...{format_letter(prev)} {format_letter(cur)}..."
                 )
@@ -226,10 +230,15 @@ def reduce(raw: Iterable[Letter]) -> Word:
     """Freely reduce a letter sequence (cancel adjacent x x^-1 pairs)."""
     stack: list[Letter] = []
     for letter in raw:
-        if stack and stack[-1].symbol == letter.symbol and stack[-1].exponent == -letter.exponent:
-            stack.pop()
-        else:
-            stack.append(letter)
+        if stack:
+            top = stack[-1]
+            # Exponents first, then identity: shared symbols rarely need __eq__.
+            if top.exponent == -letter.exponent and (
+                top.symbol is letter.symbol or top.symbol == letter.symbol
+            ):
+                stack.pop()
+                continue
+        stack.append(letter)
     return Word(tuple(stack))
 
 
@@ -242,7 +251,12 @@ def concat(u: Word, v: Word) -> Word:
     # Only the boundary can cancel; peel matching ends then splice.
     a, b = u.letters, v.letters
     i, j = len(a) - 1, 0
-    while i >= 0 and j < len(b) and a[i].symbol == b[j].symbol and a[i].exponent == -b[j].exponent:
+    while (
+        i >= 0
+        and j < len(b)
+        and a[i].exponent == -b[j].exponent
+        and (a[i].symbol is b[j].symbol or a[i].symbol == b[j].symbol)
+    ):
         i -= 1
         j += 1
     return Word(a[: i + 1] + b[j:])
@@ -250,7 +264,7 @@ def concat(u: Word, v: Word) -> Word:
 
 def invert(w: Word) -> Word:
     """The inverse word (reversed letters with flipped exponents)."""
-    return Word(tuple(letter.inverse() for letter in reversed(w.letters)))
+    return Word(tuple([letter.inverse() for letter in reversed(w.letters)]))
 
 
 def exponent_sum(w: Word, s: GeneratorSymbol) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from types import SimpleNamespace
 
@@ -10,11 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from braidcomb import InvalidArgumentError, MissingImageError, orbit_gen
+from braidcomb import InvalidArgumentError, MissingImageError, abelian, orbit_gen
 from braidcomb.abelian import (
     FGAbelianGroup,
     IntMatrix,
     SmithForm,
+    _SparseColumns,
     cokernel,
     h1,
     has_torsion,
@@ -25,7 +27,9 @@ from braidcomb.presentations import (
     Presentation,
     artin_presentation,
     element_Theta,
+    export_presentation,
     orbit_presentation,
+    parse_presentation,
     quotient_by,
 )
 from braidcomb.words import Letter, exponent_sum, reduce
@@ -133,13 +137,13 @@ def test_snf_empty_shapes():
 
 
 def test_snf_multiply_back_check_is_live(monkeypatch):
-    # Transforms that start as 2*I instead of I give U @ m @ V = 4 * diag(d),
-    # which only the multiply-back check can notice.
-    monkeypatch.setattr(
-        IntMatrix, "identity", classmethod(lambda cls, n: cls.diagonal((2,) * n, n, n))
-    )
-    with pytest.raises(AssertionError):
-        smith_normal_form(M([[2]]))
+    # Sparse transforms that start as 2*I instead of I give U @ m @ V =
+    # 4 * diag(d), which only the multiply-back check can notice: on a
+    # dense matrix, through the final gcd pass, and on sparse columns.
+    monkeypatch.setattr(abelian, "_unit_lines", lambda n: [{i: 2} for i in range(n)])
+    for m in (M([[2]]), M([[4, 0], [0, 6]]), _SparseColumns(3, 1, ({0: 2, 2: -4},))):
+        with pytest.raises(AssertionError, match="multiply-back"):
+            smith_normal_form(m)
 
 
 def test_smithform_rejects_broken_chain():
@@ -179,6 +183,31 @@ def test_snf_is_permutation_invariant(rows, rng):
     rng.shuffle(cols)
     permuted = [[row[c] for c in cols] for row in shuffled]
     assert smith_normal_form(M(permuted)).d == base
+
+
+@settings(deadline=None)
+@given(_small_matrices)
+def test_snf_of_sparse_columns_matches_the_dense_matrix(rows):
+    m = M(rows)
+    columns = tuple(
+        {r: x for r, x in enumerate(col) if x} for col in zip(*rows)
+    )
+    form = smith_normal_form(_SparseColumns(m.rows, m.cols, columns))
+    assert form.d == smith_normal_form(m).d
+    assert form.U @ m @ form.V == IntMatrix.diagonal(form.d, m.rows, m.cols)
+    assert abs(Matrix(form.U.to_rows()).det()) == 1
+    assert abs(Matrix(form.V.to_rows()).det()) == 1
+
+
+def test_snf_builds_transforms_on_first_read(monkeypatch):
+    built = []
+    dense = abelian._dense
+    monkeypatch.setattr(abelian, "_dense", lambda *args: built.append(args[0]) or dense(*args))
+    form = smith_normal_form(M([[2, 4, 0], [0, 6, 3]]))
+    assert built == []
+    assert form.U is form.U and built == [2]
+    assert form.V is form.V and built == [2, 3]
+    assert form.U @ M([[2, 4, 0], [0, 6, 3]]) @ form.V == IntMatrix.diagonal(form.d, 2, 3)
 
 
 # --- cokernels -----------------------------------------------------------------
@@ -290,6 +319,46 @@ def test_h1_values():
         theta_sq = element_Theta(n) * element_Theta(n)
         q = quotient_by(orbit_presentation(n), [theta_sq])
         assert h1(q) == FGAbelianGroup(n * n - 1, (2,))
+
+
+# --- h1 skips the tower's relators -------------------------------------------
+
+
+def _extras(gens, seed):
+    """Seeded extra relators: one word, its square, and a pair with a
+    common factor, so that free, torsion and mixed cokernels all occur."""
+    w = _seeded_word(gens, seed, 7)
+    v = _seeded_word(gens, seed + 1, 5)
+    return [[w], [w * w], [w * w, v * v * v * v, v * w * w]]
+
+
+@pytest.mark.parametrize(
+    "build,n",
+    [(orbit_presentation, n) for n in range(1, 9)]
+    + [(artin_presentation, n) for n in range(1, 13)],
+)
+def test_marked_h1_matches_reading_every_relator(build, n):
+    base = build(n)
+    assert base._marked == (base.tower, ())
+    cases = [base]
+    if base.generators:  # P_1 has none to draw from
+        cases += [quotient_by(base, extra) for extra in _extras(base.generators, n)]
+    for p in cases:
+        unmarked = Presentation(p.generators, p.relators)
+        assert unmarked._marked is None
+        assert h1(p) == h1(unmarked)
+
+
+def test_imported_tower_relators_are_read():
+    # An import is never marked: a doctored tower relator still counts.
+    payload = json.loads(export_presentation(orbit_presentation(2), "json"))
+    payload["relators"][0] = [["r(1,0)", 1], ["r(1,0)", 1]]
+    doctored = parse_presentation(json.dumps(payload), "json")
+    assert doctored.tower == orbit_presentation(2).tower
+    assert h1(doctored) == FGAbelianGroup(3, (2,))
+    back = parse_presentation(export_presentation(orbit_presentation(3), "json"), "json")
+    assert back == orbit_presentation(3) and back._marked is None
+    assert h1(back) == h1(orbit_presentation(3))
 
 
 # --- exponent vectors against per-generator sums ------------------------------

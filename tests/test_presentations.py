@@ -4,9 +4,11 @@ elements, the conjugation-action table, quotients, and serialization."""
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcomb import (
     GenFamily,
@@ -17,11 +19,13 @@ from braidcomb import (
     orbit_gen,
     parse_word,
 )
+from braidcomb import presentations
 from braidcomb.presentations import (
     MAX_RELATORS,
     MAX_TOWER_GENERATORS,
     Presentation,
     TowerSpec,
+    _conjugation_relator,
     action_conjugator,
     artin_presentation,
     element_C,
@@ -359,6 +363,82 @@ def test_quotient_by_rejects_foreign_symbols():
         quotient_by(artin_presentation(2), [parse_word("r(1,0)")])
 
 
+def test_builders_mark_the_tower_relators_and_quotients_keep_the_mark():
+    for p in (orbit_presentation(3), artin_presentation(4)):
+        assert p._marked == (p.tower, ())
+        w = parse_word(str(p.generators[0]) + " " + str(p.generators[0]))
+        q = quotient_by(p, [w])
+        assert q._marked == (p.tower, (w,)) and q.tower is None
+        assert quotient_by(q, [w])._marked == (p.tower, (w, w))
+        assert q.relators == p.relators + (w,)
+        # The mark is invisible to equality, hashing and repr.
+        plain = Presentation(p.generators, p.relators, p.tower)
+        assert plain._marked is None
+        assert plain == p and hash(plain) == hash(p) and repr(plain) == repr(p)
+        assert Presentation(q.generators, q.relators) == q
+    assert "_marked" not in inspect.signature(Presentation).parameters
+
+
+def test_marked_relators_are_built_on_first_read(monkeypatch):
+    built = []
+    derive = presentations._tower_relators
+    monkeypatch.setattr(
+        presentations, "_tower_relators", lambda tower: built.append(tower) or derive(tower)
+    )
+    p = orbit_presentation(3)
+    q = quotient_by(p, [element_Theta(3)])
+    assert built == []
+    assert len(q.relators) == ORBIT_RELATOR_COUNTS[3] + 1
+    assert built == [p.tower]
+    assert q.relators is q.relators and built == [p.tower]
+    # Once p's relators are read, a quotient shares them.
+    read = p.relators
+    assert built == [p.tower, p.tower]
+    shared = quotient_by(p, [element_Theta(3)])
+    assert shared.relators == read + (element_Theta(3),)
+    assert shared.relators[0] is read[0] and built == [p.tower, p.tower]
+    with pytest.raises(AttributeError):
+        p.no_such_attribute
+
+
+def test_quotient_by_validates_each_extra():
+    p = orbit_presentation(2)
+    good = parse_word("r(2,1) r(1,0)")
+    with pytest.raises(MissingImageError) as info:
+        quotient_by(p, [good, parse_word("r(2,1) r(3,0)")])
+    assert info.value.symbol == orbit_gen(3, 0)
+
+
+def _zero_sum(word):
+    totals = {}
+    for letter in word.letters:
+        totals[letter.symbol] = totals.get(letter.symbol, 0) + letter.exponent
+    return not any(totals.values())
+
+
+@st.composite
+def _actor_target(draw):
+    """An (actor, target) pair at levels j < k of either tower, up to the
+    tallest tower MAX_TOWER_GENERATORS allows."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 50))
+        j = draw(st.integers(1, k - 1))
+        actor = orbit_gen(j, draw(st.integers(0, 2 * j - 2)))
+        return actor, orbit_gen(k, draw(st.integers(0, 2 * k - 2)))
+    k = draw(st.integers(3, 71))
+    s = draw(st.integers(2, k - 1))
+    actor = band_gen(draw(st.integers(1, s - 1)), s)
+    return actor, band_gen(draw(st.integers(1, k - 1)), k)
+
+
+@settings(deadline=None)
+@given(_actor_target())
+def test_every_conjugation_relator_abelianizes_to_zero(pair):
+    # Why h1 may skip the tower's relators: each one has exponent sum zero
+    # in every generator.
+    assert _zero_sum(_conjugation_relator(*pair))
+
+
 # --- serialization -----------------------------------------------------------
 
 
@@ -374,6 +454,7 @@ def test_round_trip(fmt):
         back = parse_presentation(export_presentation(p, fmt), fmt)
         assert back.generators == p.generators
         assert back.relators == p.relators
+        assert back._marked is None  # an import is never marked
         if fmt == "json":
             assert back == p  # tower survives json
 

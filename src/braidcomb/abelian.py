@@ -18,18 +18,19 @@ The multiply-back check runs on the same sparse lines, and U and V become
 IntMatrix values only when a caller first reads them.
 
 cokernel drops zero and repeated columns, which span nothing new, and
-hands the rest to Smith reduction as sparse columns, never as a dense
-matrix.  Words become exponent vectors in one pass each, every letter read
-once against a generator index built once.  h1 skips the conjugation
-relators of a tower that presentations marks, whose exponent vectors are
-zero, and hands the other vectors straight to the cokernel.
+hands the rest to Smith reduction as the rows of the transpose, which has
+the same invariant factors.  Words become exponent vectors in one pass
+each, every letter read once against a generator index built once.  h1
+skips the conjugation relators of a tower that presentations marks, whose
+exponent vectors are zero, and hands the other vectors straight to the
+cokernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
 from .words import GeneratorSymbol, Word
@@ -213,15 +214,6 @@ def has_torsion(g: FGAbelianGroup) -> bool:
 
 # A sparse line is one row or one column of a matrix, as a dict from
 # position to its non-zero value.
-
-
-class _SparseColumns(NamedTuple):
-    """A rows x cols matrix given by its columns as sparse lines: the form
-    in which cokernels hand their relations to smith_normal_form."""
-
-    rows: int
-    cols: int
-    columns: tuple[dict[int, int], ...]
 
 
 def _unit_lines(n: int) -> list[dict[int, int]]:
@@ -432,28 +424,13 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     The result is verified by multiplying U @ m @ V back together before
     returning, on exactly the m given and on the non-zero entries alone.
     U and V become IntMatrix values only when first read.
-
-    cokernel hands m over as sparse columns (rows, cols and columns);
-    that case reduces the transpose, whose rows they are.
     """
-    if isinstance(m, IntMatrix):
-        width = m.cols
-        lines = [
-            {k: x for k, x in enumerate(m.entries[i * width : (i + 1) * width]) if x}
-            for i in range(m.rows)
-        ]
-    else:
-        lines = list(m.columns)
-        width = m.rows
-    d, u_rows, v_cols = _reduce(lines, width)
-    if not _multiplies_back(lines, width, u_rows, v_cols, d):
+    lines = [{k: x for k, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+    d, u_rows, v_cols = _reduce(lines, m.cols)
+    if not _multiplies_back(lines, m.cols, u_rows, v_cols, d):
         raise AssertionError("smith reduction failed its multiply-back verification")
-    if isinstance(m, IntMatrix):
-        U = partial(_dense, len(lines), u_rows, True)
-        V = partial(_dense, width, v_cols, False)
-    else:  # m is the transpose of what was reduced: U = V'^T and V = U'^T
-        U = partial(_dense, width, v_cols, True)
-        V = partial(_dense, len(lines), u_rows, False)
+    U = partial(_dense, m.rows, u_rows, True)
+    V = partial(_dense, m.cols, v_cols, False)
     return SmithForm(tuple(d), len(d), U, V)
 
 
@@ -489,15 +466,14 @@ def _cokernel_of_columns(rows: int, columns: Iterable[tuple[int, ...]]) -> FGAbe
     """Z^rows modulo the span of the given columns.
 
     Zero columns and repeats of an earlier column add nothing to the span,
-    so they are dropped before any matrix is built; the Smith reduction and
-    its multiply-back check then run on the columns that are left.
+    so they are dropped before any matrix is built.  The columns that are
+    left become the rows of the transpose, whose invariant factors are the
+    same; Smith reduction and its multiply-back check run on that.
     """
-    kept = [
-        {r: x for r, x in enumerate(col) if x} for col in dict.fromkeys(columns) if any(col)
-    ]
+    kept = [col for col in dict.fromkeys(columns) if any(col)]
     if not kept:
         return FGAbelianGroup(rows)
-    form = smith_normal_form(_SparseColumns(rows, len(kept), tuple(kept)))
+    form = smith_normal_form(IntMatrix(len(kept), rows, tuple([x for col in kept for x in col])))
     torsion = tuple([d for d in form.d if d > 1])
     return FGAbelianGroup(rows - form.rank, torsion)
 

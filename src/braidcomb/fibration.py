@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .abelian import (
     FGAbelianGroup,
@@ -67,27 +67,34 @@ class Surface(enum.Enum):
         return GenFamily.BAND if self is Surface.S2 else GenFamily.ORBIT
 
 
-def _require_n(surface: Surface, n: int) -> None:
+@lru_cache(maxsize=None)
+def _fibre_tower(surface: Surface, n: int) -> TowerSpec:
+    """The tower of R_{n-1}: all that combing reads; no relator is built.
+
+    Every entry point of the fibre calculus calls this first, as its one
+    check of n: n is at least n0 and R_{n-1} is within
+    MAX_TOWER_GENERATORS, before anything of size n is built.  Only valid
+    n are cached, so the cache stays within the bound.
+    """
     if n < surface.n0:
         raise InvalidArgumentError(
             f"the fibre calculus over {surface.value} starts at n = {surface.n0}, got n = {n}"
         )
+    try:
+        return TowerSpec(surface.fibre_family, n - 1)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(
+            f"the fibre factor R_{n - 1} over {surface.value} at n = {n} is too tall: {exc}"
+        ) from None
 
 
 @lru_cache(maxsize=None)
 def fibre_presentation(surface: Surface, n: int) -> Presentation:
     """Presentation of the braid-like factor R_{n-1} of the fibre group."""
-    _require_n(surface, n)
+    _fibre_tower(surface, n)
     if surface is Surface.S2:
         return artin_presentation(n - 1)
     return orbit_presentation(n - 1)
-
-
-@lru_cache(maxsize=None)
-def _fibre_tower(surface: Surface, n: int) -> TowerSpec:
-    """The tower of R_{n-1}: all that combing reads; no relator is built."""
-    _require_n(surface, n)
-    return TowerSpec(surface.fibre_family, n - 1)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ class FibreElement:
     z_part: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_n(self.surface, self.n)
+        _fibre_tower(self.surface, self.n)
         if len(self.z_part) != self.n - 1:
             raise InvalidArgumentError(
                 f"z_part must have length {self.n - 1}, got {len(self.z_part)}"
@@ -122,6 +129,7 @@ class FibreElement:
 
     @classmethod
     def identity(cls, surface: Surface, n: int) -> "FibreElement":
+        _fibre_tower(surface, n)  # before the z_part of length n - 1 is built
         return cls(surface, n, IDENTITY, (0,) * (n - 1))
 
     @property
@@ -173,7 +181,7 @@ def pi2_basis(surface: Surface, n: int) -> tuple[str, ...]:
     ``z0`` and its antipode ``-z0``.  Projective plane: ``x0`` .. ``x{n-2}``
     and the single ``z0``.  Always exactly n labels.
     """
-    _require_n(surface, n)
+    _fibre_tower(surface, n)
     if surface is Surface.S2:
         return tuple([f"x{i}" for i in range(n - 2)]) + ("z0", "-z0")
     return tuple([f"x{i}" for i in range(n - 1)]) + ("z0",)
@@ -182,7 +190,7 @@ def pi2_basis(surface: Surface, n: int) -> tuple[str, ...]:
 def delta_generator(surface: Surface, n: int, i: int) -> FibreElement:
     """The loop class around the i-th sphere factor: trivial braid part,
     i-th unit vector in the Z^{n-1} factor."""
-    _require_n(surface, n)
+    _fibre_tower(surface, n)
     if not 0 <= i <= n - 2:
         raise InvalidArgumentError(
             f"delta index must satisfy 0 <= i <= {n - 2}, got {i}"
@@ -199,7 +207,7 @@ def tau_hat(surface: Surface, n: int) -> FibreElement:
     projective plane it is the inverse of the central element Theta_{n-1}.
     Either way the Z^{n-1} coordinates vanish.
     """
-    _require_n(surface, n)
+    _fibre_tower(surface, n)
     if surface is Surface.S2:
         word = element_full_twist(n - 1)
     else:
@@ -253,7 +261,7 @@ def strict_corollary_image(surface: Surface, n: int) -> FibreElement:
     report the difference instead of silently picking a side; over the
     projective plane the two coincide.
     """
-    _require_n(surface, n)
+    _fibre_tower(surface, n)
     if surface is Surface.RP2:
         return boundary_image(surface, n, "z0")
     return boundary_image(surface, n, "-z0") * delta_generator(surface, n, n - 2).inverse()
@@ -355,6 +363,12 @@ def quotient_check(surface: Surface, n: int) -> QuotientReport:
 
 # --- diagonal sequences -------------------------------------------------------
 
+# The most points the diagonal sequences are checked at.  The quotient of
+# A^n is the Smith reduction of a matrix with about n * rank(A) rows and
+# columns, so the cost grows faster than n**2: `verify --suite split` at
+# n = 200 takes 0.3 s on a 2-core Xeon VM.
+MAX_SPLIT_N = 200
+
 
 def iota_sharp_vector(surface: Surface, n: int, k: int) -> tuple[int, ...]:
     """Coordinate vector of the inclusion-induced map on the k-th homotopy
@@ -363,12 +377,14 @@ def iota_sharp_vector(surface: Surface, n: int, k: int) -> tuple[int, ...]:
     The two-point sphere at k = 2 is anti-diagonal, (1, -1); every other
     case in range is the all-ones diagonal.  The sphere at k = 2 with more
     than two points carries no class to map, so that request is rejected
-    rather than answered.
+    rather than answered.  n is at most MAX_SPLIT_N, the bound of the
+    splitting check the vector feeds.
     """
     if k < 2:
         raise InvalidArgumentError(f"iota_sharp_vector needs k >= 2, got k = {k}")
     if n < 2:
         raise InvalidArgumentError(f"iota_sharp_vector needs n >= 2, got n = {n}")
+    _check_split_n(n)
     if surface is Surface.S2 and k == 2:
         if n == 2:
             return (1, -1)
@@ -377,6 +393,14 @@ def iota_sharp_vector(surface: Surface, n: int, k: int) -> tuple[int, ...]:
             "use the boundary calculus for larger n"
         )
     return (1,) * n
+
+
+def _check_split_n(n: int) -> None:
+    """Refuses n past MAX_SPLIT_N before a vector of length n is built."""
+    if n > MAX_SPLIT_N:
+        raise InvalidArgumentError(
+            f"the diagonal sequences at n = {n} are past the bound MAX_SPLIT_N={MAX_SPLIT_N}"
+        )
 
 
 @dataclass(frozen=True)
@@ -408,11 +432,13 @@ def split_ses_check(
     reduced.  The quotient A^n / im Theta is then presented by integer
     relations and must equal A^{n-1} as a canonical FGAbelianGroup.  A
     vector with no +1/-1 entry raises NoUnitCoordinateError: the argument
-    needs a unit somewhere and promises nothing without one.
+    needs a unit somewhere and promises nothing without one.  n past
+    MAX_SPLIT_N is refused before the vector is read.
     """
-    vec = tuple([int(c) for c in vector])
     if n < 2:
         raise InvalidArgumentError(f"split_ses_check needs n >= 2, got n = {n}")
+    _check_split_n(n)
+    vec = tuple([int(c) for c in vector])
     if len(vec) != n:
         raise InvalidArgumentError(
             f"vector length {len(vec)} does not match n = {n}"
@@ -457,7 +483,8 @@ def split_ses_check(
             col[c * gsize + a] = vec[c]
         columns.append(col)
     quotient = cokernel(IntMatrix.from_columns(total, columns))
-    expected = reduce(FGAbelianGroup.direct_sum, [coeff] * (n - 1))
+    # n - 1 copies of a divisibility chain, sorted, are again one.
+    expected = FGAbelianGroup(free * (n - 1), tuple(sorted(torsion * (n - 1))))
     return SplitReport(coeff, n, vec, unit_at, section_ok, quotient, expected)
 
 

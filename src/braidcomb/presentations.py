@@ -30,8 +30,10 @@ in equality, hashing or repr.  A presentation built by hand or imported
 relators are whatever the text says, so all of them are read.
 
 Two sizes are bounded before anything is allocated: a tower holds at most
-MAX_TOWER_GENERATORS generators, and a presentation built or imported here
-at most MAX_RELATORS relators.
+MAX_TOWER_GENERATORS generators, so no builder returns a taller one, and
+at most MAX_RELATORS relators are derived from a tower or imported.  The
+relator bound is checked, in closed form, where a marked presentation's
+relators are first read; H1, which never reads them, is not held to it.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ __all__ = [
 # The most generators a tower may have: n**2 for the orbit family, so
 # n <= 50, and n(n-1)/2 for the band family, so n <= 71.
 MAX_TOWER_GENERATORS = 2_500
-# The most relators a presentation may have when it is built or imported:
-# G_n up to n = 14 (17,381 relators), P_n up to n = 20 (16,815).
+# The most relators derived from a tower or imported: G_n up to n = 14
+# (17,381 relators), P_n up to n = 20 (16,815).
 MAX_RELATORS = 20_000
 
 
@@ -154,7 +156,7 @@ class Presentation:
     A presentation that orbit_presentation or artin_presentation built, or
     a quotient_by of one, is marked: its relators are its tower's
     conjugation relators followed by the extras, and they are derived on
-    the first read of ``relators``.
+    the first read of ``relators``, once their count is within MAX_RELATORS.
     """
 
     generators: tuple[GeneratorSymbol, ...]
@@ -179,6 +181,7 @@ class Presentation:
         if name != "relators" or self._marked is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         tower, extras = self._marked
+        _check_relator_count(tower.relator_count(), f"the presentation of height n={tower.n}")
         relators = _tower_relators(tower) + extras
         object.__setattr__(self, "relators", relators)
         return relators
@@ -187,19 +190,12 @@ class Presentation:
 def orbit_presentation(n: int) -> Presentation:
     """The orbit braid group on n points: n**2 generators r(j,i) and one
     conjugation relator per ordered pair of levels j < k."""
-    return _tower_presentation(_presentable_tower(GenFamily.ORBIT, n))
+    return _tower_presentation(TowerSpec(GenFamily.ORBIT, n))
 
 
 def artin_presentation(n: int) -> Presentation:
     """The pure braid group on n strands, presented on the bands A(i,j)."""
-    return _tower_presentation(_presentable_tower(GenFamily.BAND, n))
-
-
-def _presentable_tower(family: GenFamily, n: int) -> TowerSpec:
-    """The tower, once its relator count, in closed form, is within bounds."""
-    tower = TowerSpec(family, n)
-    _check_relator_count(tower.relator_count(), f"the presentation of height n={n}")
-    return tower
+    return _tower_presentation(TowerSpec(GenFamily.BAND, n))
 
 
 def _tower_presentation(tower: TowerSpec) -> Presentation:
@@ -252,8 +248,7 @@ def quotient_by(p: Presentation, extra: Iterable[Word]) -> Presentation:
 
     p was validated when it was built, so only the extras are checked.  A
     quotient of a marked presentation stays marked, with the extras
-    appended to its extras; it builds no relator of the tower, and shares
-    p's if they were read before.
+    appended to its extras, and builds no relator of the tower.
     """
     extra = tuple(extra)
     _check_symbols(extra, set(p.generators))
@@ -262,12 +257,9 @@ def quotient_by(p: Presentation, extra: Iterable[Word]) -> Presentation:
             Presentation, generators=p.generators, relators=p.relators + extra, tower=None
         )
     tower, extras = p._marked
-    q = _trusted(
+    return _trusted(
         Presentation, generators=p.generators, tower=None, _marked=(tower, extras + extra)
     )
-    if "relators" in vars(p):  # p's relators were read already: share them
-        object.__setattr__(q, "relators", p.relators + extra)
-    return q
 
 
 def _conjugation_relator(actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:

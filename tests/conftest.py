@@ -16,3 +16,14 @@ def no_relators_built(monkeypatch):
         raise AssertionError("a presentation was built")
 
     monkeypatch.setattr(presentations, "_tower_presentation", refuse)
+
+
+@pytest.fixture
+def no_relators_derived(monkeypatch):
+    """Make deriving any tower's conjugation relators fail for the rest of
+    the test (until monkeypatch.undo()); building a presentation still works."""
+
+    def refuse(*args):
+        raise AssertionError("a tower's relators were derived")
+
+    monkeypatch.setattr(presentations, "_tower_relators", refuse)

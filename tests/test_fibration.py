@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcomb.abelian import FGAbelianGroup, IntMatrix, smith_normal_form
 from braidcomb.errors import InvalidArgumentError, NoUnitCoordinateError
 from braidcomb.fibration import (
+    MAX_SPLIT_N,
     FibreElement,
     Surface,
     boundary_image,
@@ -270,6 +273,51 @@ def test_split_ses_check_any_unit_vector(coeff, n, data):
     report = split_ses_check(coeff, n, vector)
     assert report.section_identity
     assert report.quotient == report.expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_split_expected_group_is_the_chained_direct_sum(n):
+    for coeff in (Z, Z2, Z3, Z_PLUS_Z2, FGAbelianGroup(0, (2, 4)), FGAbelianGroup(1, (3, 6))):
+        chained = reduce(FGAbelianGroup.direct_sum, [coeff] * (n - 1))
+        assert split_ses_check(coeff, n, (1,) * n).expected == chained
+
+
+def test_diagonal_sequences_refuse_n_past_the_bound():
+    def unread():
+        raise AssertionError("the vector was read")
+        yield
+
+    assert split_ses_check(Z_PLUS_Z2, MAX_SPLIT_N, (1,) * MAX_SPLIT_N).ok
+    assert iota_sharp_vector(RP2, MAX_SPLIT_N, 2) == (1,) * MAX_SPLIT_N
+    for n in (MAX_SPLIT_N + 1, 10**12):
+        with pytest.raises(InvalidArgumentError, match="MAX_SPLIT_N=200"):
+            split_ses_check(Z, n, unread())
+    with pytest.raises(InvalidArgumentError, match="MAX_SPLIT_N=200"):
+        iota_sharp_vector(RP2, MAX_SPLIT_N + 1, 2)
+
+
+@pytest.mark.parametrize("surface, tallest", [(S2, 72), (RP2, 51)], ids=["s2", "rp2"])
+def test_fibre_calculus_stops_at_the_tower_bound(surface, tallest):
+    assert len(pi2_basis(surface, tallest)) == tallest
+    for n in (tallest + 1, 10**9):
+        for call in (
+            lambda: pi2_basis(surface, n),
+            lambda: FibreElement.identity(surface, n),
+            lambda: boundary_image(surface, n, "x0"),
+            lambda: boundary_matrix_ab(surface, n),
+            lambda: exactness_report(surface, n),
+            lambda: quotient_check(surface, n),
+            lambda: boundary_sum_identity(surface, n),
+        ):
+            with pytest.raises(InvalidArgumentError, match="MAX_TOWER_GENERATORS=2500"):
+                call()
+
+
+def test_nonsplit_witness_at_the_tower_bound(no_relators_derived):
+    report = nonsplit_witness_s2(72)
+    assert report.ok
+    assert report.middle_h1 == FGAbelianGroup(2485 + 71)
+    assert report.quotient_h1 == FGAbelianGroup(2484, (2,))
 
 
 def test_nonsplit_witness():

@@ -20,6 +20,7 @@ from braidcomb import (
     parse_word,
 )
 from braidcomb import presentations
+from braidcomb.abelian import FGAbelianGroup, h1, relation_matrix
 from braidcomb.presentations import (
     MAX_RELATORS,
     MAX_TOWER_GENERATORS,
@@ -142,12 +143,20 @@ def test_tower_generator_bound(family, tallest):
     [(orbit_presentation, GenFamily.ORBIT, 14), (artin_presentation, GenFamily.BAND, 20)],
     ids=["orbit", "band"],
 )
-def test_presentation_relator_bound(no_relators_built, builder, family, tallest):
+def test_presentation_relator_bound(no_relators_derived, builder, family, tallest):
     assert TowerSpec(family, tallest).relator_count() <= MAX_RELATORS
     assert TowerSpec(family, tallest + 1).relator_count() > MAX_RELATORS
+    readers = [lambda p: p.relators, repr, relation_matrix] + [
+        lambda p, fmt=fmt: export_presentation(p, fmt) for fmt in ("text", "json", "gap")
+    ]
     for n in (tallest + 1, 50):
-        with pytest.raises(InvalidArgumentError, match="MAX_RELATORS=20000"):
-            builder(n)
+        # The tower is within its bound, so the builder returns; only
+        # deriving the relators is refused, and H1 reads none of them.
+        p = builder(n)
+        assert h1(p) == FGAbelianGroup(len(p.generators))
+        for read in readers:
+            with pytest.raises(InvalidArgumentError, match="MAX_RELATORS=20000"):
+                read(p)
     with pytest.raises(InvalidArgumentError, match="MAX_TOWER_GENERATORS"):
         builder(10**9)
 
@@ -391,12 +400,6 @@ def test_marked_relators_are_built_on_first_read(monkeypatch):
     assert len(q.relators) == ORBIT_RELATOR_COUNTS[3] + 1
     assert built == [p.tower]
     assert q.relators is q.relators and built == [p.tower]
-    # Once p's relators are read, a quotient shares them.
-    read = p.relators
-    assert built == [p.tower, p.tower]
-    shared = quotient_by(p, [element_Theta(3)])
-    assert shared.relators == read + (element_Theta(3),)
-    assert shared.relators[0] is read[0] and built == [p.tower, p.tower]
     with pytest.raises(AttributeError):
         p.no_such_attribute
 

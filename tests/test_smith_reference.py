@@ -5,8 +5,8 @@ its transform bookkeeping left out: pivot on the smallest non-zero entry,
 clear its row and column by euclidean steps on dense lists, and fold any
 row the pivot does not divide back into the pivot row.  Both must give the
 same invariant factors on the boundary matrices and on tall sparse random
-matrices, through smith_normal_form on a dense matrix and through cokernel,
-which hands Smith reduction sparse columns.
+matrices, through smith_normal_form on a matrix and through cokernel,
+which hands Smith reduction the transpose of its kept columns.
 """
 
 from __future__ import annotations

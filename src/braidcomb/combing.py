@@ -24,7 +24,10 @@ applied once.  The composite of the moves is the inverse; it enters the
 table only after it composes back to the identity substitution.
 Conjugating a level word fetches the actor's table once and cancels each
 image against the output only where the two meet, since both are freely
-reduced.
+reduced.  The word cap is exact per target letter: the scan stops at the
+first letter whose image takes the word past it.  No image is longer than
+the engine's longest, so the cap is checked once per block of letters that
+cannot reach it, and letter by letter only near it.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
@@ -217,6 +220,9 @@ class _Comber:
         )
         # actor id -> {target id: reversed image}, filled on demand.
         self._actions: dict[int, dict[int, tuple[int, ...]]] = {}
+        # The length of the longest image in any table; images are never
+        # empty, so 1 before the first fill.
+        self.longest = 1
 
     def encode(self, w: Word) -> list[int]:
         out = []
@@ -280,6 +286,7 @@ class _Comber:
                         f"inverse action of {self.symbols[-x - 1]} on level {k} "
                         "failed verification"
                     )
+        self.longest = max([self.longest, *map(len, images.values())])
         table = self.action_table(x)
         for y, image in images.items():
             table[y] = image[::-1]
@@ -298,29 +305,52 @@ class _Comber:
         return table[y]
 
     def _conjugate_rev(
-        self, x: int, rev_k: list[int], cap: int, overhead: int
+        self, x: int, rev_k: list[int], k: int, cap: int, overhead: int
     ) -> list[int]:
+        """The reversed level-k word rev_k conjugated by the letter x, also
+        reversed.  Raises WordSizeExceededError at the first letter of rev_k
+        after which the word, plus overhead letters, is longer than cap."""
         table = self.action_table(x)
-        out: list[int] = []
+        if self.bounds[k][0] not in table:
+            self._fill(x, k)
+        longest = self.longest
+        # out[0] is a sentinel: ids are non-zero, so it never cancels and
+        # out is never empty.  base counts the overhead less the sentinel.
+        out = [0]
         extend, pop = out.extend, out.pop
-        for y in rev_k:
-            try:
-                image = table[y]
-            except KeyError:
-                image = self.rev_image(x, y)
-            # out and every image are freely reduced and images are never
-            # empty, so letters can cancel only where the image joins out.
-            if out and out[-1] == -image[0]:
-                pop()
-                i, n = 1, len(image)
-                while i < n and out and out[-1] == -image[i]:
-                    pop()
-                    i += 1
-                extend(image[i:])
-            else:
-                extend(image)
-            if len(out) + overhead > cap:
-                raise WordSizeExceededError(len(out) + overhead, cap)
+        base = overhead - 1
+        start, n = 0, len(rev_k)
+        try:
+            while start < n:
+                # One letter adds at most longest letters to out, so the next
+                # room letters cannot reach the cap and run unchecked.  With
+                # no room left, letters run one at a time and each is checked,
+                # so the cap fires at exactly the letter that passes it.
+                room = max((cap - base - len(out)) // longest, 1)
+                for y in rev_k[start : start + room]:
+                    image = table[y]
+                    # out and every image are freely reduced and images are
+                    # never empty, so letters can cancel only where the
+                    # image joins out.
+                    if out[-1] == -image[0]:
+                        pop()
+                        i, m = 1, len(image)
+                        while i < m and out[-1] == -image[i]:
+                            pop()
+                            i += 1
+                        extend(image[i:])
+                    else:
+                        extend(image)
+                start += room
+                if len(out) + base > cap:
+                    raise WordSizeExceededError(len(out) + base, cap)
+        except KeyError:
+            # The filled table holds every level-k letter, so y is on another
+            # level: only a corrupted table can put it in rev_k.
+            raise InvalidArgumentError(
+                f"component at level {k} contains {self.symbols[abs(y) - 1]}"
+            ) from None
+        del out[0]
         return out
 
     def comb(self, ints: list[int], cap: int) -> list[list[int]]:
@@ -338,11 +368,13 @@ class _Comber:
                     else:
                         if rev_k:
                             rev_k = self._conjugate_rev(
-                                x, rev_k, cap, pos + len(rev_rest) + 1
+                                x, rev_k, k, cap, pos + len(rev_rest) + 1
                             )
                         _push(rev_rest, x)
             except WordSizeExceededError as exc:
-                raise WordSizeExceededError(exc.length, exc.cap, level=k) from None
+                raise WordSizeExceededError(
+                    exc.length, exc.cap, level=k, position=pos
+                ) from None
             rev_k.reverse()
             parts.append(rev_k)
             rev_rest.reverse()

@@ -28,8 +28,9 @@ class WordSizeExceededError(BraidCombError, RuntimeError):
     The offending length is kept on the exception so front ends can report
     it, and the message names which word it was; rewriting never truncates
     silently.  For an intermediate word, level is the tower level k whose
-    scan hit the cap, once the scan has named it; for an input word it is
-    None.
+    scan hit the cap, once the scan has named it, and position is the
+    0-based index, within the word that scan read, of the lower letter whose
+    action hit it; for an input word both are None.
     """
 
     def __init__(
@@ -38,10 +39,12 @@ class WordSizeExceededError(BraidCombError, RuntimeError):
         cap: int,
         word: str = "intermediate word",
         level: int | None = None,
+        position: int | None = None,
     ):
         self.length = length
         self.cap = cap
         self.level = level
+        self.position = position
         where = "" if level is None else f" at level {level}"
         super().__init__(f"{word} of length {length} exceeds the cap of {cap}{where}")
 

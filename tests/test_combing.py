@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
+import re
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidcomb import combing
 from braidcomb.combing import (
@@ -356,10 +359,28 @@ def test_word_cap_names_the_level_whose_scan_hit_it(text, cap, level):
     with pytest.raises(WordSizeExceededError) as err:
         comb(G3, parse_word(text), word_cap=cap)
     assert err.value.level == level
+    # Each scan runs right to left: r(1,0)^-1 acts first and fits, then the
+    # r(1,0) at index 0 pushes the word past the cap.
+    assert err.value.position == (None if level is None else 0)
     assert err.value.cap == cap
     assert str(err.value).endswith(
         f"exceeds the cap of {cap}" + ("" if level is None else f" at level {level}")
     )
+
+
+@pytest.mark.parametrize(
+    "text, cap, level, position",
+    [
+        ("r(3,0) r(1,0) r(3,4) r(3,2) r(3,4) r(1,0)^-1", 8, 3, 1),
+        # Level 2 scans the word with its level-3 letters taken out.
+        ("r(3,0) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1", 6, 2, 0),
+        ("r(2,1) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1 r(3,0)", 7, 2, 1),
+    ],
+)
+def test_word_cap_position_indexes_the_scanned_word(text, cap, level, position):
+    with pytest.raises(WordSizeExceededError) as err:
+        comb(G3, parse_word(text), word_cap=cap)
+    assert (err.value.level, err.value.position) == (level, position)
 
 
 # --- words_equal / is_identity ---
@@ -542,6 +563,121 @@ def test_word_cap_boundary_is_exact(p):
     with pytest.raises(WordSizeExceededError) as err:
         comb(p, w, word_cap=len(w) - 1)
     assert str(err.value).startswith(f"input word of length {len(w)} ")
+
+
+class _PerLetterComber(combing._Comber):
+    """The engine as it was before the cap was checked per block of letters:
+    it fills a table on its first miss and tests the cap after every image
+    it appends."""
+
+    def _conjugate_rev(self, x, rev_k, k, cap, overhead):
+        table = self.action_table(x)
+        out = []
+        extend, pop = out.extend, out.pop
+        for y in rev_k:
+            try:
+                image = table[y]
+            except KeyError:
+                image = self.rev_image(x, y)
+            if out and out[-1] == -image[0]:
+                pop()
+                i, n = 1, len(image)
+                while i < n and out and out[-1] == -image[i]:
+                    pop()
+                    i += 1
+                extend(image[i:])
+            else:
+                extend(image)
+            if len(out) + overhead > cap:
+                raise WordSizeExceededError(len(out) + overhead, cap)
+        return out
+
+
+def _outcome(engine, w, cap):
+    """comb(w, cap) on the engine, as its form or as the (length, cap,
+    level, position) it raises."""
+    with mock.patch.object(combing, "_comber_for", lambda tower: engine):
+        try:
+            return comb(engine.tower, w, word_cap=cap)
+        except WordSizeExceededError as err:
+            return err.length, err.cap, err.level, err.position
+
+
+@functools.cache
+def _per_letter_comber(tower):
+    return _PerLetterComber(tower)
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [
+        TowerSpec(GenFamily.ORBIT, 3),
+        TowerSpec(GenFamily.ORBIT, 4),
+        TowerSpec(GenFamily.BAND, 4),
+        TowerSpec(GenFamily.BAND, 5),
+    ],
+    ids=["G3", "G4", "P4", "P5"],
+)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 20))
+def test_blocked_cap_check_is_the_per_letter_check(tower, seed, length):
+    engine, reference = combing._comber_for(tower), _per_letter_comber(tower)
+    rng = random.Random(seed)
+    generators = tower.all_generators()
+    w = reduce(Letter(rng.choice(generators), rng.choice((1, -1))) for _ in range(length))
+    # The word's peak is the least cap it combs under, found by bisection;
+    # words that peak past 10,000 letters are skipped to keep it quick.
+    lo, hi = 0, 10_000
+    assume(isinstance(_outcome(reference, w, hi), NormalForm))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(_outcome(reference, w, mid), NormalForm):
+            hi = mid
+        else:
+            lo = mid + 1
+    for cap in (lo - 1, lo, lo + 1):
+        assert _outcome(engine, w, cap) == _outcome(reference, w, cap)
+
+
+def test_blocked_cap_check_is_exact_where_every_image_is_longest():
+    # In the tables of G_3..G_5 and P_4..P_6 no two longest images of one
+    # level join without cancelling, so no block there adds longest letters
+    # per letter, and a bound one too small would go unseen.  Here every
+    # image is y^4, so each letter adds exactly longest letters.
+    engines = combing._Comber(G2.tower), _PerLetterComber(G2.tower)
+    for c in engines:
+        c._forward_image = lambda x, y: (y,) * 4
+    w = parse_word("r(1,0) " + "r(2,1) " * 12)
+    for cap in range(len(w), 4 * 12 + 3):
+        assert _outcome(engines[0], w, cap) == _outcome(engines[1], w, cap)
+    assert engines[0].longest == 4
+
+
+@pytest.mark.parametrize(
+    "family, top", [(GenFamily.ORBIT, 5), (GenFamily.BAND, 7)], ids=["G", "P"]
+)
+def test_longest_bounds_every_stored_image(family, top):
+    for n in range(1, top + 1):
+        c = combing._Comber(TowerSpec(family, n))
+        for x in (*range(1, len(c.symbols) + 1), *range(-len(c.symbols), 0)):
+            for k in range(c.level_of[abs(x)] + 1, n + 1):
+                c.rev_image(x, c.bounds[k][0])
+        images = [image for table in c._actions.values() for image in table.values()]
+        assert c.longest >= max(map(len, images), default=1)
+
+
+@pytest.mark.parametrize("planted", [orbit_gen(1, 0), orbit_gen(3, 0)], ids=["lower", "higher"])
+def test_a_letter_planted_off_level_is_refused(planted):
+    # The first r(1,0) acts on r(2,0) and plants the letter in the level-2
+    # word; the second r(1,0) then finds no image for it in its filled table.
+    c = combing._Comber(G3.tower)
+    x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
+    c.rev_image(x, y)
+    c.action_table(x)[y] = (c.ids[planted],)
+    with pytest.raises(
+        InvalidArgumentError, match=re.escape(f"component at level 2 contains {planted}")
+    ):
+        c.comb(c.encode(parse_word("r(1,0) r(1,0) r(2,0)")), DEFAULT_WORD_CAP)
 
 
 def test_integer_output_check_is_live(monkeypatch):

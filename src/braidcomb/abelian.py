@@ -47,21 +47,45 @@ __all__ = [
 ]
 
 
+def _require_integers(what: str, values: Sequence) -> None:
+    """Refuse, naming the first, any value that is not an int.
+
+    A sum of ints is an int.  A float, Fraction, Decimal or foreign number
+    anywhere makes the sum another type, and a string or None makes it
+    raise TypeError, so one pass in C decides: a 28-entry row costs about
+    0.3 us, the 184k entries of boundary_matrix_ab(S2, 72) about 1 ms.
+    """
+    try:
+        ok = type(sum(values)) is int
+    except TypeError:
+        ok = False
+    if not ok:
+        i, bad = next((i, x) for i, x in enumerate(values) if not isinstance(x, int))
+        raise InvalidArgumentError(f"expected int {what}, got {bad!r} at index {i}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries row-major."""
+    """Immutable integer matrix, entries row-major.  Every entry and both
+    dimensions must be ints: nothing is converted, so a float or a string
+    is refused rather than truncated or carried into Smith reduction."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
+            raise InvalidArgumentError(
+                f"expected int matrix dimensions, got {self.rows!r} x {self.cols!r}"
+            )
         if self.rows < 0 or self.cols < 0:
             raise InvalidArgumentError("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows * self.cols:
             raise InvalidArgumentError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        _require_integers("matrix entries", self.entries)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -69,7 +93,7 @@ class IntMatrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise InvalidArgumentError("ragged rows")
-        return cls(rows, cols, tuple([int(x) for row in data for x in row]))
+        return cls(rows, cols, tuple([x for row in data for x in row]))
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -80,7 +104,7 @@ class IntMatrix:
         return cls(
             rows,
             len(columns),
-            tuple([int(col[r]) for r in range(rows) for col in columns]),
+            tuple([col[r] for r in range(rows) for col in columns]),
         )
 
     @classmethod
@@ -92,7 +116,7 @@ class IntMatrix:
             )
         entries = [0] * (rows * cols)
         for i, val in enumerate(d):
-            entries[i * cols + i] = int(val)
+            entries[i * cols + i] = val
         return cls(rows, cols, tuple(entries))
 
     @classmethod
@@ -176,12 +200,16 @@ class SmithForm:
 @dataclass(frozen=True)
 class FGAbelianGroup:
     """A finitely generated abelian group Z^free_rank + sum of Z/d_i, with
-    the torsion factors in canonical divisibility order."""
+    the torsion factors in canonical divisibility order.  The rank and the
+    factors must be ints; nothing is converted."""
 
     free_rank: int
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.free_rank, int):
+            raise InvalidArgumentError(f"expected int free rank, got {self.free_rank!r}")
+        _require_integers("torsion factors", self.torsion)
         if self.free_rank < 0:
             raise InvalidArgumentError("free rank must be non-negative")
         for a in self.torsion:

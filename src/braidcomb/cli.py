@@ -66,7 +66,6 @@ EXIT_WORD_CAP = 3
 
 GROUPS = ("gn", "pn")
 FORMATS = ("text", "json", "gap")
-SUITES = ("relators", "center", "exactness", "quotient", "split", "theta")
 
 # Verification suites sample fewer words than the heavyweight acceptance
 # battery so a CLI run stays interactive; the seed line makes any failure
@@ -110,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmb.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     ver = sub.add_parser("verify", help="run a verification suite; exit 0 iff all checks pass")
-    ver.add_argument("--suite", choices=SUITES, required=True)
+    ver.add_argument("--suite", choices=list(_SUITE_RUNNERS), required=True)
     ver.add_argument("--group", choices=GROUPS, default="gn")
     ver.add_argument("--surface", choices=("s2", "rp2"), default=None)
     ver.add_argument("--n", type=_positive_int, required=True)
@@ -160,6 +159,18 @@ def _random_word(rng: random.Random, generators: Sequence, max_length: int) -> W
     return w
 
 
+def _print_result(fmt: str, out: TextIO, payload: dict, lines: Sequence[str]) -> None:
+    """Print a command's result: the payload as one JSON object headed by
+    its schema version, or the text lines one per print.  The only place
+    that picks between --format text and json; presentation's formats, gap
+    among them, are export_presentation's."""
+    if fmt == "json":
+        print(json.dumps({"schema_version": 1, **payload}, indent=2), file=out)
+    else:
+        for line in lines:
+            print(line, file=out)
+
+
 # --- commands -------------------------------------------------------------------
 
 
@@ -172,35 +183,26 @@ def cmd_presentation(ns: argparse.Namespace, out: TextIO) -> int:
 def cmd_comb(ns: argparse.Namespace, out: TextIO) -> int:
     tower = _tower_for(ns.group, ns.n)
     normal_form = comb(tower, _parse_word_flag(ns.word, ns.word_cap), ns.word_cap)
-    levels = list(zip(range(ns.n, 0, -1), normal_form.levels))
-    if ns.fmt == "json":
-        payload = {
-            "schema_version": 1,
-            "group": ns.group,
-            "n": ns.n,
-            "word": ns.word,
-            "levels": [{"level": k, "word": format_word(w)} for k, w in levels],
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        for k, w in levels:
-            print(f"level {k}: {format_word(w)}", file=out)
+    levels = [(k, format_word(w)) for k, w in zip(range(ns.n, 0, -1), normal_form.levels)]
+    payload = {
+        "group": ns.group,
+        "n": ns.n,
+        "word": ns.word,
+        "levels": [{"level": k, "word": w} for k, w in levels],
+    }
+    _print_result(ns.fmt, out, payload, [f"level {k}: {w}" for k, w in levels])
     return EXIT_OK
 
 
 def cmd_abelianize(ns: argparse.Namespace, out: TextIO) -> int:
     group = h1(_presentation_for(ns.group, ns.n))
-    if ns.fmt == "json":
-        payload = {
-            "schema_version": 1,
-            "group": ns.group,
-            "n": ns.n,
-            "free_rank": group.free_rank,
-            "torsion": list(group.torsion),
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(group, file=out)
+    payload = {
+        "group": ns.group,
+        "n": ns.n,
+        "free_rank": group.free_rank,
+        "torsion": list(group.torsion),
+    }
+    _print_result(ns.fmt, out, payload, [str(group)])
     return EXIT_OK
 
 
@@ -214,7 +216,6 @@ def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
     images = {label: boundary_image(surface, ns.n, label) for label in basis}
 
     payload: dict = {
-        "schema_version": 1,
         "surface": surface.value,
         "n": ns.n,
         "labels": list(basis),
@@ -247,18 +248,18 @@ def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
         else:
             lines.append(f"strict-corollary check: forms differ by {gap}")
 
-    if ns.fmt == "json":
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
+    _print_result(ns.fmt, out, payload, lines)
     return EXIT_OK
 
 
 # --- verification suites ----------------------------------------------------------
 
+# A suite returns its (name, ok, detail) checks and whether it drew words
+# from --seed.
+_SuiteResult = tuple[list[tuple[str, bool, str]], bool]
 
-def _suite_relators(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+
+def _suite_relators(ns: argparse.Namespace) -> _SuiteResult:
     rng = random.Random(ns.seed)
     p = _presentation_for(ns.group, ns.n)
     gens = p.generators
@@ -283,11 +284,11 @@ def _suite_relators(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]]
     return checks, True
 
 
-def _suite_center(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+def _suite_center(ns: argparse.Namespace) -> _SuiteResult:
     if ns.group != "gn":
         raise _UsageError("--suite center applies to --group gn only")
     tower = _tower_for(ns.group, ns.n)
-    failures = center_check(tower).commutation_failures
+    failures = center_check(tower, word_cap=ns.word_cap).commutation_failures
     theta = element_Theta(ns.n)
     checks = []
     for g in tower.all_generators():
@@ -305,7 +306,7 @@ def _surfaces_for(ns: argparse.Namespace) -> list[Surface]:
     return [Surface.S2, Surface.RP2]
 
 
-def _suite_exactness(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+def _suite_exactness(ns: argparse.Namespace) -> _SuiteResult:
     checks = []
     for surface in _surfaces_for(ns):
         report = exactness_report(surface, ns.n)
@@ -327,7 +328,7 @@ def _suite_exactness(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]
     return checks, False
 
 
-def _suite_quotient(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+def _suite_quotient(ns: argparse.Namespace) -> _SuiteResult:
     checks = []
     for surface in _surfaces_for(ns):
         report = quotient_check(surface, ns.n)
@@ -350,7 +351,7 @@ _SPLIT_COEFFS = (
 )
 
 
-def _suite_split(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+def _suite_split(ns: argparse.Namespace) -> _SuiteResult:
     if ns.n < 2:
         raise _UsageError("--suite split needs --n of at least 2")
     # iota_sharp on pi_2: diagonal over RP^2 for every n, anti-diagonal over
@@ -373,7 +374,7 @@ def _suite_split(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], b
     return checks, False
 
 
-def _suite_theta(ns: argparse.Namespace) -> tuple[list[tuple[str, bool, str]], bool]:
+def _suite_theta(ns: argparse.Namespace) -> _SuiteResult:
     if ns.group != "gn":
         raise _UsageError("--suite theta applies to --group gn only")
     rng = random.Random(ns.seed)
@@ -411,25 +412,21 @@ _SUITE_RUNNERS = {
 def cmd_verify(ns: argparse.Namespace, out: TextIO) -> int:
     checks, randomized = _SUITE_RUNNERS[ns.suite](ns)
     all_ok = all(ok for _, ok, _ in checks)
-    if ns.fmt == "json":
-        payload = {
-            "schema_version": 1,
-            "suite": ns.suite,
-            "n": ns.n,
-            "seed": ns.seed if randomized else None,
-            "ok": all_ok,
-            "checks": [
-                {"name": name, "ok": ok, **({"detail": detail} if detail else {})}
-                for name, ok, detail in checks
-            ],
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        if randomized:
-            print(f"seed: {ns.seed}", file=out)
-        for name, ok, detail in checks:
-            suffix = f" ({detail})" if detail else ""
-            print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}", file=out)
+    payload = {
+        "suite": ns.suite,
+        "n": ns.n,
+        "seed": ns.seed if randomized else None,
+        "ok": all_ok,
+        "checks": [
+            {"name": name, "ok": ok, **({"detail": detail} if detail else {})}
+            for name, ok, detail in checks
+        ],
+    }
+    lines = [f"seed: {ns.seed}"] if randomized else []
+    for name, ok, detail in checks:
+        suffix = f" ({detail})" if detail else ""
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
+    _print_result(ns.fmt, out, payload, lines)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

@@ -519,14 +519,17 @@ class CenterReport:
         return self.theta_commutes and self.all_witnessed
 
 
-def center_check(p: Presentation | TowerSpec, witness_budget: int = 8) -> CenterReport:
+def center_check(
+    p: Presentation | TowerSpec, witness_budget: int = 8, word_cap: int = DEFAULT_WORD_CAP
+) -> CenterReport:
     """Verify Theta_n is central and every non-Theta generator is not,
     where n is the height of the orbit tower p, or of the tower the
     presentation p carries.
 
     For each generator g that is not a power of Theta, search up to
     witness_budget candidate generators h for one with gh != hg; a None
-    witness in the report means none was found within budget.
+    witness in the report means none was found within budget.  Every comb
+    runs under word_cap, and a word past it raises WordSizeExceededError.
     """
     tower = _require_tower(p)
     if tower.family is not GenFamily.ORBIT:
@@ -537,14 +540,14 @@ def center_check(p: Presentation | TowerSpec, witness_budget: int = 8) -> Center
     failures = []
     for g in generators:
         gw = Word((Letter(g),))
-        if not words_equal(p, theta * gw, gw * theta):
+        if not words_equal(p, theta * gw, gw * theta, word_cap):
             failures.append(g)
     theta_powers = []
     witnesses = []
     for g in generators:
         gw = Word((Letter(g),))
         _, remainder = theta_decompose(p, gw)
-        if is_identity(p, remainder):
+        if is_identity(p, remainder, word_cap):
             theta_powers.append(g)
             continue
         candidates = sorted(
@@ -554,7 +557,7 @@ def center_check(p: Presentation | TowerSpec, witness_budget: int = 8) -> Center
         found = None
         for h in candidates[:witness_budget]:
             hw = Word((Letter(h),))
-            if not words_equal(p, gw * hw, hw * gw):
+            if not words_equal(p, gw * hw, hw * gw, word_cap):
                 found = h
                 break
         witnesses.append((g, found))

@@ -27,6 +27,7 @@ from .abelian import (
     FGAbelianGroup,
     IntMatrix,
     _exponent_vectors,
+    _require_integers,
     cokernel,
     h1,
     has_torsion,
@@ -438,7 +439,8 @@ def split_ses_check(
     if n < 2:
         raise InvalidArgumentError(f"split_ses_check needs n >= 2, got n = {n}")
     _check_split_n(n)
-    vec = tuple([int(c) for c in vector])
+    vec = tuple(vector)
+    _require_integers("vector coordinates", vec)
     if len(vec) != n:
         raise InvalidArgumentError(
             f"vector length {len(vec)} does not match n = {n}"

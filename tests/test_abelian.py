@@ -48,6 +48,31 @@ def test_matrix_shape_validation():
         M([[1, 2], [3]])
 
 
+# Entries are never converted: a float or a string was once truncated or
+# carried as is into Smith reduction.
+
+
+def test_from_rows_refuses_non_integer_entries():
+    with pytest.raises(InvalidArgumentError, match="got 1.7 at index 0"):
+        M([[1.7, 2], [0, "3"]])
+    with pytest.raises(InvalidArgumentError, match="got '3' at index 3"):
+        M([[1, 2], [0, "3"]])
+
+
+def test_int_matrix_refuses_a_float_entry_before_smith_reduction():
+    with pytest.raises(InvalidArgumentError, match="got 2.5 at index 0"):
+        IntMatrix(1, 1, (2.5,))
+    with pytest.raises(InvalidArgumentError, match="matrix dimensions"):
+        IntMatrix(1.0, 1, (2,))
+
+
+def test_from_columns_and_diagonal_refuse_non_integer_entries():
+    with pytest.raises(InvalidArgumentError, match="got 0.5 at index 1"):
+        IntMatrix.from_columns(2, [[1, 0.5]])
+    with pytest.raises(InvalidArgumentError, match="got 2.0 at index 0"):
+        IntMatrix.diagonal((2.0,), 1, 1)
+
+
 def test_matmul_and_transpose():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
@@ -209,7 +234,8 @@ def test_cokernel_examples():
 
 
 def _reference_cokernel(rows):
-    factors = [abs(x) for x in invariant_factors(Matrix(rows)) if x != 0]
+    # sympy's Integer is not an int, and FGAbelianGroup converts nothing.
+    factors = [abs(int(x)) for x in invariant_factors(Matrix(rows)) if x != 0]
     return FGAbelianGroup(len(rows) - len(factors), tuple(d for d in factors if d > 1))
 
 
@@ -242,6 +268,15 @@ def test_group_validation():
         FGAbelianGroup(0, (1,))
     with pytest.raises(InvalidArgumentError):
         FGAbelianGroup(0, (3, 2))
+
+
+def test_group_refuses_a_non_integer_rank_or_factor():
+    with pytest.raises(InvalidArgumentError, match="free rank, got 1.5"):
+        FGAbelianGroup(1.5)
+    with pytest.raises(InvalidArgumentError, match="free rank, got 2.0"):
+        FGAbelianGroup(2.0)
+    with pytest.raises(InvalidArgumentError, match="torsion factors, got 2.0 at index 1"):
+        FGAbelianGroup(0, (2, 2.0))
 
 
 def test_direct_sum_recanonicalizes():
@@ -376,7 +411,7 @@ def _reference_h1(rows, width):
     if not rows:
         return FGAbelianGroup(width)
     matrix = Matrix(len(rows), width, [x for row in rows for x in row])
-    factors = [abs(x) for x in invariant_factors(matrix) if x != 0]
+    factors = [abs(int(x)) for x in invariant_factors(matrix) if x != 0]
     return FGAbelianGroup(width - len(factors), tuple(d for d in factors if d > 1))
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -804,6 +805,24 @@ def test_verify_center_prints_one_pass_per_generator(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_center_honours_the_word_cap(capsys, fmt):
+    code, out, err = run(
+        capsys, "verify", "--suite", "center", "--n", "3", "--word-cap", "2", "--format", fmt
+    )
+    assert (code, out) == (EXIT_WORD_CAP, "")
+    assert "exceeds the cap of 2" in err and "--word-cap" in err
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_center_at_the_default_cap_matches_the_catalog(capsys, n):
+    catalog = Path(__file__).parents[1] / "perfbench" / "cli_catalog.json"
+    (entry,) = [e for e in json.loads(catalog.read_text())["entries"] if e["kind"] == f"center-{n}"]
+    code, out, _ = run(capsys, *entry["argv"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+
+
 def test_verify_relators_prints_seed_and_reproduces(capsys):
     code, first, _ = run(capsys, "verify", "--suite", "relators", "--n", "2", "--seed", "5")
     assert code == EXIT_OK
@@ -875,8 +894,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_center_formats_library_failures(capsys, monkeypatch):
     real = cli.center_check
 
-    def one_failure(p):
-        return dataclasses.replace(real(p), commutation_failures=(orbit_gen(2, 1),))
+    def one_failure(p, **kwargs):
+        return dataclasses.replace(real(p, **kwargs), commutation_failures=(orbit_gen(2, 1),))
 
     monkeypatch.setattr(cli, "center_check", one_failure)
     code, out, _ = run(capsys, "verify", "--suite", "center", "--n", "2")

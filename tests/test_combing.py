@@ -138,6 +138,42 @@ def test_inverse_band_action_matches_strand_automorphisms():
         assert _band_word_aut(a.inverse() * t * a, 4) == _band_word_aut(image, 4)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pure_braid_equality_agrees_with_artins_action(n):
+    # Artin's action is faithful, so equal automorphisms mean equal braids:
+    # the oracle decides both directions exactly.  A third of the pairs are
+    # a word and its combed form, a third a word with a relator inserted,
+    # and a third two independent words.
+    rng = random.Random(n)
+    p = artin_presentation(n)
+    gens = p.generators
+
+    def random_word():
+        return reduce(
+            Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))
+        )
+
+    outcomes = Counter()
+    for trial in range(60):
+        u = random_word()
+        if trial % 3 == 0:
+            v = comb(p.tower, u).to_word()
+        elif trial % 3 == 1:
+            cut = rng.randint(0, len(u))
+            relator = rng.choice(p.relators)
+            inserted = relator if rng.random() < 0.5 else relator.inverse()
+            v = reduce(u.letters[:cut]) * inserted * reduce(u.letters[cut:])
+        else:
+            v = random_word()
+        equal = words_equal(p.tower, u, v)
+        assert equal == (_band_word_aut(u, n) == _band_word_aut(v, n)), (
+            format_word(u),
+            format_word(v),
+        )
+        outcomes[equal] += 1
+    assert outcomes[True] >= 40 and outcomes[False] >= 15, outcomes
+
+
 # --- conjugation_action ---
 
 
@@ -805,3 +841,11 @@ def test_center_check_n3():
 def test_center_check_validates_presentation():
     with pytest.raises(InvalidArgumentError):
         center_check(P4)
+
+
+def test_center_check_combs_under_the_word_cap():
+    tower = TowerSpec(GenFamily.ORBIT, 3)
+    with pytest.raises(WordSizeExceededError) as err:
+        center_check(tower, word_cap=2)
+    assert err.value.cap == 2
+    assert center_check(tower, word_cap=DEFAULT_WORD_CAP) == center_check(tower)

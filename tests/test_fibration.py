@@ -247,6 +247,14 @@ def test_split_ses_check_examples():
         split_ses_check(Z, 3, (1, 1))
 
 
+def test_split_ses_check_refuses_a_non_integer_vector():
+    # (1.9, 0.5) was once read as (1, 0) and reported a split.
+    with pytest.raises(InvalidArgumentError, match="got 1.9 at index 0"):
+        split_ses_check(Z, 2, (1.9, 0.5))
+    with pytest.raises(InvalidArgumentError, match="got '1' at index 1"):
+        split_ses_check(Z, 2, (1, "1"))
+
+
 def test_split_ses_check_unit_not_first():
     report = split_ses_check(Z2, 3, (2, -1, 0))
     assert report.section_index == 1

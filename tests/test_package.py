@@ -2,8 +2,8 @@
 and read somewhere in the package or the acceptance suite, every name a
 module imports is used, every private function, method or class a module
 defines is read somewhere in the package, every generator symbol is
-built by the one constructor that shares them, and no tuple is built from
-a lazy iterator."""
+built by the one constructor that shares them, no tuple is built from a
+lazy iterator, and the CLI writes JSON in one place."""
 
 from __future__ import annotations
 
@@ -273,3 +273,48 @@ def test_tuples_built_from_lazy_iterators_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_tuple_is_built_from_a_lazy_iterator(path):
     assert tuples_built_from_lazy_iterators(path.read_text()) == []
+
+
+def json_dumps_calls(source: str) -> list[int]:
+    """The line of each call in source to json.dumps, or to dumps imported
+    from json under any name; two calls on one line give it twice."""
+    tree = ast.parse(source)
+    bare = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for a in node.names
+        if a.name == "dumps"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+            (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dumps"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+            )
+            or (isinstance(node.func, ast.Name) and node.func.id in bare)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_json_dumps_calls_are_found():
+    source = (
+        "import json\nfrom json import dumps as to_json\n"
+        "def a(p):\n    return json.dumps(p, indent=2)\n"
+        "def b(p):\n    return to_json(p)\n"
+        "def c(p):\n    return json.loads(p)\n"
+        "def d(p):\n    return pickle.dumps(p)\n"
+        "def e(p):\n    return json.dumps(p) + to_json(p)\n"
+    )
+    assert json_dumps_calls(source) == [4, 6, 12, 12]
+
+
+def test_the_cli_prints_json_in_one_place():
+    # Every command hands its payload to one printer, which alone writes
+    # the schema_version envelope.
+    cli_source = (Path(braidcomb.__file__).parent / "cli.py").read_text()
+    assert len(json_dumps_calls(cli_source)) == 1

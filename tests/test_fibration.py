@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import reduce
 
 import pytest
@@ -185,6 +187,75 @@ def test_boundary_matrix_matches_per_generator_exponent_sums(surface):
             columns.append(list(img.z_part) + [exponent_sum(img.r_part, g) for g in gens])
         expected = IntMatrix.from_columns(n - 1 + len(gens), columns)
         assert boundary_matrix_ab(surface, n) == expected
+
+
+# (surface, n, what) -> sha256 of the boundary data for n = n0..12 and the
+# sphere's matrix at n = 72: "matrix" hashes json.dumps of
+# boundary_matrix_ab(surface, n).to_rows(), "images" the lines
+# "label -> image" of every pi_2 basis label joined by newlines.  Recorded
+# before boundary images were built once per (surface, n); a change to the
+# boundary calculus that alters one entry or one printed letter shows here.
+PINNED_BOUNDARY_SHA256 = {
+    ('s2', 3, 'matrix'): '7573f87858db61a344dedaf108a897e8f27ad10748bc5d4ae1c637f564fc8449',
+    ('s2', 3, 'images'): '3b6812be87862bca8ab25c799c8a47ae93e5b8f1ca7b61db7edbb9e253f0ce6d',
+    ('s2', 4, 'matrix'): '07c147c5b969247c7c2f146b9581b39abeb740acfc873629a8670a3e58adc741',
+    ('s2', 4, 'images'): 'd7266c36b9ea8c2d11fbdbe5b1c8f2e7c1b244a2fc4ba651459dbcc64730b9e3',
+    ('s2', 5, 'matrix'): 'ed20840a32e7f7173d867b8657f33a76ec54504a6c3728c3be4f76351ef6edb3',
+    ('s2', 5, 'images'): '509b6e0b359937b8a0489fcf91f6f1efa9820b9cb058cdfebeaad33b98bfa455',
+    ('s2', 6, 'matrix'): '9bd564ccda8355f22cab584472e37a7982e5152cb76c2ccbc045375f12dec072',
+    ('s2', 6, 'images'): '93f0e68bd664e075c9a8811b74a81e520bc6fc2bbc53bbce8d44cd597f9e61d5',
+    ('s2', 7, 'matrix'): '99ea0111d15b022d2dfeb21fcdfc7f35b0c70746735c1c191290e0b5b53dfe31',
+    ('s2', 7, 'images'): '1e8d500be621bf883508da031879a788c6c3525d7614714227bf076e572e0f8b',
+    ('s2', 8, 'matrix'): 'a09f853f434aebb3e551966ad5322d272c037525343e751dfda6d2babc9d0026',
+    ('s2', 8, 'images'): '96afb45375d171fb3aded80dc6870a8c48e55648e67cf57eade0d6e4585508c2',
+    ('s2', 9, 'matrix'): '4dd2a9a46e5ee163f64094d56a3adaa71769706ba612623726fcfee9aa742de1',
+    ('s2', 9, 'images'): '9fa5e9e8d2503e901b8d5167cf7c329c5a6cf1e2ccc4e0f3ed54f1033b8b3dab',
+    ('s2', 10, 'matrix'): '30e39b41dbf42a32c7af82c4c6ea1d543c7e9bfb91da3f946efeb9c145f70718',
+    ('s2', 10, 'images'): '0823ec5eda6472974e5f6271509b3b2ef9ca73fa32673398f1ce7875c207b973',
+    ('s2', 11, 'matrix'): 'a90d642b343f79df895ebac6af6ad3058ac5e127ca4efce5bab5c415bf904c46',
+    ('s2', 11, 'images'): '43df32bb9340676d1bb7da796f65503bf5f89d05a97b52ca43ea57bdf527387b',
+    ('s2', 12, 'matrix'): 'ff6e0e3127c96b94c6fb10a56a4fa18a9836ce481c5e9a06e49a2fcfb69630d2',
+    ('s2', 12, 'images'): 'e2fa7be724d0895893ec83437dbd2a9d4c06c8701433780f3615e5af7f92cd19',
+    ('rp2', 2, 'matrix'): 'a4b75b0f59739c2a8c10e9e2f7adf371ce7e7173176f0079d267d37bed72a4d5',
+    ('rp2', 2, 'images'): '68669eb663d791df3b6c5069347c159ccaf4a7c9e1be8df2141abe57dfde1a9f',
+    ('rp2', 3, 'matrix'): '78503ec70891fa7517a097944d3f996ff47ee36be527d77a964dfd756973234f',
+    ('rp2', 3, 'images'): '0c605624fb568379a6ec41939abc71be73c7c92d50ff30ee5f476ed6587c1c87',
+    ('rp2', 4, 'matrix'): 'c2d6f09858027c9518fec755a1f30f9091cd50f584bf575a2f8b9da30a67f18d',
+    ('rp2', 4, 'images'): '126e5cd67f01526f6512cb7ac6cabf6365594b2ed33a2ce837d0189e7afaba23',
+    ('rp2', 5, 'matrix'): '360a6fff70fa892b57f727755e9c058874e2ca7c186143ee6aefc191e94faf98',
+    ('rp2', 5, 'images'): '1d85d33e9c440b4c37c80a6b47efad4d0abec53317d135e1a72c166f2db11dd9',
+    ('rp2', 6, 'matrix'): 'df6a4294575c829a3b84c5b58f8b636316320cd4fdc3448d44920ccb92acdce3',
+    ('rp2', 6, 'images'): '66f1b1c2087cd39bd5381acf0090080432d31b0c33101e358a2aa4235672b0d2',
+    ('rp2', 7, 'matrix'): 'c9800faab5e577c28b1a5f06b4c1b02f279d40c4a0c297a6a22b949fb2780623',
+    ('rp2', 7, 'images'): '8273e767ff388ca0e5b5c5f4063f8fccc83cb3a70d32e38583d748025c7c29bd',
+    ('rp2', 8, 'matrix'): '1021a47d2ab436ef0884e4a8d8f9a60980c144e5b0469b0f2c19f0e40a3a3f67',
+    ('rp2', 8, 'images'): '97d6a23e4f25c2d7cc9371241db8f5f9d3503d6679ce26c4dd0298a8a64d9a91',
+    ('rp2', 9, 'matrix'): 'f35b74eedb49f7ef918f45a3c6204f738a05043e818cc1d62e2e35d289c96da8',
+    ('rp2', 9, 'images'): 'fea4e90876fd0eef5fa2ef868b23b98d4f560e326f59facd2ede971a099a9c13',
+    ('rp2', 10, 'matrix'): 'cdce21e7d507877592148695edca5ebac6151f40cde1cf71369851dd64433246',
+    ('rp2', 10, 'images'): '8cd29a17c97b7af0fe7e8d0fd4fdcbbc76962ce3d1f0f63f05ae21b2a77307b4',
+    ('rp2', 11, 'matrix'): 'a46d23149e317bb8ab3f3c20b97e928d54c634ff0df82f64e6492fabe636163c',
+    ('rp2', 11, 'images'): 'e94b0543e413632f6dab3543c1a63f28b77713726b748cccfbd57f4f80aadbfb',
+    ('rp2', 12, 'matrix'): '890fa81e106262247f305ee0707ca6abadc8f9f6752d039fd344ff672ce82da9',
+    ('rp2', 12, 'images'): '5dcc1844c480ce0db72527607ba51e7db2e63a6d65e5ab9db361013eeef069a5',
+    ('s2', 72, 'matrix'): 'cfb95409d2cfa1c0be85654084817de44b4e656fa5ebd304924e837cdce84efa',
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_boundary_data_is_pinned():
+    seen = {}
+    for surface in (S2, RP2):
+        for n in range(surface.n0, 13):
+            seen[surface.value, n, "matrix"] = _sha256(json.dumps(boundary_matrix_ab(surface, n).to_rows()))
+            seen[surface.value, n, "images"] = _sha256(
+                "\n".join(f"{label} -> {boundary_image(surface, n, label)}" for label in pi2_basis(surface, n))
+            )
+    seen["s2", 72, "matrix"] = _sha256(json.dumps(boundary_matrix_ab(S2, 72).to_rows()))
+    assert seen == PINNED_BOUNDARY_SHA256
 
 
 def test_boundary_matrix_injectivity_and_saturation():

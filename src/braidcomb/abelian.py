@@ -20,7 +20,9 @@ IntMatrix values only when a caller first reads them.
 cokernel drops zero and repeated columns, which span nothing new, and
 hands the rest to Smith reduction as the rows of the transpose, which has
 the same invariant factors.  Words become exponent vectors in one pass
-each, every letter read once against a generator index built once.  h1
+each, every letter read once against a generator index built once per
+generator tuple and shared by later calls with that tuple.  Every matrix
+is checked against MAX_MATRIX_CELLS before its entries are built.  h1
 skips the conjugation relators of a tower that presentations marks, whose
 exponent vectors are zero, and hands the other vectors straight to the
 cokernel.
@@ -36,6 +38,7 @@ from .errors import InvalidArgumentError, MissingImageError
 from .words import GeneratorSymbol, Word
 
 __all__ = [
+    "MAX_MATRIX_CELLS",
     "IntMatrix",
     "SmithForm",
     "FGAbelianGroup",
@@ -45,6 +48,24 @@ __all__ = [
     "cokernel",
     "has_torsion",
 ]
+
+
+# The most cells (rows * cols) of a matrix this module builds, checked
+# before its entries are allocated.  The largest the library builds from a
+# tower within its bounds is the dense 2,556 x 2,556 U of the Smith form of
+# boundary_matrix_ab(S2, 72) (6.5 million cells, built only when read);
+# the relation matrix of G_14, the tallest orbit tower within MAX_RELATORS,
+# has 17,381 x 196 = 3.4 million.  8 million cells hold 64 MB of pointers.
+MAX_MATRIX_CELLS = 8_000_000
+
+
+def _check_cells(rows: int, cols: int) -> None:
+    """Refuse a rows x cols matrix past MAX_MATRIX_CELLS before it is built."""
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise InvalidArgumentError(
+            f"a {rows} x {cols} matrix has {rows * cols} cells, "
+            f"past the bound MAX_MATRIX_CELLS={MAX_MATRIX_CELLS}"
+        )
 
 
 def _require_integers(what: str, values: Sequence) -> None:
@@ -94,6 +115,7 @@ class IntMatrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise InvalidArgumentError("ragged rows")
+        _check_cells(rows, cols)
         return cls(rows, cols, tuple([x for row in data for x in row]))
 
     @classmethod
@@ -102,6 +124,7 @@ class IntMatrix:
         explicit so that an empty column list still has a height."""
         if any(len(col) != rows for col in columns):
             raise InvalidArgumentError(f"every column needs {rows} entries")
+        _check_cells(rows, len(columns))
         return cls(
             rows,
             len(columns),
@@ -115,6 +138,7 @@ class IntMatrix:
             raise InvalidArgumentError(
                 f"{len(d)} diagonal entries do not fit a {rows}x{cols} matrix"
             )
+        _check_cells(rows, cols)
         entries = [0] * (rows * cols)
         for i, val in enumerate(d):
             entries[i * cols + i] = val
@@ -122,6 +146,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _check_cells(n, n)  # before the n ones of the diagonal
         return cls.diagonal((1,) * n, n, n)
 
     def row(self, r: int) -> tuple[int, ...]:
@@ -135,6 +160,7 @@ class IntMatrix:
             raise InvalidArgumentError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        _check_cells(self.rows, other.cols)
         # Row r of the product is the sum of x * (row k of other) over the
         # non-zero x = self[r, k]; only other's non-zeros are ever touched.
         sparse_rows = [
@@ -281,6 +307,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _dense(n: int, lines: list[dict[int, int]], by_rows: bool) -> IntMatrix:
     """The n x n matrix whose rows (by_rows) or columns are the lines."""
+    _check_cells(n, n)
     entries = [0] * (n * n)
     for t, line in enumerate(lines):
         for k, x in line.items():
@@ -466,13 +493,41 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 # --- presentations to matrices ------------------------------------------------
 
 
+# How many generator tuples keep their shared column map.  A presentation
+# and every quotient_by of it share one generators tuple, so the entries
+# are few: one per presentation or fibre tower in use.
+_SHARED_COLUMN_MAPS = 64
+_column_maps: dict[int, tuple[tuple[GeneratorSymbol, ...], dict[GeneratorSymbol, int]]] = {}
+
+
+def _columns(generators: Sequence[GeneratorSymbol]) -> dict[GeneratorSymbol, int]:
+    """The {generator: column} map of the ordered generators.
+
+    A tuple cannot change, so its map is built once and shared by every
+    later call with the same tuple object.  It is looked up by identity:
+    hashing the tuple would call every symbol's __hash__, as building the
+    map does.  The entry keeps the tuple alive, so its id is not reused
+    while the entry is held; past _SHARED_COLUMN_MAPS the oldest goes.
+    """
+    if type(generators) is not tuple:
+        return {g: c for c, g in enumerate(generators)}
+    held = _column_maps.get(id(generators))
+    if held is not None and held[0] is generators:
+        return held[1]
+    column = {g: c for c, g in enumerate(generators)}
+    if len(_column_maps) >= _SHARED_COLUMN_MAPS:
+        del _column_maps[next(iter(_column_maps))]
+    _column_maps[id(generators)] = (generators, column)
+    return column
+
+
 def _exponent_vectors(
     words: Iterable[Word], generators: Sequence[GeneratorSymbol]
 ) -> Iterator[tuple[int, ...]]:
     """The exponent vector of each word over the ordered generators, read
     in one pass per word.  A letter outside generators raises
     MissingImageError naming its symbol."""
-    column = {g: c for c, g in enumerate(generators)}
+    column = _columns(generators)
     for word in words:
         vector = [0] * len(column)
         for letter in word.letters:
@@ -486,6 +541,7 @@ def _exponent_vectors(
 def relation_matrix(p) -> IntMatrix:
     """Abelianized relator matrix: one row per relator, one column per
     generator (in the presentation's generator order)."""
+    _check_cells(len(p.relators), len(p.generators))
     rows = _exponent_vectors(p.relators, p.generators)
     entries = tuple([x for row in rows for x in row])
     return IntMatrix(len(p.relators), len(p.generators), entries)
@@ -502,6 +558,7 @@ def _cokernel_of_columns(rows: int, columns: Iterable[tuple[int, ...]]) -> FGAbe
     kept = [col for col in dict.fromkeys(columns) if any(col)]
     if not kept:
         return FGAbelianGroup(rows)
+    _check_cells(len(kept), rows)
     form = smith_normal_form(IntMatrix(len(kept), rows, tuple([x for col in kept for x in col])))
     torsion = tuple([d for d in form.d if d > 1])
     return FGAbelianGroup(rows - form.rank, torsion)

@@ -385,7 +385,7 @@ def _suite_theta(ns: argparse.Namespace) -> _SuiteResult:
     checks = []
     for idx in range(SUITE_PAIRS):
         w = _random_word(rng, generators, SUITE_WORD_LENGTH)
-        exponent, remainder = theta_decompose(tower, w)
+        exponent, remainder = theta_decompose(tower, w, ns.word_cap)
         ok = exponent_sum(remainder, kernel_functional) == 0 and words_equal(
             tower, word_power(theta, exponent) * remainder, w, ns.word_cap
         )

@@ -488,14 +488,26 @@ def section_sprime(w: Word, n: int) -> Word:
     return apply_homomorphism(w, images)
 
 
-def theta_decompose(p: Presentation | TowerSpec, w: Word) -> tuple[int, Word]:
+def theta_decompose(
+    p: Presentation | TowerSpec, w: Word, word_cap: int = DEFAULT_WORD_CAP
+) -> tuple[int, Word]:
     """Split w as Theta^exponent * remainder, where exponent is the r(1,0)
     exponent sum (the retraction onto the central factor) and the remainder
-    has r(1,0) exponent sum zero."""
+    has r(1,0) exponent sum zero.
+
+    The remainder is built as Theta^-exponent * w, |exponent| * n + len(w)
+    letters before reduction.  Past word_cap, WordSizeExceededError is
+    raised before any of it is built; an input w past word_cap is refused
+    as an input word, as comb refuses it."""
     tower = _require_tower(p)
     if tower.family is not GenFamily.ORBIT:
         raise InvalidArgumentError("theta decomposition needs an orbit tower")
+    if len(w) > word_cap:
+        raise WordSizeExceededError(len(w), word_cap, "input word")
     exponent = exponent_sum(w, orbit_gen(1, 0))
+    size = abs(exponent) * tower.n + len(w)
+    if size > word_cap:
+        raise WordSizeExceededError(size, word_cap)
     return exponent, word_power(element_Theta(tower.n), -exponent) * w
 
 
@@ -546,7 +558,7 @@ def center_check(
     witnesses = []
     for g in generators:
         gw = Word((Letter(g),))
-        _, remainder = theta_decompose(p, gw)
+        _, remainder = theta_decompose(p, gw, word_cap)
         if is_identity(p, remainder, word_cap):
             theta_powers.append(g)
             continue

@@ -14,6 +14,17 @@ provable non-splitting) of the induced short exact sequences.
 
 Braid-part equalities are always decided through the combing engine; the
 Z^{n-1} factor is handled exactly as integer vectors.
+
+The boundary map's tower constants are built once per (surface, n):
+tau_hat squared, the image of every pi_2 basis label and the fibre
+factor's generators, held for the _BOUNDARY_ENTRIES most recent
+(surface, n).  They are immutable words and fibre elements, so every
+caller shares them.  Nothing that answers a question is cached: every
+call of the checks below builds its matrix and quotient presentation
+again, runs Smith reduction with its multiply-back check, and combs
+again.  Products and inverses of fibre elements skip re-checking their
+letters, which their factors already passed; the constructor checks every
+letter it is given.
 """
 
 from __future__ import annotations
@@ -22,10 +33,12 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .abelian import (
     FGAbelianGroup,
     IntMatrix,
+    _check_cells,
     _exponent_vectors,
     _require_integers,
     cokernel,
@@ -44,7 +57,7 @@ from .presentations import (
     orbit_presentation,
     quotient_by,
 )
-from .words import IDENTITY, GenFamily, Word
+from .words import IDENTITY, GeneratorSymbol, GenFamily, Word, _trusted
 
 
 class Surface(enum.Enum):
@@ -139,24 +152,29 @@ class FibreElement:
         group-level question."""
         return self.r_part.is_identity and not any(self.z_part)
 
+    # A product or inverse of checked elements is built unchecked: its
+    # letters are letters of the factors and its z_part keeps their length.
+
     def __mul__(self, other: "FibreElement") -> "FibreElement":
         if (self.surface, self.n) != (other.surface, other.n):
             raise InvalidArgumentError(
                 "cannot multiply fibre elements attached to different (surface, n)"
             )
-        return FibreElement(
-            self.surface,
-            self.n,
-            self.r_part * other.r_part,
-            tuple([a + b for a, b in zip(self.z_part, other.z_part)]),
+        return _trusted(
+            FibreElement,
+            surface=self.surface,
+            n=self.n,
+            r_part=self.r_part * other.r_part,
+            z_part=tuple([a + b for a, b in zip(self.z_part, other.z_part)]),
         )
 
     def inverse(self) -> "FibreElement":
-        return FibreElement(
-            self.surface,
-            self.n,
-            self.r_part.inverse(),
-            tuple([-a for a in self.z_part]),
+        return _trusted(
+            FibreElement,
+            surface=self.surface,
+            n=self.n,
+            r_part=self.r_part.inverse(),
+            z_part=tuple([-a for a in self.z_part]),
         )
 
     def __str__(self) -> str:
@@ -216,14 +234,37 @@ def tau_hat(surface: Surface, n: int) -> FibreElement:
     return FibreElement(surface, n, word, (0,) * (n - 1))
 
 
-def _tau_hat_squared(surface: Surface, n: int) -> FibreElement:
+# The most (surface, n) whose boundary data _boundary_images holds at once.
+# Within the tower bound the largest entry is (s2, 72): the full twist on 71
+# strands squared and inverse squared (4,970 letters each) and 72 vectors of
+# 71 ints, 1.6 MB by tracemalloc; 16 such entries would hold 26 MB.
+_BOUNDARY_ENTRIES = 16
+
+
+class _Boundary(NamedTuple):
+    """The tower constants of the boundary map at one (surface, n)."""
+
+    generators: tuple[GeneratorSymbol, ...]  # R_{n-1}'s, in presentation order
+    labels: tuple[str, ...]  # pi2_basis(surface, n)
+    tau_hat_squared: FibreElement
+    images: tuple[FibreElement, ...]  # one per label, in label order
+
+
+@lru_cache(maxsize=_BOUNDARY_ENTRIES)
+def _boundary_images(surface: Surface, n: int) -> _Boundary:
+    """tau_hat squared, built once, and the image of every pi_2 basis
+    label (see boundary_image) at one (surface, n): the first n-1 labels
+    map to the delta generators in slot order, the final label to the
+    image that carries tau_hat squared.  The values are immutable, so
+    every caller shares them."""
+    labels = pi2_basis(surface, n)
     half = tau_hat(surface, n)
-    return half * half
-
-
-def _delta_sum(surface: Surface, n: int) -> FibreElement:
-    """The sum of all delta generators: trivial braid part, all-ones vector."""
-    return FibreElement(surface, n, IDENTITY, (1,) * (n - 1))
+    squared = half * half
+    ones = FibreElement(surface, n, IDENTITY, (1,) * (n - 1))  # the sum of all deltas
+    final = squared * ones.inverse() if surface is Surface.RP2 else ones * squared.inverse()
+    deltas = [delta_generator(surface, n, i) for i in range(n - 1)]
+    generators = _fibre_tower(surface, n).all_generators()
+    return _Boundary(generators, labels, squared, (*deltas, final))
 
 
 def boundary_image(surface: Surface, n: int, basis_label: str) -> FibreElement:
@@ -236,20 +277,12 @@ def boundary_image(surface: Surface, n: int, basis_label: str) -> FibreElement:
     maps to the sum of all deltas minus tau_hat^2, i.e. (inverse square of
     the full twist, (1,...,1)).
     """
-    basis = pi2_basis(surface, n)
-    if basis_label not in basis:
+    data = _boundary_images(surface, n)
+    if basis_label not in data.labels:
         raise InvalidArgumentError(
             f"unknown basis label {basis_label!r} for ({surface.value}, n={n})"
         )
-    if surface is Surface.RP2:
-        if basis_label == "z0":
-            return _tau_hat_squared(surface, n) * _delta_sum(surface, n).inverse()
-        return delta_generator(surface, n, basis.index(basis_label))
-    if basis_label == "-z0":
-        return _delta_sum(surface, n) * _tau_hat_squared(surface, n).inverse()
-    if basis_label == "z0":
-        return delta_generator(surface, n, n - 2)
-    return delta_generator(surface, n, basis.index(basis_label))
+    return data.images[data.labels.index(basis_label)]
 
 
 def strict_corollary_image(surface: Surface, n: int) -> FibreElement:
@@ -262,10 +295,10 @@ def strict_corollary_image(surface: Surface, n: int) -> FibreElement:
     report the difference instead of silently picking a side; over the
     projective plane the two coincide.
     """
-    _fibre_tower(surface, n)
+    final = _boundary_images(surface, n).images[-1]
     if surface is Surface.RP2:
-        return boundary_image(surface, n, "z0")
-    return boundary_image(surface, n, "-z0") * delta_generator(surface, n, n - 2).inverse()
+        return final
+    return final * delta_generator(surface, n, n - 2).inverse()
 
 
 def strict_corollary_discrepancy(surface: Surface, n: int) -> FibreElement:
@@ -274,8 +307,8 @@ def strict_corollary_discrepancy(surface: Surface, n: int) -> FibreElement:
     Identity over the projective plane; the delta generator in the ``z0``
     slot over the sphere.
     """
-    final = pi2_basis(surface, n)[-1]
-    return boundary_image(surface, n, final) * strict_corollary_image(surface, n).inverse()
+    final = _boundary_images(surface, n).images[-1]
+    return final * strict_corollary_image(surface, n).inverse()
 
 
 # --- abelianized boundary -----------------------------------------------------
@@ -289,11 +322,10 @@ def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     presentation order.  The layout is a fixed convention of this package;
     only Smith-form invariants and cokernels are contractual.
     """
-    gens = _fibre_tower(surface, n).all_generators()
-    images = [boundary_image(surface, n, label) for label in pi2_basis(surface, n)]
-    braid_parts = _exponent_vectors((img.r_part for img in images), gens)
-    columns = [img.z_part + part for img, part in zip(images, braid_parts)]
-    return IntMatrix.from_columns(n - 1 + len(gens), columns)
+    data = _boundary_images(surface, n)
+    braid_parts = _exponent_vectors((img.r_part for img in data.images), data.generators)
+    columns = [img.z_part + part for img, part in zip(data.images, braid_parts)]
+    return IntMatrix.from_columns(n - 1 + len(data.generators), columns)
 
 
 @dataclass(frozen=True)
@@ -356,9 +388,8 @@ def quotient_check(surface: Surface, n: int) -> QuotientReport:
     values.
     """
     side_a = cokernel(boundary_matrix_ab(surface, n))
-    side_b = h1(
-        quotient_by(fibre_presentation(surface, n), [_tau_hat_squared(surface, n).r_part])
-    )
+    squared = _boundary_images(surface, n).tau_hat_squared
+    side_b = h1(quotient_by(fibre_presentation(surface, n), [squared.r_part]))
     return QuotientReport(surface, n, side_a, side_b)
 
 
@@ -434,7 +465,8 @@ def split_ses_check(
     relations and must equal A^{n-1} as a canonical FGAbelianGroup.  A
     vector with no +1/-1 entry raises NoUnitCoordinateError: the argument
     needs a unit somewhere and promises nothing without one.  n past
-    MAX_SPLIT_N is refused before the vector is read.
+    MAX_SPLIT_N is refused before the vector is read, and a relation
+    matrix past MAX_MATRIX_CELLS before anything of A's size is built.
     """
     if n < 2:
         raise InvalidArgumentError(f"split_ses_check needs n >= 2, got n = {n}")
@@ -453,6 +485,8 @@ def split_ses_check(
 
     free, torsion = coeff.free_rank, coeff.torsion
     gsize = free + len(torsion)
+    # The quotient's relation matrix, before the section check walks A.
+    _check_cells(n * gsize, n * len(torsion) + gsize)
 
     def normalize(block: list[int]) -> tuple[int, ...]:
         out = list(block)
@@ -552,12 +586,10 @@ def boundary_sum_identity(
     enters inverted.  Z-coordinates must cancel to zero exactly; the braid
     parts are compared by combing.
     """
+    data = _boundary_images(surface, n)
     total = FibreElement.identity(surface, n)
-    for label in pi2_basis(surface, n):
-        img = boundary_image(surface, n, label)
-        if surface is Surface.S2 and label == "-z0":
-            img = img.inverse()
-        total = total * img
-    squared = _tau_hat_squared(surface, n)
+    for label, img in zip(data.labels, data.images):
+        total = total * (img.inverse() if label == "-z0" else img)
+    squared = data.tau_hat_squared
     agree = fibre_elements_equal(total, squared, word_cap)
     return BoundarySumReport(surface, n, total, squared, agree)

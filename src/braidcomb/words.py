@@ -259,12 +259,14 @@ def concat(u: Word, v: Word) -> Word:
     ):
         i -= 1
         j += 1
-    return Word(a[: i + 1] + b[j:])
+    # Reduced: only the cancelled boundary could hold an x x^-1 pair.
+    return _trusted(Word, letters=a[: i + 1] + b[j:])
 
 
 def invert(w: Word) -> Word:
     """The inverse word (reversed letters with flipped exponents)."""
-    return Word(tuple([letter.inverse() for letter in reversed(w.letters)]))
+    # The reverse of a reduced word with every exponent flipped is reduced.
+    return _trusted(Word, letters=tuple([letter.inverse() for letter in reversed(w.letters)]))
 
 
 def exponent_sum(w: Word, s: GeneratorSymbol) -> int:

@@ -13,6 +13,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from braidcomb import InvalidArgumentError, MissingImageError, abelian, orbit_gen
 from braidcomb.abelian import (
+    MAX_MATRIX_CELLS,
     FGAbelianGroup,
     IntMatrix,
     SmithForm,
@@ -23,7 +24,9 @@ from braidcomb.abelian import (
     smith_normal_form,
 )
 from braidcomb.presentations import (
+    MAX_RELATORS,
     Presentation,
+    TowerSpec,
     artin_presentation,
     element_Theta,
     export_presentation,
@@ -31,7 +34,7 @@ from braidcomb.presentations import (
     parse_presentation,
     quotient_by,
 )
-from braidcomb.words import Letter, exponent_sum, reduce
+from braidcomb.words import IDENTITY, GenFamily, Letter, exponent_sum, reduce
 
 
 def M(rows):
@@ -128,6 +131,78 @@ def test_rectangular_diagonal():
     assert IntMatrix.diagonal((), 2, 2) == M([[0, 0], [0, 0]])
     with pytest.raises(InvalidArgumentError):
         IntMatrix.diagonal((1, 2), 3, 1)
+
+
+class _Unread:
+    """A sequence of the given length whose entries must not be read."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, index):
+        raise AssertionError("an entry was read")
+
+    def __iter__(self):
+        raise AssertionError("an entry was read")
+
+
+def test_matrices_past_the_cell_bound_are_refused_before_they_are_built():
+    side = 3_000  # side * side = 9 million cells
+
+    def past():
+        return pytest.raises(InvalidArgumentError, match=f"MAX_MATRIX_CELLS={MAX_MATRIX_CELLS}")
+
+    with past():
+        IntMatrix.identity(side)
+    with past():
+        IntMatrix.identity(10**9)
+    with past():
+        IntMatrix.diagonal((), side, side)
+    with past():
+        IntMatrix.from_rows([_Unread(side)] * side)
+    with past():
+        IntMatrix.from_columns(side, [_Unread(side)] * side)
+    with past():
+        IntMatrix(side, 1, (1,) * side) @ IntMatrix(1, side, (1,) * side)
+    tower = TowerSpec(GenFamily.ORBIT, 45)  # 2,025 generators
+    with past():
+        relation_matrix(SimpleNamespace(generators=tower.all_generators(), relators=(IDENTITY,) * 4_000))
+    # Smith reduction of a tall column works; only its dense U is past the bound.
+    form = smith_normal_form(IntMatrix(side, 1, (2,) * side))
+    assert form.d == (2,) and form.V == M([[1]])
+    with past():
+        form.U
+
+
+def test_the_cell_bound_covers_the_matrices_built_from_the_tallest_towers():
+    # boundary_matrix_ab(S2, 72) and the dense U of its Smith form.
+    rows = 71 + TowerSpec(GenFamily.BAND, 71).generator_count()
+    assert (rows, rows * 72) == (2_556, 184_032)
+    assert rows * rows <= MAX_MATRIX_CELLS
+    # The same over the projective plane, at n = 51.
+    rows = 50 + TowerSpec(GenFamily.ORBIT, 50).generator_count()
+    assert rows * rows <= MAX_MATRIX_CELLS
+    # The relation matrix of the tallest tower of each family within MAX_RELATORS.
+    for family, tallest in ((GenFamily.ORBIT, 14), (GenFamily.BAND, 20)):
+        tower = TowerSpec(family, tallest)
+        assert TowerSpec(family, tallest + 1).relator_count() > MAX_RELATORS
+        assert tower.relator_count() * tower.generator_count() <= MAX_MATRIX_CELLS
+
+
+def test_a_generator_tuple_shares_one_column_map():
+    gens = TowerSpec(GenFamily.ORBIT, 3).all_generators()
+    column = abelian._columns(gens)
+    assert column == {g: c for c, g in enumerate(gens)}
+    assert abelian._columns(gens) is column
+    # An equal tuple gets an equal map; a list, which can change, a fresh one.
+    assert abelian._columns(tuple(list(gens))) == column
+    assert abelian._columns(list(gens)) is not abelian._columns(list(gens))
+    for n in range(1, abelian._SHARED_COLUMN_MAPS + 6):
+        abelian._columns(TowerSpec(GenFamily.BAND, n + 1).all_generators())
+    assert len(abelian._column_maps) <= abelian._SHARED_COLUMN_MAPS
 
 
 # --- Smith normal form ---------------------------------------------------------

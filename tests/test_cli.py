@@ -841,6 +841,20 @@ def test_verify_theta_suite(capsys):
     assert all(line.startswith("PASS") for line in out.splitlines()[1:])
 
 
+def test_verify_theta_suite_hands_its_word_cap_to_the_split(capsys, monkeypatch):
+    caps = []
+    split = cli.theta_decompose
+
+    def spy(tower, w, word_cap):
+        caps.append(word_cap)
+        return split(tower, w, word_cap)
+
+    monkeypatch.setattr(cli, "theta_decompose", spy)
+    code, _, _ = run(capsys, "verify", "--suite", "theta", "--n", "3", "--word-cap", "40000")
+    assert code == EXIT_OK
+    assert len(caps) == cli.SUITE_PAIRS and set(caps) == {40000}
+
+
 @pytest.mark.parametrize("n", ["201", "100000", "1000000000000"])
 def test_verify_split_past_its_bound_is_usage_error(capsys, n):
     code, out, err = run(capsys, "verify", "--suite", "split", "--n", n)

@@ -44,6 +44,7 @@ from braidcomb.words import (
     orbit_gen,
     parse_word,
     reduce,
+    word_power,
 )
 
 G2 = orbit_presentation(2)
@@ -808,6 +809,53 @@ def test_theta_decompose_is_a_retraction(w):
     again_e, again_rem = theta_decompose(G3, power * rem)
     assert again_e == e
     assert comb(G3, again_rem) == comb(G3, rem)
+
+
+def test_theta_decompose_refuses_a_remainder_past_the_cap_before_building_it(monkeypatch):
+    # r(1,0)^100000 at n = 10 once gave a 1,099,998-letter remainder.
+    tower = TowerSpec(GenFamily.ORBIT, 10)
+    w = parse_word("r(1,0)^100000")
+
+    def unbuilt(*args):
+        raise AssertionError("the remainder was built")
+
+    monkeypatch.setattr(combing, "word_power", unbuilt)
+    with pytest.raises(WordSizeExceededError) as err:
+        theta_decompose(tower, w)
+    assert (err.value.length, err.value.cap) == (1_100_000, DEFAULT_WORD_CAP)
+    assert "intermediate word of length 1100000" in str(err.value)
+    with pytest.raises(WordSizeExceededError, match="input word of length 100000"):
+        theta_decompose(tower, w, word_cap=99_999)
+
+
+@pytest.mark.parametrize("n, k", [(1, 7), (3, 5), (10, 40)])
+def test_theta_decompose_cap_boundary_is_exact(n, k):
+    # |e| * n + len(w) letters: k * n for Theta^-k and k for w = r(1,0)^k.
+    tower = TowerSpec(GenFamily.ORBIT, n)
+    w = word_power(gen_word(orbit_gen(1, 0)), k)
+    size = k * n + k
+    assert theta_decompose(tower, w, word_cap=size) == theta_decompose(tower, w)
+    assert theta_decompose(tower, w, word_cap=size)[0] == k
+    with pytest.raises(WordSizeExceededError) as err:
+        theta_decompose(tower, w, word_cap=size - 1)
+    assert (err.value.length, err.value.cap) == (size, size - 1)
+    inverse = w.inverse()
+    assert theta_decompose(tower, inverse, word_cap=size)[0] == -k
+    with pytest.raises(WordSizeExceededError):
+        theta_decompose(tower, inverse, word_cap=size - 1)
+
+
+def test_center_check_hands_its_word_cap_to_the_theta_split(monkeypatch):
+    caps = []
+    split = combing.theta_decompose
+
+    def spy(p, w, word_cap=DEFAULT_WORD_CAP):
+        caps.append(word_cap)
+        return split(p, w, word_cap)
+
+    monkeypatch.setattr(combing, "theta_decompose", spy)
+    center_check(TowerSpec(GenFamily.ORBIT, 3), word_cap=500)
+    assert caps and set(caps) == {500}
 
 
 # --- the centre ---

@@ -9,6 +9,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcomb import abelian, combing, fibration
 from braidcomb.abelian import FGAbelianGroup, IntMatrix, smith_normal_form
 from braidcomb.errors import InvalidArgumentError, NoUnitCoordinateError
 from braidcomb.fibration import (
@@ -31,7 +32,8 @@ from braidcomb.fibration import (
     strict_corollary_image,
     tau_hat,
 )
-from braidcomb.words import IDENTITY, exponent_sum, orbit_gen, parse_word
+from braidcomb.words import IDENTITY, Letter, Word, exponent_sum, orbit_gen, parse_word
+from braidcomb.words import reduce as reduce_word
 
 S2 = Surface.S2
 RP2 = Surface.RP2
@@ -69,6 +71,48 @@ def test_fibre_element_algebra():
     assert (a * a.inverse()).is_identity
     with pytest.raises(InvalidArgumentError):
         a * FibreElement(RP2, 4, IDENTITY, (0, 0, 0))
+
+
+@st.composite
+def _fibre_elements(draw):
+    """(surface, n) and a few elements of its fibre group."""
+    surface = draw(st.sampled_from((S2, RP2)))
+    n = draw(st.integers(surface.n0, 5))
+    gens = fibre_presentation(surface, n).generators
+    letters = st.builds(Letter, st.sampled_from(gens), st.sampled_from((1, -1)))
+    elements = st.builds(
+        lambda raw, z: FibreElement(surface, n, reduce_word(raw), tuple(z)),
+        st.lists(letters, max_size=8),
+        st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
+    )
+    return draw(st.lists(elements, min_size=1, max_size=4))
+
+
+def _rebuilt(e: FibreElement) -> FibreElement:
+    """e through the checking constructors of FibreElement and Word."""
+    return FibreElement(e.surface, e.n, Word(e.r_part.letters), e.z_part)
+
+
+@settings(deadline=None)
+@given(_fibre_elements())
+def test_trusted_products_and_inverses_equal_their_checked_rebuild(elements):
+    built = elements[0]
+    for e in elements[1:]:
+        built = built * e.inverse() * e * e
+        assert _rebuilt(built) == built
+    inverse = built.inverse()
+    assert _rebuilt(inverse) == inverse
+    assert (built * inverse).is_identity
+
+
+def test_a_foreign_letter_still_raises_in_the_constructor():
+    a = FibreElement(S2, 4, parse_word("A(1,2) A(2,3)"), (1, 0, 0))
+    assert (a * a.inverse()).is_identity
+    for foreign in ("r(1,0)", "A(1,4)", "A(2,3) A(3,4)"):
+        with pytest.raises(InvalidArgumentError, match="outside the fibre alphabet"):
+            FibreElement(S2, 4, parse_word(foreign), (0, 0, 0))
+    with pytest.raises(InvalidArgumentError, match="outside the fibre alphabet"):
+        FibreElement(RP2, 3, parse_word("r(3,0)"), (0, 0))
 
 
 def test_fibre_elements_equal_uses_group_equality():
@@ -286,6 +330,64 @@ def test_quotient_check_agreement_up_to_five():
             assert quotient_check(surface, n).ok, (surface, n)
 
 
+def _counting(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "call, surface, n",
+    [
+        (quotient_check, S2, 6),
+        (quotient_check, RP2, 5),
+        (exactness_report, S2, 7),
+        (nonsplit_witness_s2, S2, 6),
+        (boundary_sum_identity, S2, 6),
+        (boundary_sum_identity, RP2, 5),
+    ],
+    ids=lambda x: getattr(x, "__name__", getattr(x, "value", x)),
+)
+def test_boundary_checks_recompute_their_answers_on_every_call(monkeypatch, call, surface, n):
+    # Only tower constants are cached: a second call on the same (surface, n)
+    # runs as many Smith reductions and combs as the first, which built them.
+    counts = {"smith_normal_form": 0, "comb": 0}
+    _counting(monkeypatch, abelian, "smith_normal_form", counts)
+    _counting(monkeypatch, fibration, "smith_normal_form", counts)
+    _counting(monkeypatch, combing, "comb", counts)
+    fibration._boundary_images.cache_clear()
+
+    def run():
+        before = dict(counts)
+        report = call(n) if call is nonsplit_witness_s2 else call(surface, n)
+        assert report.ok
+        return {k: counts[k] - before[k] for k in counts}
+
+    first = run()
+    assert fibration._boundary_images.cache_info().currsize == 1
+    assert sum(first.values()) > 0
+    assert run() == first
+
+
+def test_boundary_images_are_built_once_per_surface_and_n():
+    fibration._boundary_images.cache_clear()
+    for surface, n in ((S2, 5), (RP2, 4)):
+        for label in pi2_basis(surface, n):
+            boundary_image(surface, n, label)
+        boundary_matrix_ab(surface, n)
+        quotient_check(surface, n)
+        boundary_sum_identity(surface, n)
+        strict_corollary_discrepancy(surface, n)
+    info = fibration._boundary_images.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.maxsize == fibration._BOUNDARY_ENTRIES
+    assert boundary_image(S2, 5, "-z0") is boundary_image(S2, 5, "-z0")
+
+
 # --- diagonal and anti-diagonal sequences ----------------------------------------
 
 
@@ -373,6 +475,12 @@ def test_diagonal_sequences_refuse_n_past_the_bound():
             split_ses_check(Z, n, unread())
     with pytest.raises(InvalidArgumentError, match="MAX_SPLIT_N=200"):
         iota_sharp_vector(RP2, MAX_SPLIT_N + 1, 2)
+
+
+def test_split_check_refuses_a_relation_matrix_past_the_cell_bound():
+    # A = Z^(10^6) once walked a million generators of length a million.
+    with pytest.raises(InvalidArgumentError, match="MAX_MATRIX_CELLS=8000000"):
+        split_ses_check(FGAbelianGroup(10**6), 2, (1, 1))
 
 
 @pytest.mark.parametrize("surface, tallest", [(S2, 72), (RP2, 51)], ids=["s2", "rp2"])

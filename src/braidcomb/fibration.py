@@ -17,8 +17,8 @@ Z^{n-1} factor is handled exactly as integer vectors.
 
 The boundary map's tower constants are built once per (surface, n):
 tau_hat squared, the image of every pi_2 basis label and the fibre
-factor's generators, held for the _BOUNDARY_ENTRIES most recent
-(surface, n).  They are immutable words and fibre elements, so every
+factor's generators, held for the _BOUNDARY_ENTRIES most recently
+used (surface, n).  They are immutable words and fibre elements, so every
 caller shares them.  Nothing that answers a question is cached: every
 call of the checks below builds its matrix and quotient presentation
 again, runs Smith reduction with its multiply-back check, and combs

@@ -6,8 +6,15 @@ Combing computes it by pushing lower-level letters rightward past
 higher-level ones: the rewrite x * y -> (x y x^-1) * x replaces y by the
 action image of x on y, a word in y's own level.  The engine below performs
 this big-step, one level at a time from the top of the tower down, scanning
-right to left so each lower letter acts exactly once on the accumulated
-level-k prefix.
+right to left so each lower letter, or the normal form of a run of them,
+acts once on the level-k word built from the letters to its right.  The
+tower is an iterated semidirect product, so a run of lower letters acts on
+level k only through the element it is in the group below (Artin, Ann.
+Math. 48, 1947).  Once the level-k word is long, the scan combs the run of
+lower letters ending at the letter it has reached with the same engine, and
+acts by the run's normal form instead of its letters when the form is
+shorter: a relator of the lower group inside the run then costs nothing at
+level k.
 
 Each signed actor letter has one action table, {target: image} for both
 signs of every target, kept per tower and filled a whole level at a time
@@ -27,7 +34,10 @@ image against the output only where the two meet, since both are freely
 reduced.  The word cap is exact per target letter: the scan stops at the
 first letter whose image takes the word past it.  No image is longer than
 the engine's longest, so the cap is checked once per block of letters that
-cannot reach it, and letter by letter only near it.
+cannot reach it, and letter by letter only near it.  A run's sub-comb
+counts every letter the outer scan holds, and every letter it has yet to
+read, against the same cap; a sub-comb past it refuses nothing, and the
+run's own letters act instead.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
@@ -192,6 +202,17 @@ def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ..
 
 # --- the per-tower machine -----------------------------------------------------
 
+# A scan that meets a lower letter while its level word holds at least
+# _RUN_COMB_LEVEL_LETTERS letters combs the run of lower letters ending there,
+# if the run has at least _RUN_COMB_MIN_LETTERS, and acts by the run's normal
+# form when that is shorter.  On the seed-1 perfbench sweep (2-core Xeon VM),
+# thresholds of 16 to 64 level letters ran alike, and 1 and 256 ran slower;
+# combing every run of 3 or more letters before each level's scan, whatever
+# the level word's length, cost the homology workload 14 % and a cold CLI
+# call 9 %.
+_RUN_COMB_LEVEL_LETTERS = 64
+_RUN_COMB_MIN_LETTERS = 3
+
 
 class _Comber:
     """Combing engine for one tower, with memoized letter actions.
@@ -353,24 +374,75 @@ class _Comber:
         del out[0]
         return out
 
-    def comb(self, ints: list[int], cap: int) -> list[list[int]]:
+    def _shorter_form(self, run: list[int], cap: int, overhead: int) -> list[int] | None:
+        """The letters of run's normal form, kernel first, when the form is
+        shorter than run; None when it is not, or when combing run passes
+        the cap with overhead letters held outside it."""
+        level_of = self.level_of
+        try:
+            parts = self.comb(run, cap, max([level_of[abs(v)] for v in run]), overhead)
+        except WordSizeExceededError:
+            return None
+        form = [v for part in parts for v in part]
+        return form if len(form) < len(run) else None
+
+    def comb(
+        self, ints: list[int], cap: int, top: int | None = None, overhead: int = 0
+    ) -> list[list[int]]:
+        """The parts of ints from level top (the tower's height unless
+        given) down to level 1, kernel first.  overhead letters, held
+        outside ints, count against cap."""
         level_of = self.level_of
         rest = ints
         parts = []
-        for k in range(self.tower.n, 0, -1):
+        for k in range(self.tower.n if top is None else top, 0, -1):
             rev_k: list[int] = []
             rev_rest: list[int] = []
+            # rest[start : pos + 1] is the run of lower letters being
+            # scanned, once it has been looked up.
+            start = None
+            pos = len(rest) - 1
             try:
-                for pos in range(len(rest) - 1, -1, -1):
+                while pos >= 0:
                     x = rest[pos]
                     if level_of[abs(x)] == k:
                         _push(rev_k, x)
-                    else:
-                        if rev_k:
-                            rev_k = self._conjugate_rev(
-                                x, rev_k, k, cap, pos + len(rev_rest) + 1
+                        start = None
+                        pos -= 1
+                        continue
+                    if len(rev_k) >= _RUN_COMB_LEVEL_LETTERS:
+                        if start is None:
+                            start = pos
+                            while start and level_of[abs(rest[start - 1])] < k:
+                                start -= 1
+                        # The run acts on the level word only through the
+                        # element it is, so a shorter word for that element,
+                        # its normal form, may act in its place.  A run longer
+                        # than the level word acts letter by letter: combing
+                        # what is left of it at each letter would cost more
+                        # than acting does.
+                        if _RUN_COMB_MIN_LETTERS <= pos + 1 - start <= len(rev_k):
+                            form = self._shorter_form(
+                                rest[start : pos + 1],
+                                cap,
+                                overhead + start + len(rev_rest) + len(rev_k),
                             )
-                        _push(rev_rest, x)
+                            if form is not None:
+                                pos = start  # a refusal names the run's first letter
+                                for j in range(len(form) - 1, -1, -1):
+                                    rev_k = self._conjugate_rev(
+                                        form[j], rev_k, k, cap,
+                                        overhead + start + j + 1 + len(rev_rest),
+                                    )
+                                    _push(rev_rest, form[j])
+                                pos -= 1
+                                continue
+                    if rev_k:
+                        rev_k = self._conjugate_rev(
+                            x, rev_k, k, cap, overhead + pos + len(rev_rest) + 1
+                        )
+                    _push(rev_rest, x)
+                    pos -= 1
             except WordSizeExceededError as exc:
                 raise WordSizeExceededError(
                     exc.length, exc.cap, level=k, position=pos

@@ -59,7 +59,7 @@ MAX_LEN_EQ = 12
 PAIR_COUNT = 200
 # Cap on intermediate word length for criterion 1.  With 12_000 the full
 # 200-pair x every-relator sweep decides more than six thousand instances
-# exactly (see module docstring) and takes about 18 s on a 2-core Xeon VM.
+# exactly (see module docstring) and takes about 14 s on a 2-core Xeon VM.
 INSERTION_CAP = 12_000
 # Coverage floors: the sweep must decide at least this many base pairs per
 # n and at least this many contexts per relator, or the criterion fails.

@@ -412,6 +412,10 @@ def test_word_cap_names_the_level_whose_scan_hit_it(text, cap, level):
         # Level 2 scans the word with its level-3 letters taken out.
         ("r(3,0) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1", 6, 2, 0),
         ("r(2,1) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1 r(3,0)", 7, 2, 1),
+        # With 64 level-3 letters built, the run r(1,0) r(2,0) r(1,0)^-1 at
+        # 1..3 combs to r(2,0), which acts in its place and passes the cap:
+        # the position is the run's first letter.  The plain scan stops at 3.
+        ("r(3,0) r(1,0) r(2,0) r(1,0)^-1 r(3,1)^64", 71, 3, 1),
     ],
 )
 def test_word_cap_position_indexes_the_scanned_word(text, cap, level, position):
@@ -688,6 +692,105 @@ def test_blocked_cap_check_is_exact_where_every_image_is_longest():
     for cap in range(len(w), 4 * 12 + 3):
         assert _outcome(engines[0], w, cap) == _outcome(engines[1], w, cap)
     assert engines[0].longest == 4
+
+
+class _PlainScanComber(combing._Comber):
+    """The engine as it was before runs of lower letters were combed: every
+    lower letter acts on the whole level word built so far."""
+
+    def comb(self, ints, cap):
+        level_of = self.level_of
+        rest = ints
+        parts = []
+        for k in range(self.tower.n, 0, -1):
+            rev_k, rev_rest = [], []
+            try:
+                for pos in range(len(rest) - 1, -1, -1):
+                    x = rest[pos]
+                    if level_of[abs(x)] == k:
+                        combing._push(rev_k, x)
+                    else:
+                        if rev_k:
+                            rev_k = self._conjugate_rev(
+                                x, rev_k, k, cap, pos + len(rev_rest) + 1
+                            )
+                        combing._push(rev_rest, x)
+            except WordSizeExceededError as exc:
+                raise WordSizeExceededError(
+                    exc.length, exc.cap, level=k, position=pos
+                ) from None
+            rev_k.reverse()
+            parts.append(rev_k)
+            rev_rest.reverse()
+            rest = rev_rest
+        return parts
+
+
+@functools.cache
+def _plain_scan_comber(tower):
+    return _PlainScanComber(tower)
+
+
+def _lower_relator_pair(p, seed, len_u, len_v):
+    """Seeded words u and v of p, and a relator of p whose letters all lie
+    below p's top level."""
+    rng = random.Random(seed)
+    top = p.tower.n
+    lower = [r for r in p.relators if all(letter.symbol.level < top for letter in r.letters)]
+
+    def word(length):
+        return reduce(
+            Letter(rng.choice(p.generators), rng.choice((1, -1))) for _ in range(length)
+        )
+
+    u, v = word(len_u), word(len_v)
+    return u, rng.choice(lower), v
+
+
+def test_a_relator_below_the_firing_level_no_longer_stops_the_scan():
+    # The plain scan lets every letter of r act on the level-3 word built
+    # from v, and r's letters cancel only below level 3; the run holding r
+    # combs to a shorter form that acts in its place.
+    u, r, v = _lower_relator_pair(G3, 97, 10, 10)
+    assert all(letter.symbol.level < 3 for letter in r.letters)
+    refused = _outcome(_plain_scan_comber(G3.tower), u * r * v, 12_000)
+    assert refused == (12_004, 12_000, 3, 9)
+    assert comb(G3, u * r * v, word_cap=12_000) == comb(G3, u * v, word_cap=12_000)
+
+
+@pytest.mark.parametrize("p", [G3, G4, artin_presentation(5)], ids=["G3", "G4", "P5"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), len_u=st.integers(0, 8), len_v=st.integers(0, 8))
+def test_run_combing_agrees_with_the_plain_scan(p, seed, len_u, len_v):
+    u, r, v = _lower_relator_pair(p, seed, len_u, len_v)
+    engine, reference = combing._comber_for(p.tower), _plain_scan_comber(p.tower)
+    got = _outcome(engine, u * r * v, 12_000)
+    expected = _outcome(reference, u * r * v, 12_000)
+    if isinstance(expected, NormalForm):
+        assert got == expected
+    base = _outcome(reference, u * v, 12_000)
+    if isinstance(got, NormalForm) and isinstance(base, NormalForm):
+        assert got == base
+
+
+def test_a_refused_sub_comb_falls_back_to_the_run_letters(monkeypatch):
+    # A sub-comb that passes the cap only means the run acts letter by
+    # letter, as the plain scan does, so the answer is the plain scan's.
+    c = combing._Comber(G3.tower)
+    refusals = []
+
+    def refuse_runs(ints, cap, top=None, overhead=0):
+        if top is not None:
+            refusals.append(len(ints))
+            raise WordSizeExceededError(cap + 1, cap)
+        return combing._Comber.comb(c, ints, cap, top, overhead)
+
+    monkeypatch.setattr(c, "comb", refuse_runs)
+    w = parse_word("r(3,0) r(1,0) r(2,0) r(1,0)^-1 r(3,1)^64")
+    assert _outcome(c, w, DEFAULT_WORD_CAP) == _outcome(
+        _plain_scan_comber(G3.tower), w, DEFAULT_WORD_CAP
+    )
+    assert refusals == [3]
 
 
 @pytest.mark.parametrize(

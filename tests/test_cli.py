@@ -562,7 +562,7 @@ PINNED_CLI_SHA256 = {
     'verify --suite theta --group pn --n 3 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c2c8edd368350dc32c5373b01fd5011fb1415a84865baf99856b374e430b42f9'),
     'comb --group gn --word r(4,6) r(2,1) r(3,4)^-1 r(1,0) r(4,2) r(2,2)^-1 r(3,1) --n 4 --format text': (0, '160590fa6c2e675293c808d0a01827372998afe485047175d996258686ffd59c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'abelianize --group gn --n 4 --format text': (0, 'e46910f93700e6dfb395e166db5a0c3a6e224fc0b5187cad5b2ab1e03f632c69', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --suite relators --group gn --n 4 --format text': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '553be785e43899595f2a939e813e78af68b0e0d82751e96b1435d7636a1a9415'),
+    'verify --suite relators --group gn --n 4 --format text': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '5a3d508982ed0b201c3c6e6e61bd15a3ad8402f584957b9e903d8ae98a165bb9'),
     'verify --suite center --group gn --n 4 --format text': (0, '55cb0b38971b3ad24481b55661f95dd7b8dd8207bd870a8fe363c08a2b45b679', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify --suite exactness --group gn --n 4 --format text': (0, 'e26b33fbc8234508cc858f1eb9e15403237b900150ba082e3ab4fbc92d29fa1a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify --suite quotient --group gn --n 4 --format text': (0, 'b4734f09c9ce61c821d5be18a3cd4416e287c45a307ce2e381e5462b91e9e6cc', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -578,7 +578,7 @@ PINNED_CLI_SHA256 = {
     'verify --suite theta --group pn --n 4 --format text': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c2c8edd368350dc32c5373b01fd5011fb1415a84865baf99856b374e430b42f9'),
     'comb --group gn --word r(4,6) r(2,1) r(3,4)^-1 r(1,0) r(4,2) r(2,2)^-1 r(3,1) --n 4 --format json': (0, '8e87ecda4c8e07965f1276ba628e1a9ae3b3d747d0a936fcce8454295ac8c92c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'abelianize --group gn --n 4 --format json': (0, '1d12413834bd2e65cd706badd9b0f0a6d413a7534c0f238c5e44970d2fd2925c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'verify --suite relators --group gn --n 4 --format json': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '553be785e43899595f2a939e813e78af68b0e0d82751e96b1435d7636a1a9415'),
+    'verify --suite relators --group gn --n 4 --format json': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '5a3d508982ed0b201c3c6e6e61bd15a3ad8402f584957b9e903d8ae98a165bb9'),
     'verify --suite center --group gn --n 4 --format json': (0, 'c1f1ba51495c9e07a7db6db72481abd0e6be2b36ff71e6d6ddd79c44bfad6680', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify --suite exactness --group gn --n 4 --format json': (0, '6fed6dc26a5c3684f5671857dfd0d66654bf03c57d7af5c9f7747fb71cdbb371', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify --suite quotient --group gn --n 4 --format json': (0, '515629aa3aa3dad78443d2561aa02011c7aa5fc4adc9303baad7c95231886921', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

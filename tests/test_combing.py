@@ -793,6 +793,27 @@ def test_a_refused_sub_comb_falls_back_to_the_run_letters(monkeypatch):
     assert refusals == [3]
 
 
+def test_a_run_is_combed_only_where_it_fits_in_the_level_word(monkeypatch):
+    # Every lower letter fixes r(3,0), so the level word keeps its 100
+    # letters, and a run of level-2 letters is its own form, never shorter.
+    # Combing what is left of the 200-letter run at each of its letters
+    # would take time quadratic in the run; only its last 100 letters are.
+    c = combing._Comber(G3.tower)
+    runs = []
+    shorter_form = c._shorter_form
+
+    def spy(run, cap, overhead):
+        runs.append(len(run))
+        return shorter_form(run, cap, overhead)
+
+    monkeypatch.setattr(c, "_shorter_form", spy)
+    w = word_power(parse_word("r(2,1) r(2,2)"), 100) * parse_word("r(3,0)^100")
+    assert _outcome(c, w, DEFAULT_WORD_CAP) == _outcome(
+        _plain_scan_comber(G3.tower), w, DEFAULT_WORD_CAP
+    )
+    assert runs == list(range(100, 2, -1))
+
+
 @pytest.mark.parametrize(
     "family, top", [(GenFamily.ORBIT, 5), (GenFamily.BAND, 7)], ids=["G", "P"]
 )

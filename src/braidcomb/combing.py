@@ -205,11 +205,12 @@ def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ..
 # A scan that meets a lower letter while its level word holds at least
 # _RUN_COMB_LEVEL_LETTERS letters combs the run of lower letters ending there,
 # if the run has at least _RUN_COMB_MIN_LETTERS, and acts by the run's normal
-# form when that is shorter.  On the seed-1 perfbench sweep (2-core Xeon VM),
-# thresholds of 16 to 64 level letters ran alike, and 1 and 256 ran slower;
-# combing every run of 3 or more letters before each level's scan, whatever
-# the level word's length, cost the homology workload 14 % and a cold CLI
-# call 9 %.
+# form when that is shorter.  On warm passes of the seed-1 perfbench sweep
+# (2-core Xeon VM, best of 5 passes in each of 3 rounds), thresholds of 16,
+# 64 and 256 level letters ran alike (1.37-1.40 s) and 1 ran 15 % slower.
+# A prototype that combed every run of 3 or more letters before each level's
+# scan, whatever the level word's length, cost the homology workload 14 %
+# and a cold CLI call 9 %.
 _RUN_COMB_LEVEL_LETTERS = 64
 _RUN_COMB_MIN_LETTERS = 3
 

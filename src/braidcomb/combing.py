@@ -379,9 +379,9 @@ class _Comber:
         """The letters of run's normal form, kernel first, when the form is
         shorter than run; None when it is not, or when combing run passes
         the cap with overhead letters held outside it."""
-        level_of = self.level_of
+        top = max([self.level_of[abs(v)] for v in run])
         try:
-            parts = self.comb(run, cap, max([level_of[abs(v)] for v in run]), overhead)
+            parts = self.comb(run, cap, top, overhead)
         except WordSizeExceededError:
             return None
         form = [v for part in parts for v in part]

@@ -400,29 +400,34 @@ class _Comber:
             rev_k: list[int] = []
             rev_rest: list[int] = []
             # rest[start : pos + 1] is the run of lower letters being
-            # scanned, once it has been looked up.
-            start = None
+            # scanned, once it has been looked up; tried says whether it has
+            # been combed.
+            start, tried = None, False
             pos = len(rest) - 1
             try:
                 while pos >= 0:
                     x = rest[pos]
                     if level_of[abs(x)] == k:
                         _push(rev_k, x)
-                        start = None
+                        start, tried = None, False
                         pos -= 1
                         continue
-                    if len(rev_k) >= _RUN_COMB_LEVEL_LETTERS:
+                    if not tried and len(rev_k) >= _RUN_COMB_LEVEL_LETTERS:
                         if start is None:
                             start = pos
                             while start and level_of[abs(rest[start - 1])] < k:
                                 start -= 1
                         # The run acts on the level word only through the
                         # element it is, so a shorter word for that element,
-                        # its normal form, may act in its place.  A run longer
-                        # than the level word acts letter by letter: combing
-                        # what is left of it at each letter would cost more
-                        # than acting does.
+                        # its normal form, may act in its place.  Acting costs
+                        # at least the level word's length per letter, so
+                        # what is left of the run is combed once it is no
+                        # longer than the level word, and only that once: a
+                        # form that is not shorter leaves the rest of the run
+                        # to act letter by letter, as it would without run
+                        # combing.
                         if _RUN_COMB_MIN_LETTERS <= pos + 1 - start <= len(rev_k):
+                            tried = True
                             form = self._shorter_form(
                                 rest[start : pos + 1],
                                 cap,

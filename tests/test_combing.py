@@ -758,19 +758,60 @@ def test_a_relator_below_the_firing_level_no_longer_stops_the_scan():
     assert comb(G3, u * r * v, word_cap=12_000) == comb(G3, u * v, word_cap=12_000)
 
 
+class _FormCountingComber(combing._Comber):
+    """The engine, counting the runs whose normal form acts in their place."""
+
+    forms = 0
+
+    def _shorter_form(self, run, cap, overhead):
+        form = super()._shorter_form(run, cap, overhead)
+        self.forms += form is not None
+        return form
+
+
+@functools.cache
+def _form_counting_comber(tower):
+    return _FormCountingComber(tower)
+
+
+def _forms_acting_on_a_lower_relator_word(p, seed, len_u, len_v):
+    """How many run forms act while combing u r v t, where r is a relator
+    below p's top level and t is 64 letters of one top-level generator, so
+    the top level's word is long where the scan reaches r.  Raises unless
+    the form agrees with the plain scan's wherever that one decides, and
+    with the form of u v t."""
+    u, r, v = _lower_relator_pair(p, seed, len_u, len_v)
+    top = random.Random(seed).choice([s for s in p.generators if s.level == p.tower.n])
+    t = word_power(gen_word(top), 64)
+    engine, reference = _form_counting_comber(p.tower), _plain_scan_comber(p.tower)
+    forms = engine.forms
+    got = _outcome(engine, u * r * v * t, 12_000)
+    forms = engine.forms - forms
+    expected = _outcome(reference, u * r * v * t, 12_000)
+    if isinstance(expected, NormalForm):
+        assert got == expected
+    base = _outcome(reference, u * v * t, 12_000)
+    if isinstance(got, NormalForm) and isinstance(base, NormalForm):
+        assert got == base
+    return forms
+
+
 @pytest.mark.parametrize("p", [G3, G4, artin_presentation(5)], ids=["G3", "G4", "P5"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), len_u=st.integers(0, 8), len_v=st.integers(0, 8))
 def test_run_combing_agrees_with_the_plain_scan(p, seed, len_u, len_v):
-    u, r, v = _lower_relator_pair(p, seed, len_u, len_v)
-    engine, reference = combing._comber_for(p.tower), _plain_scan_comber(p.tower)
-    got = _outcome(engine, u * r * v, 12_000)
-    expected = _outcome(reference, u * r * v, 12_000)
-    if isinstance(expected, NormalForm):
-        assert got == expected
-    base = _outcome(reference, u * v, 12_000)
-    if isinstance(got, NormalForm) and isinstance(base, NormalForm):
-        assert got == base
+    _forms_acting_on_a_lower_relator_word(p, seed, len_u, len_v)
+
+
+@pytest.mark.parametrize("p", [G3, G4, artin_presentation(5)], ids=["G3", "G4", "P5"])
+def test_run_forms_act_on_most_lower_relator_words(p):
+    # The agreement above is checked where forms act, not only where the
+    # run's letters do: on 40 seeded words, most runs holding r comb shorter.
+    acted = sum(
+        _forms_acting_on_a_lower_relator_word(p, seed, seed % 9, (seed * 5) % 9) > 0
+        for seed in range(40)
+    )
+    assert acted >= 20
 
 
 def test_a_refused_sub_comb_falls_back_to_the_run_letters(monkeypatch):
@@ -793,12 +834,8 @@ def test_a_refused_sub_comb_falls_back_to_the_run_letters(monkeypatch):
     assert refusals == [3]
 
 
-def test_a_run_is_combed_only_where_it_fits_in_the_level_word(monkeypatch):
-    # Every lower letter fixes r(3,0), so the level word keeps its 100
-    # letters, and a run of level-2 letters is its own form, never shorter.
-    # Combing what is left of the 200-letter run at each of its letters
-    # would take time quadratic in the run; only its last 100 letters are.
-    c = combing._Comber(G3.tower)
+def _sub_comb_lengths(monkeypatch, c):
+    """The lengths of the runs c sub-combs, in the order it combs them."""
     runs = []
     shorter_form = c._shorter_form
 
@@ -807,11 +844,35 @@ def test_a_run_is_combed_only_where_it_fits_in_the_level_word(monkeypatch):
         return shorter_form(run, cap, overhead)
 
     monkeypatch.setattr(c, "_shorter_form", spy)
+    return runs
+
+
+def test_a_run_is_combed_only_where_it_fits_in_the_level_word(monkeypatch):
+    # Every lower letter fixes r(3,0), so the level word keeps its 100
+    # letters, and a run of level-2 letters is its own form, never shorter.
+    # The 200-letter run is combed once, when its last 100 letters are left.
+    c = combing._Comber(G3.tower)
+    runs = _sub_comb_lengths(monkeypatch, c)
     w = word_power(parse_word("r(2,1) r(2,2)"), 100) * parse_word("r(3,0)^100")
     assert _outcome(c, w, DEFAULT_WORD_CAP) == _outcome(
         _plain_scan_comber(G3.tower), w, DEFAULT_WORD_CAP
     )
-    assert runs == list(range(100, 2, -1))
+    assert runs == [100]
+
+
+def test_a_run_that_never_combs_shorter_is_combed_once(monkeypatch):
+    # r(1,0) conjugates r(2,1) non-trivially and fixes r(3,0), so no part of
+    # the run (r(1,0) r(2,1))^m combs shorter and the level-3 word keeps its
+    # 2m letters.  Combing the rest of the run again at each of its letters
+    # would cost about m^3 lookups against the plain scan's m^2.
+    m = 300
+    c = combing._Comber(G3.tower)
+    runs = _sub_comb_lengths(monkeypatch, c)
+    w = word_power(parse_word("r(1,0) r(2,1)"), m) * parse_word(f"r(3,0)^{2 * m}")
+    assert _outcome(c, w, DEFAULT_WORD_CAP) == _outcome(
+        _plain_scan_comber(G3.tower), w, DEFAULT_WORD_CAP
+    )
+    assert runs == [2 * m]
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,11 @@ right to left so each lower letter, or the normal form of a run of them,
 acts once on the level-k word built from the letters to its right.  The
 tower is an iterated semidirect product, so a run of lower letters acts on
 level k only through the element it is in the group below (Artin, Ann.
-Math. 48, 1947).  Once the level-k word is long, the scan combs the run of
-lower letters ending at the letter it has reached with the same engine, and
-acts by the run's normal form instead of its letters when the form is
-shorter: a relator of the lower group inside the run then costs nothing at
-level k.
+Math. 48, 1947).  Once the level-k word is long, the scan combs what is
+left of the run of lower letters ending at the letter it has reached with
+the same engine, once per run, and acts by the run's normal form instead of
+its letters when the form is shorter: a relator of the lower group inside
+the run then costs nothing at level k.
 
 Each signed actor letter has one action table, {target: image} for both
 signs of every target, kept per tower and filled a whole level at a time
@@ -206,9 +206,11 @@ def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ..
 # _RUN_COMB_LEVEL_LETTERS letters combs the run of lower letters ending there,
 # if the run has at least _RUN_COMB_MIN_LETTERS, and acts by the run's normal
 # form when that is shorter.  On warm passes of the seed-1 perfbench sweep
-# (2-core Xeon VM, best of 5 passes in each of 3 rounds), thresholds of 16,
-# 64 and 256 level letters ran alike (1.37-1.40 s) and 1 ran 15 % slower.
-# A prototype that combed every run of 3 or more letters before each level's
+# (2-core Xeon VM, best of 5 passes in each of 3 rounds), thresholds of 16
+# and 64 level letters ran alike (1.22-1.45 s), 256 ran 5-14 % slower, and
+# 1 ran 7-19 % faster but reaches a sub-comb in 25 of the 116 perfbench CLI
+# catalog calls and 1 of the 48 homology ops, against 1 and 0 at 64.  A
+# prototype that combed every run of 3 or more letters before each level's
 # scan, whatever the level word's length, cost the homology workload 14 %
 # and a cold CLI call 9 %.
 _RUN_COMB_LEVEL_LETTERS = 64

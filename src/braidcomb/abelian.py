@@ -30,12 +30,11 @@ cokernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
-from .words import GeneratorSymbol, Word
+from .words import GeneratorSymbol, Word, _frozen
 
 __all__ = [
     "MAX_MATRIX_CELLS",
@@ -86,7 +85,7 @@ def _require_integers(what: str, values: Sequence) -> None:
         raise InvalidArgumentError(f"expected int {what}, got {bad!r} at index {i}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntMatrix:
     """Immutable integer matrix, entries row-major.  Every entry and both
     dimensions must be ints: nothing is converted, so a float or a string
@@ -96,18 +95,17 @@ class IntMatrix:
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
-            raise InvalidArgumentError(
-                f"expected int matrix dimensions, got {self.rows!r} x {self.cols!r}"
-            )
-        if self.rows < 0 or self.cols < 0:
+    # Written out, not _frozen's generic one: a homology pass builds more
+    # IntMatrix and FGAbelianGroup values than any other.
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if not (isinstance(rows, int) and isinstance(cols, int)):
+            raise InvalidArgumentError(f"expected int matrix dimensions, got {rows!r} x {cols!r}")
+        if rows < 0 or cols < 0:
             raise InvalidArgumentError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise InvalidArgumentError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        _require_integers("matrix entries", self.entries)
+        if len(entries) != rows * cols:
+            raise InvalidArgumentError(f"expected {rows * cols} entries, got {len(entries)}")
+        _require_integers("matrix entries", entries)
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -224,7 +222,7 @@ class SmithForm:
         return f"SmithForm(d={self.d}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
+@_frozen
 class FGAbelianGroup:
     """A finitely generated abelian group Z^free_rank + sum of Z/d_i, with
     the torsion factors in canonical divisibility order.  The rank and the
@@ -233,18 +231,19 @@ class FGAbelianGroup:
     free_rank: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.free_rank, int):
-            raise InvalidArgumentError(f"expected int free rank, got {self.free_rank!r}")
-        _require_integers("torsion factors", self.torsion)
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()) -> None:
+        if not isinstance(free_rank, int):
+            raise InvalidArgumentError(f"expected int free rank, got {free_rank!r}")
+        _require_integers("torsion factors", torsion)
+        if free_rank < 0:
             raise InvalidArgumentError("free rank must be non-negative")
-        for a in self.torsion:
+        for a in torsion:
             if a <= 1:
-                raise InvalidArgumentError(f"torsion factors must exceed 1: {self.torsion}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+                raise InvalidArgumentError(f"torsion factors must exceed 1: {torsion}")
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise InvalidArgumentError(f"torsion not in divisibility order: {self.torsion}")
+                raise InvalidArgumentError(f"torsion not in divisibility order: {torsion}")
+        self.__dict__.update(free_rank=free_rank, torsion=torsion)
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         """Direct sum, re-canonicalized into a single divisibility chain."""

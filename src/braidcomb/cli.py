@@ -12,7 +12,6 @@ prints its seed, so reports are byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from collections.abc import Sequence
@@ -165,6 +164,8 @@ def _print_result(fmt: str, out: TextIO, payload: dict, lines: Sequence[str]) ->
     that picks between --format text and json; presentation's formats, gap
     among them, are export_presentation's."""
     if fmt == "json":
+        import json  # here only: a text call never reads it
+
         print(json.dumps({"schema_version": 1, **payload}, indent=2), file=out)
     else:
         for line in lines:

@@ -51,7 +51,6 @@ integers and decodes nothing.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import add
@@ -65,6 +64,7 @@ from .words import (
     GeneratorSymbol,
     Letter,
     Word,
+    _frozen,
     _trusted,
     apply_homomorphism,
     exponent_sum,
@@ -87,7 +87,7 @@ __all__ = [
     "center_check",
 ]
 
-@dataclass(frozen=True)
+@_frozen
 class NormalForm:
     """The tower decomposition (w_n, w_{n-1}, ..., w_1), kernel first."""
 
@@ -591,7 +591,7 @@ def theta_decompose(
     return exponent, word_power(element_Theta(tower.n), -exponent) * w
 
 
-@dataclass(frozen=True)
+@_frozen
 class CenterReport:
     """Outcome of a centre check: does Theta commute with every generator,
     and does every other generator visibly fail to be central?"""

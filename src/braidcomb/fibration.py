@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,7 +56,7 @@ from .presentations import (
     orbit_presentation,
     quotient_by,
 )
-from .words import IDENTITY, GeneratorSymbol, GenFamily, Word, _trusted
+from .words import IDENTITY, GeneratorSymbol, GenFamily, Word, _frozen, _trusted
 
 
 class Surface(enum.Enum):
@@ -111,7 +110,7 @@ def fibre_presentation(surface: Surface, n: int) -> Presentation:
     return orbit_presentation(n - 1)
 
 
-@dataclass(frozen=True)
+@_frozen
 class FibreElement:
     """An element of the fibre group R_{n-1} x Z^{n-1}.
 
@@ -328,7 +327,7 @@ def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     return IntMatrix.from_columns(n - 1 + len(data.generators), columns)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExactnessReport:
     """Abelianized exactness facts for one (surface, n)."""
 
@@ -359,7 +358,7 @@ def exactness_report(surface: Surface, n: int) -> ExactnessReport:
     return ExactnessReport(surface, n, sf.rank, sf.rank == n, saturated)
 
 
-@dataclass(frozen=True)
+@_frozen
 class QuotientReport:
     """H1 of the configuration quotient computed along two routes."""
 
@@ -435,7 +434,7 @@ def _check_split_n(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@_frozen
 class SplitReport:
     """Outcome of the coordinate-vector splitting check."""
 
@@ -524,7 +523,7 @@ def split_ses_check(
     return SplitReport(coeff, n, vec, unit_at, section_ok, quotient, expected)
 
 
-@dataclass(frozen=True)
+@_frozen
 class NonSplitReport:
     """Torsion obstruction to splitting the sphere's k = 2 sequence."""
 
@@ -562,7 +561,7 @@ def nonsplit_witness_s2(n: int) -> NonSplitReport:
 # --- word-level identities ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class BoundarySumReport:
     """The signed sum of all boundary images against tau_hat squared."""
 

@@ -38,8 +38,6 @@ relators are first read; H1, which never reads them, is not held to it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InvalidArgumentError, MissingImageError
@@ -49,6 +47,7 @@ from .words import (
     GeneratorSymbol,
     Letter,
     Word,
+    _frozen,
     _trusted,
     band_gen,
     format_word,
@@ -86,7 +85,7 @@ MAX_TOWER_GENERATORS = 2_500
 MAX_RELATORS = 20_000
 
 
-@dataclass(frozen=True)
+@_frozen
 class TowerSpec:
     """The iterated-semidirect-product shape of a group's generating set.
 
@@ -146,7 +145,7 @@ class TowerSpec:
 # --- presentations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class Presentation:
     """Generators, relators (each relator r asserts r = identity), and an
     optional tower ``(family, n)`` describing the semidirect decomposition.
@@ -162,10 +161,10 @@ class Presentation:
     generators: tuple[GeneratorSymbol, ...]
     relators: tuple[Word, ...]
     tower: TowerSpec | None = None
-    # (tower, extras) for a marked presentation; only the builders here set it.
-    _marked: tuple[TowerSpec, tuple[Word, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # (tower, extras) for a marked presentation; only the builders here set
+    # it.  Unannotated, so it is no field: not an __init__ argument, and no
+    # part of ==, hash or repr.
+    _marked = None
 
     def __post_init__(self) -> None:
         known = set(self.generators)
@@ -506,6 +505,8 @@ def _parse_text(source: str) -> Presentation:
 
 
 def _export_json(p: Presentation) -> str:
+    import json  # here and in _parse_json only: most calls never read it
+
     payload = {
         "schema_version": 1,
         "generators": [str(g) for g in p.generators],
@@ -530,6 +531,8 @@ def _symbol_from_text(token: str) -> GeneratorSymbol:
 
 
 def _parse_json(source: str) -> Presentation:
+    import json
+
     try:
         payload = json.loads(source)
     except json.JSONDecodeError as exc:

@@ -29,9 +29,9 @@ emits ``^-1``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidArgumentError, MissingImageError, WordSizeExceededError
@@ -67,6 +67,104 @@ DEFAULT_WORD_CAP = 10**6
 _SHARED_SYMBOLS = 8192
 
 
+def _frozen(cls):
+    """Make cls an immutable value class over its annotated fields, in order.
+
+    Installs __eq__ between instances of the same class, comparing their
+    field tuples; __hash__ of the field tuple, unless cls writes its own;
+    a repr ``Cls(f=v, ...)``; __setattr__ and __delattr__ that raise
+    AttributeError; and, unless cls writes its own, an __init__ taking the
+    fields by position or keyword, a class attribute of a field's name
+    being its default, that then calls __post_init__ if cls has one.
+    Nothing is compiled: dataclasses would import inspect and exec each
+    class's methods, a tenth of a cold CLI call.  Every field lives in the
+    instance __dict__, which is all _trusted and pickle rely on.
+    """
+    names = tuple(cls.__annotations__)
+    count = len(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    qualname = cls.__qualname__
+    if count == 1:
+        get = attrgetter(names[0])
+
+        def key(obj):
+            return (get(obj),)
+
+    else:
+        key = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={value!r}" for name, value in zip(names, key(self))])
+        return f"{qualname}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {qualname}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {qualname}")
+
+    def bind(args, kwargs):
+        """The field values, in order, for a call that is not exactly one
+        positional argument per field."""
+        if len(args) > count:
+            raise TypeError(f"{qualname}() takes {count} arguments but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{qualname}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{qualname}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        return values
+
+    post_init = cls.__dict__.get("__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    methods = {
+        "__eq__": __eq__,
+        "__repr__": __repr__,
+        "__setattr__": __setattr__,
+        "__delattr__": __delattr__,
+    }
+    if cls.__dict__.get("__hash__") is None:
+        methods["__hash__"] = __hash__
+    if "__init__" not in cls.__dict__:
+        methods["__init__"] = __init__
+    for name, method in methods.items():
+        method.__qualname__ = f"{qualname}.{name}"
+        setattr(cls, name, method)
+    return cls
+
+
+def _trusted(cls, **fields):
+    """An instance of the _frozen class cls built without __init__ or
+    __post_init__.
+
+    Only for values whose invariants the caller has already checked; public
+    construction always validates.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class GenFamily(Enum):
     """The two generator alphabets; the value is the text-syntax letter."""
 
@@ -77,7 +175,7 @@ class GenFamily(Enum):
 _FAMILIES = tuple(GenFamily)  # a family's position here is its ordinal
 
 
-@dataclass(frozen=True)
+@_frozen
 class GeneratorSymbol:
     """A single indexed generator, e.g. r(3,1) or A(1,2).
 
@@ -146,7 +244,7 @@ def band_gen(i: int, j: int) -> GeneratorSymbol:
     return _symbol("A", (i, j))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Letter:
     """A generator with an exponent of +1 or -1."""
 
@@ -164,7 +262,7 @@ class Letter:
         return format_letter(self)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Word:
     """A freely reduced word; the empty word is the group identity.
 
@@ -214,16 +312,6 @@ class Word:
 IDENTITY = Word()
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls built without __post_init__.
-
-    Only for values whose invariants the caller has already checked; public
-    construction always validates.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def reduce(raw: Iterable[Letter]) -> Word:
@@ -300,6 +388,12 @@ _TOKEN_RE = re.compile(
     r"^([rA])\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)(?:\^(-?\d+))?$"
 )
 
+# The most digits an index or a ^k exponent may have.  A longer number is
+# refused before it is converted: Python refuses to convert a string of
+# more than 4,300 digits (640 at the least a user may set) to an int, and
+# no tower index nor any exponent within a word cap comes near 100 digits.
+_MAX_NUMBER_DIGITS = 100
+
 
 def format_letter(letter: Letter) -> str:
     base = str(letter.symbol)
@@ -317,7 +411,8 @@ def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
     """Parse the canonical text syntax back into a Word.
 
     The empty string and the lone token ``1`` give the identity.  Exponent
-    suffixes ``^k`` are expanded; ``k = 0`` is rejected.  A text whose
+    suffixes ``^k`` are expanded; ``k = 0`` is rejected, and so is an index
+    or exponent of more than _MAX_NUMBER_DIGITS digits.  A text whose
     expanded length would pass word_cap raises WordSizeExceededError before
     the token that passes it is expanded, even if the word would reduce to
     fewer letters.
@@ -335,6 +430,10 @@ def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
         char, first, second, power = match.groups()
         if second is None:
             raise InvalidArgumentError(f"{char} takes two indices: {token!r}")
+        if max(len(first), len(second), len((power or "").lstrip("-"))) > _MAX_NUMBER_DIGITS:
+            raise InvalidArgumentError(
+                f"a number in a {char}(...) letter has more than {_MAX_NUMBER_DIGITS} digits"
+            )
         symbol = _symbol(char, (int(first), int(second)))
         k = 1 if power is None else int(power)
         if k == 0:

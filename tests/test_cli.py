@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 
 from braidcomb import cli
 from braidcomb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_WORD_CAP, main
-from braidcomb.combing import comb
+from braidcomb.combing import CenterReport, comb
 from braidcomb.presentations import TowerSpec, orbit_presentation, parse_presentation
 from braidcomb.words import GenFamily, orbit_gen, parse_word
 
@@ -415,6 +414,10 @@ _PINNED_COMB_WORDS = {
 }
 
 
+# Numbers past Python's int-string limit of 4,300 digits.
+_HUGE_DIGIT_WORDS = ("r(2,1)^" + "9" * 5000, "r(" + "9" * 5000 + ",0)")
+
+
 def _pinned_cli_argvs():
     for n in range(1, 5):
         for fmt in ("text", "json"):
@@ -448,7 +451,7 @@ def _pinned_cli_argvs():
         yield ("verify", "--suite", "relators", "--n", "3", "--word-cap", "2", "--format", fmt)
         yield ("verify", "--suite", "theta", "--n", "3", "--word-cap", "2", "--format", fmt)
         # Words that do not parse, or lie outside the tower.
-        for word in ("q(1,0)", "p(1)", "A(1,2)", "r(4,0)", "r(1,0"):
+        for word in ("q(1,0)", "p(1)", "A(1,2)", "r(4,0)", "r(1,0", *_HUGE_DIGIT_WORDS):
             yield ("comb", "--n", "3", "--word", word, "--format", fmt)
         yield ("comb", "--group", "pn", "--n", "3", "--word", "A(1,4)", "--format", fmt)
     # Flags argparse refuses.
@@ -707,6 +710,18 @@ PINNED_CLI_SHA256 = {
     'abelianize --group qq --n 2': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cdd20723bed2bf72b2c249753dda4d30f3f40d29a7c3b85fad017efe243f47e9'),
     'boundary --surface s2 --n 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '4501234541c0b82470275bf8cd709a61d00d4c6a31ee77f3663b7f782c43376f'),
 }
+# The huge-digit words, too long to write out as keys.
+PINNED_CLI_SHA256.update(
+    {
+        f"comb --n 3 --word {word} --format {fmt}": (
+            2,
+            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+            '4a5fb24d1e051a248a399deabca065474fde5fcd7f6af39b573b0d5d68116bb5',
+        )
+        for word in _HUGE_DIGIT_WORDS
+        for fmt in ("text", "json")
+    }
+)
 
 
 def test_every_command_and_format_is_pinned(capsys):
@@ -909,7 +924,14 @@ def test_verify_center_formats_library_failures(capsys, monkeypatch):
     real = cli.center_check
 
     def one_failure(p, **kwargs):
-        return dataclasses.replace(real(p, **kwargs), commutation_failures=(orbit_gen(2, 1),))
+        report = real(p, **kwargs)
+        return CenterReport(
+            n=report.n,
+            theta_commutes=report.theta_commutes,
+            commutation_failures=(orbit_gen(2, 1),),
+            theta_powers=report.theta_powers,
+            witnesses=report.witnesses,
+        )
 
     monkeypatch.setattr(cli, "center_check", one_failure)
     code, out, _ = run(capsys, "verify", "--suite", "center", "--n", "2")
@@ -967,3 +989,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "generators: r(1,0)\n(no relators)\n"
+
+
+_COLD_TEXT_COMB = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from braidcomb.cli import main
+code = main(["comb", "--group", "gn", "--n", "3", "--word", "r(2,1) r(3,0) r(1,0)^-1"])
+print(code, sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules))
+"""
+
+
+def test_a_text_comb_imports_no_dataclasses_inspect_or_json():
+    # -S skips site, which alone would load some of these modules.
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_TEXT_COMB, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_a_number_of_too_many_digits_is_a_usage_error(capsys):
+    for word in _HUGE_DIGIT_WORDS:
+        code, out, err = run(capsys, "comb", "--group", "gn", "--n", "3", "--word", word)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --word is not a valid word: a number in a r(...) letter has more than 100 digits\n"

@@ -14,22 +14,40 @@ from hypothesis import given, strategies as st
 
 import braidcomb
 from braidcomb import (
+    IDENTITY,
+    BoundarySumReport,
+    CenterReport,
+    ExactnessReport,
+    FGAbelianGroup,
+    FibreElement,
     GenFamily,
     GeneratorSymbol,
+    IntMatrix,
     InvalidArgumentError,
     Letter,
     MissingImageError,
+    NonSplitReport,
+    NormalForm,
+    Presentation,
+    QuotientReport,
+    SplitReport,
+    Surface,
     TowerSpec,
     Word,
     WordSizeExceededError,
+    abelian,
     apply_homomorphism,
     band_gen,
+    combing,
     concat,
     exponent_sum,
+    fibration,
     format_word,
     invert,
     orbit_gen,
+    orbit_presentation,
     parse_word,
+    presentations,
     reduce,
     word_power,
     words,
@@ -254,6 +272,17 @@ def test_parse_bounds_expansion_by_the_cap():
         parse_word("r(1,0)^6 r(1,0)^-5", word_cap=10)
 
 
+def test_parse_refuses_a_number_of_too_many_digits_before_converting_it():
+    huge = "9" * 5000  # past Python's int-string limit of 4,300 digits
+    for text in (f"r(2,1)^{huge}", f"r(2,1)^-{huge}", f"r({huge},0)", f"A(1,{huge})"):
+        with pytest.raises(InvalidArgumentError, match="more than 100 digits"):
+            parse_word(text)
+    # Up to the bound an exponent is read and refused by the word cap.
+    with pytest.raises(WordSizeExceededError) as err:
+        parse_word("r(2,1)^" + "9" * 100)
+    assert err.value.length == 10**100 - 1
+
+
 def test_parse_rejects_garbage():
     for bad in ["q(1,0)", "r(1)", "p(1)", "p(1)^2", "p(1,2)", "r(1,0]^2", "r(1,0)^", "A(3,2)"]:
         with pytest.raises(InvalidArgumentError):
@@ -317,3 +346,123 @@ def test_exponent_sum_is_additive(u, v, s):
 @given(_words)
 def test_text_round_trip(w):
     assert parse_word(format_word(w)) == w
+
+
+# --- frozen value classes -------------------------------------------------------
+
+_S2_3 = FibreElement.identity(Surface.S2, 3)
+
+# (class, the fields of one value, a (field, value) change that makes
+# another value, the fields left at their defaults in that value)
+_VALUE_CLASSES = [
+    (GeneratorSymbol, dict(family=GenFamily.ORBIT, indices=(2, 1)), ("indices", (2, 0)), ()),
+    (Letter, dict(symbol=R21, exponent=1), ("exponent", -1), ("exponent",)),
+    (Word, dict(letters=()), ("letters", (L(R10),)), ("letters",)),
+    (TowerSpec, dict(family=GenFamily.BAND, n=3), ("n", 4), ()),
+    (
+        Presentation,
+        dict(generators=(R10,), relators=(parse_word("r(1,0)^2"),), tower=None),
+        ("relators", ()),
+        ("tower",),
+    ),
+    (NormalForm, dict(levels=(parse_word("r(2,1)"), IDENTITY)), ("levels", (IDENTITY, IDENTITY)), ()),
+    (
+        CenterReport,
+        dict(n=2, theta_commutes=True, commutation_failures=(), theta_powers=(R10,), witnesses=((R21, None),)),
+        ("theta_commutes", False),
+        (),
+    ),
+    (IntMatrix, dict(rows=1, cols=2, entries=(1, 2)), ("entries", (2, 1)), ()),
+    (FGAbelianGroup, dict(free_rank=1, torsion=()), ("torsion", (2,)), ("torsion",)),
+    (FibreElement, dict(surface=Surface.S2, n=3, r_part=IDENTITY, z_part=(0, 0)), ("z_part", (1, 0)), ()),
+    (
+        ExactnessReport,
+        dict(surface=Surface.S2, n=3, matrix_rank=3, injective=True, z_factor_saturated=True),
+        ("injective", False),
+        (),
+    ),
+    (
+        QuotientReport,
+        dict(surface=Surface.RP2, n=2, from_cokernel=FGAbelianGroup(1), from_presentation=FGAbelianGroup(1)),
+        ("from_presentation", FGAbelianGroup(0, (2,))),
+        (),
+    ),
+    (
+        SplitReport,
+        dict(
+            coeff=FGAbelianGroup(1), n=2, vector=(1, 0), section_index=0, section_identity=True,
+            quotient=FGAbelianGroup(1), expected=FGAbelianGroup(1),
+        ),
+        ("section_index", 1),
+        (),
+    ),
+    (
+        NonSplitReport,
+        dict(n=3, middle_h1=FGAbelianGroup(5), quotient_h1=FGAbelianGroup(4, (2,)),
+             middle_torsion_free=True, quotient_has_two_torsion=True),
+        ("n", 4),
+        (),
+    ),
+    (
+        BoundarySumReport,
+        dict(surface=Surface.S2, n=3, signed_sum=_S2_3, tau_hat_squared=_S2_3, agree=True),
+        ("agree", False),
+        (),
+    ),
+]
+
+
+def test_every_frozen_class_is_covered():
+    frozen_setattr = Word.__setattr__.__code__
+    found = {
+        cls
+        for module in (words, presentations, combing, abelian, fibration)
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and getattr(cls.__dict__.get("__setattr__"), "__code__", None) is frozen_setattr
+    }
+    assert found == {case[0] for case in _VALUE_CLASSES}
+    assert len(found) == 15
+
+
+@pytest.mark.parametrize(
+    "cls, fields, change, defaults", _VALUE_CLASSES, ids=[case[0].__name__ for case in _VALUE_CLASSES]
+)
+def test_a_frozen_value_class(cls, fields, change, defaults):
+    value = cls(**fields)
+    twin = cls(*fields.values())
+    other = cls(**dict(fields, **dict([change])))
+    assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
+
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
+
+    # Equal only to a value of its own class with equal fields.
+    assert value == twin and not value != twin
+    assert value != other
+    assert value != tuple(fields.values())
+    lookalike = words._frozen(type("Lookalike", (), {"__annotations__": dict.fromkeys(fields)}))
+    assert value != lookalike(**fields) and lookalike(**fields) != value
+
+    assert hash(value) == hash(twin) == hash(cls(**fields))
+    assert len({value, twin, other}) == 2
+
+    assert cls(**{name: v for name, v in fields.items() if name not in defaults}) == value
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), *fields.values())
+
+    assert repr(value).startswith(f"{cls.__name__}({next(iter(fields))}=")
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+
+
+def test_a_marked_presentation_survives_pickle_and_deepcopy():
+    marked = orbit_presentation(3)
+    for copied in (pickle.loads(pickle.dumps(marked)), copy.deepcopy(marked)):
+        assert copied == marked and copied.relators == marked.relators

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
-from .words import GeneratorSymbol, Word, _frozen
+from .words import GeneratorSymbol, Word, _frozen, _set
 
 __all__ = [
     "MAX_MATRIX_CELLS",
@@ -105,7 +105,9 @@ class IntMatrix:
         if len(entries) != rows * cols:
             raise InvalidArgumentError(f"expected {rows * cols} entries, got {len(entries)}")
         _require_integers("matrix entries", entries)
-        self.__dict__.update(rows=rows, cols=cols, entries=entries)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -243,7 +245,8 @@ class FGAbelianGroup:
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise InvalidArgumentError(f"torsion not in divisibility order: {torsion}")
-        self.__dict__.update(free_rank=free_rank, torsion=torsion)
+        _set(self, "free_rank", free_rank)
+        _set(self, "torsion", torsion)
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         """Direct sum, re-canonicalized into a single divisibility chain."""

@@ -67,6 +67,9 @@ DEFAULT_WORD_CAP = 10**6
 _SHARED_SYMBOLS = 8192
 
 
+_set = object.__setattr__  # how _frozen classes set a field
+
+
 def _frozen(cls):
     """Make cls an immutable value class over its annotated fields, in order.
 
@@ -77,25 +80,29 @@ def _frozen(cls):
     fields by position or keyword, a class attribute of a field's name
     being its default, that then calls __post_init__ if cls has one.
     Nothing is compiled: dataclasses would import inspect and exec each
-    class's methods, a tenth of a cold CLI call.  Every field lives in the
-    instance __dict__, which is all _trusted and pickle rely on.
+    class's methods, a tenth of a cold CLI call.  Fields are set through
+    object.__setattr__, as _trusted sets them: writing to the instance
+    __dict__ would build that dict, and more than double an instance's size.
     """
     names = tuple(cls.__annotations__)
     count = len(names)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    tail = tuple(defaults.values())  # the defaults of the last fields, in order
+    if names[count - len(tail):] != tuple(defaults):
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
     qualname = cls.__qualname__
+    get = attrgetter(*names)  # the one field's value, or a tuple of them
     if count == 1:
-        get = attrgetter(names[0])
 
         def key(obj):
             return (get(obj),)
 
     else:
-        key = attrgetter(*names)
+        key = get
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return key(self) == key(other)
+            return get(self) == get(other)
         return NotImplemented
 
     def __hash__(self):
@@ -114,7 +121,10 @@ def _frozen(cls):
     def bind(args, kwargs):
         """The field values, in order, for a call that is not exactly one
         positional argument per field."""
-        if len(args) > count:
+        missing = count - len(args)
+        if not kwargs and 0 < missing <= len(tail):
+            return args + tail[-missing:]
+        if missing < 0:
             raise TypeError(f"{qualname}() takes {count} arguments but {len(args)} were given")
         values = list(args)
         for name in names[len(args):]:
@@ -133,7 +143,8 @@ def _frozen(cls):
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != count:
             args = bind(args, kwargs)
-        self.__dict__.update(zip(names, args))
+        for name, value in zip(names, args):
+            _set(self, name, value)
         if post_init is not None:
             post_init(self)
 
@@ -161,7 +172,8 @@ def _trusted(cls, **fields):
     construction always validates.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        _set(obj, name, value)
     return obj
 
 
@@ -251,9 +263,13 @@ class Letter:
     symbol: GeneratorSymbol
     exponent: int = 1
 
-    def __post_init__(self) -> None:
-        if self.exponent not in (1, -1):
-            raise InvalidArgumentError(f"letter exponent must be +1 or -1, got {self.exponent}")
+    # Letter and Word write their __init__ out, not _frozen's generic one:
+    # presentations build them by the hundred thousand.
+    def __init__(self, symbol: GeneratorSymbol, exponent: int = 1) -> None:
+        if exponent not in (1, -1):
+            raise InvalidArgumentError(f"letter exponent must be +1 or -1, got {exponent}")
+        _set(self, "symbol", symbol)
+        _set(self, "exponent", exponent)
 
     def inverse(self) -> "Letter":
         return Letter(self.symbol, -self.exponent)
@@ -272,9 +288,9 @@ class Word:
 
     letters: tuple[Letter, ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
         prev = None
-        for cur in self.letters:
+        for cur in letters:
             if (
                 prev is not None
                 and prev.exponent == -cur.exponent
@@ -284,6 +300,7 @@ class Word:
                     f"word is not freely reduced at ...{format_letter(prev)} {format_letter(cur)}..."
                 )
             prev = cur
+        _set(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -441,5 +458,5 @@ def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:
         if len(raw) + abs(k) > word_cap:
             raise WordSizeExceededError(len(raw) + abs(k), word_cap, "input word")
         sign = 1 if k > 0 else -1
-        raw.extend(Letter(symbol, sign) for _ in range(abs(k)))
+        raw += [Letter(symbol, sign)] * abs(k)  # one shared, immutable letter
     return reduce(raw)

@@ -87,9 +87,6 @@ def _frozen(cls):
     names = tuple(cls.__annotations__)
     count = len(names)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    tail = tuple(defaults.values())  # the defaults of the last fields, in order
-    if names[count - len(tail):] != tuple(defaults):
-        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
     qualname = cls.__qualname__
     get = attrgetter(*names)  # the one field's value, or a tuple of them
     if count == 1:
@@ -121,10 +118,7 @@ def _frozen(cls):
     def bind(args, kwargs):
         """The field values, in order, for a call that is not exactly one
         positional argument per field."""
-        missing = count - len(args)
-        if not kwargs and 0 < missing <= len(tail):
-            return args + tail[-missing:]
-        if missing < 0:
+        if len(args) > count:
             raise TypeError(f"{qualname}() takes {count} arguments but {len(args)} were given")
         values = list(args)
         for name in names[len(args):]:
@@ -148,19 +142,14 @@ def _frozen(cls):
         if post_init is not None:
             post_init(self)
 
-    methods = {
-        "__eq__": __eq__,
-        "__repr__": __repr__,
-        "__setattr__": __setattr__,
-        "__delattr__": __delattr__,
-    }
+    cls.__eq__ = __eq__
+    cls.__repr__ = __repr__
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
     if cls.__dict__.get("__hash__") is None:
-        methods["__hash__"] = __hash__
+        cls.__hash__ = __hash__
     if "__init__" not in cls.__dict__:
-        methods["__init__"] = __init__
-    for name, method in methods.items():
-        method.__qualname__ = f"{qualname}.{name}"
-        setattr(cls, name, method)
+        cls.__init__ = __init__
     return cls
 
 

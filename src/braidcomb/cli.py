@@ -55,6 +55,7 @@ from .words import (
     format_word,
     orbit_gen,
     parse_word,
+    reduce,
     word_power,
 )
 
@@ -152,10 +153,10 @@ def _parse_word_flag(text: str, word_cap: int) -> Word:
 def _random_word(rng: random.Random, generators: Sequence, max_length: int) -> Word:
     if not generators:  # P_1 has no generators; only the identity is a word
         return IDENTITY
-    w = IDENTITY
-    for _ in range(rng.randint(0, max_length)):
-        w = w * Word((Letter(rng.choice(generators), rng.choice((1, -1))),))
-    return w
+    return reduce(
+        Letter(rng.choice(generators), rng.choice((1, -1)))
+        for _ in range(rng.randint(0, max_length))
+    )
 
 
 def _print_result(fmt: str, out: TextIO, payload: dict, lines: Sequence[str]) -> None:

@@ -14,7 +14,9 @@ Math. 48, 1947).  Once the level-k word is long, the scan combs what is
 left of the run of lower letters ending at the letter it has reached with
 the same engine, once per run, and acts by the run's normal form instead of
 its letters when the form is shorter: a relator of the lower group inside
-the run then costs nothing at level k.
+the run then costs nothing at level k.  The form acts whole or not at all:
+if its comb or its action passes the word cap, or it is not shorter, the
+run's own letters act, so a refusal always names a letter the scan read.
 
 Each signed actor letter has one action table, {target: image} for both
 signs of every target, kept per tower and filled a whole level at a time
@@ -34,10 +36,9 @@ image against the output only where the two meet, since both are freely
 reduced.  The word cap is exact per target letter: the scan stops at the
 first letter whose image takes the word past it.  No image is longer than
 the engine's longest, so the cap is checked once per block of letters that
-cannot reach it, and letter by letter only near it.  A run's sub-comb
-counts every letter the outer scan holds, and every letter it has yet to
-read, against the same cap; a sub-comb past it refuses nothing, and the
-run's own letters act instead.
+cannot reach it, and letter by letter only near it.  A run's sub-comb,
+and its form's action, count every letter the outer scan holds, and every
+letter it has yet to read, against the same cap.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
@@ -377,17 +378,23 @@ class _Comber:
         del out[0]
         return out
 
-    def _shorter_form(self, run: list[int], cap: int, overhead: int) -> list[int] | None:
-        """The letters of run's normal form, kernel first, when the form is
-        shorter than run; None when it is not, or when combing run passes
-        the cap with overhead letters held outside it."""
+    def _form_acted(
+        self, run: list[int], rev_k: list[int], k: int, cap: int, held: int
+    ) -> tuple[list[int], list[int]] | None:
+        """rev_k acted on by the normal form of run, and the form's letters,
+        kernel first, when the form is shorter than run and both its comb
+        and its whole action fit under cap with held letters outside run and
+        rev_k; None otherwise, and the run's own letters act instead."""
         top = max([self.level_of[abs(v)] for v in run])
         try:
-            parts = self.comb(run, cap, top, overhead)
+            form = [v for part in self.comb(run, cap, top, held + len(rev_k)) for v in part]
+            if len(form) >= len(run):
+                return None
+            for v in reversed(form):
+                rev_k = self._conjugate_rev(v, rev_k, k, cap, held + len(form))
         except WordSizeExceededError:
             return None
-        form = [v for part in parts for v in part]
-        return form if len(form) < len(run) else None
+        return rev_k, form
 
     def comb(
         self, ints: list[int], cap: int, top: int | None = None, overhead: int = 0
@@ -425,25 +432,18 @@ class _Comber:
                         # at least the level word's length per letter, so
                         # what is left of the run is combed once it is no
                         # longer than the level word, and only that once: a
-                        # form that is not shorter leaves the rest of the run
-                        # to act letter by letter, as it would without run
-                        # combing.
+                        # form that is not shorter, or does not fit under the
+                        # cap, leaves the rest of the run to act letter by
+                        # letter, as it would without run combing.
                         if _RUN_COMB_MIN_LETTERS <= pos + 1 - start <= len(rev_k):
                             tried = True
-                            form = self._shorter_form(
-                                rest[start : pos + 1],
-                                cap,
-                                overhead + start + len(rev_rest) + len(rev_k),
-                            )
-                            if form is not None:
-                                pos = start  # a refusal names the run's first letter
-                                for j in range(len(form) - 1, -1, -1):
-                                    rev_k = self._conjugate_rev(
-                                        form[j], rev_k, k, cap,
-                                        overhead + start + j + 1 + len(rev_rest),
-                                    )
-                                    _push(rev_rest, form[j])
-                                pos -= 1
+                            held = overhead + start + len(rev_rest)
+                            acted = self._form_acted(rest[start : pos + 1], rev_k, k, cap, held)
+                            if acted is not None:
+                                rev_k, form = acted
+                                for v in reversed(form):
+                                    _push(rev_rest, v)
+                                pos = start - 1
                                 continue
                     if rev_k:
                         rev_k = self._conjugate_rev(

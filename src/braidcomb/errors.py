@@ -30,11 +30,11 @@ class WordSizeExceededError(BraidCombError, RuntimeError):
     silently.  For an intermediate word, level is the tower level k whose
     scan hit the cap, once the scan has named it, and position is the
     0-based index, within the word that scan read, of the lower letter whose
-    action hit it; for an input word both are None.  Where the scan acts by
-    the normal form of a run of lower letters, a letter of that form hitting
-    the cap gives the run's first index.  A sub-comb of a run that hits the
-    cap raises nothing: the run's own letters act instead, and any refusal
-    then names the level-k scan and a letter of the run.
+    action hit it; for an input word both are None.  Where the scan may act
+    by the normal form of a run of lower letters, the form acts whole or not
+    at all: a form whose comb or action hits the cap raises nothing, and the
+    run's own letters act instead, so position always names a letter the
+    scan read.
     """
 
     def __init__(

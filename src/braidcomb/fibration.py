@@ -131,6 +131,7 @@ class FibreElement:
             raise InvalidArgumentError(
                 f"z_part must have length {self.n - 1}, got {len(self.z_part)}"
             )
+        _require_integers("z_part exponents", self.z_part)
         family = self.surface.fibre_family
         for letter in self.r_part:
             sym = letter.symbol

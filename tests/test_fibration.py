@@ -61,6 +61,9 @@ def test_fibre_element_validation():
         FibreElement(S2, 3, parse_word("A(1,3)"), (0, 0))  # level too high
     with pytest.raises(InvalidArgumentError):
         FibreElement(RP2, 1, IDENTITY, ())  # below n0
+    for z_part in ((0.5, "x"), (1, 2.0), (0, None)):  # not ints
+        with pytest.raises(InvalidArgumentError, match="expected int z_part exponents"):
+            FibreElement(S2, 3, IDENTITY, z_part)
 
 
 def test_fibre_element_algebra():

@@ -102,6 +102,7 @@ class IntMatrix:
             raise InvalidArgumentError(f"expected int matrix dimensions, got {rows!r} x {cols!r}")
         if rows < 0 or cols < 0:
             raise InvalidArgumentError("matrix dimensions must be non-negative")
+        entries = tuple(entries)  # a tuple argument is returned as it is
         if len(entries) != rows * cols:
             raise InvalidArgumentError(f"expected {rows * cols} entries, got {len(entries)}")
         _require_integers("matrix entries", entries)
@@ -236,6 +237,7 @@ class FGAbelianGroup:
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()) -> None:
         if not isinstance(free_rank, int):
             raise InvalidArgumentError(f"expected int free rank, got {free_rank!r}")
+        torsion = tuple(torsion)  # a tuple argument is returned as it is
         _require_integers("torsion factors", torsion)
         if free_rank < 0:
             raise InvalidArgumentError("free rank must be non-negative")

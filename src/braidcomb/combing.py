@@ -42,11 +42,14 @@ letter it has yet to read, against the same cap.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
-for the invariants Word and NormalForm enforce (every letter on its
-component's level, no adjacent x x^-1) and then decoded through one shared
-Letter per signed generator, without validating it again, so comparing
-two combed forms is mostly identity checks; is_identity reads the checked
-integers and decodes nothing.
+for the invariants Word and NormalForm enforce, and each check is one C
+loop over a part: every letter on its component's level is one set
+containment, against the frozenset of that level's signed ids, and no
+adjacent x x^-1 is one pass over the sums of neighbouring ids.  A checked
+part is then decoded by one itemgetter call over the table of shared
+Letters, one per signed generator, without validating it again, so
+comparing two combed forms is mostly identity checks; is_identity reads
+the checked integers and decodes nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
 from .errors import InvalidArgumentError, WordSizeExceededError
@@ -66,6 +69,7 @@ from .words import (
     Letter,
     Word,
     _frozen,
+    _set,
     _trusted,
     apply_homomorphism,
     exponent_sum,
@@ -95,6 +99,7 @@ class NormalForm:
     levels: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        _set(self, "levels", tuple(self.levels))  # a tuple is kept as it is
         n = len(self.levels)
         for offset, w in enumerate(self.levels):
             expected = n - offset
@@ -236,6 +241,11 @@ class _Comber:
         for k in range(1, tower.n + 1):
             first = self.bounds[-1][1] + 1
             self.bounds.append((first, first + tower.kernel_rank(k) - 1))
+        # level_ids[k] holds level k's signed ids, both signs.
+        self.level_ids = [
+            frozenset([*range(first, last + 1), *range(-last, 1 - first)])
+            for first, last in self.bounds
+        ]
         # letters[v] is the shared Letter of the signed id v: positive ids
         # index from the front, negative ones from the back.
         self.letters = (
@@ -263,14 +273,10 @@ class _Comber:
     def check_part(self, k: int, part: Sequence[int]) -> None:
         """Raise InvalidArgumentError unless part is a freely reduced word on
         level k's alphabet: the invariants of Word and NormalForm, on ids."""
-        if not part:
-            return
-        first, last = self.bounds[k]
-        if not first <= min(map(abs, part)) or not max(map(abs, part)) <= last:
-            bad = next(v for v in part if not first <= abs(v) <= last)
-            raise InvalidArgumentError(
-                f"component at level {k} contains {self.symbols[abs(bad) - 1]}"
-            )
+        ids = self.level_ids[k]
+        if not ids.issuperset(part):
+            bad = next(v for v in part if v not in ids)
+            raise InvalidArgumentError(f"component at level {k} contains {self.name(bad)}")
         # Ids are non-zero, so an adjacent pair sums to 0 exactly when it is v, -v.
         if 0 in map(add, part, islice(part, 1, None)):
             at = next(i for i in range(len(part) - 1) if part[i] == -part[i + 1])
@@ -279,10 +285,20 @@ class _Comber:
                 f"{self.letters[part[at + 1]]}..."
             )
 
+    def name(self, v: int) -> str:
+        """The generator the signed id v stands for, or the id itself when
+        it stands for none of the tower's."""
+        if 0 < abs(v) <= len(self.symbols):
+            return str(self.symbols[abs(v) - 1])
+        return f"the unknown generator id {v}"
+
     def word(self, part: Sequence[int]) -> Word:
         """The Word of a part that passed check_part, built from the shared
         letters without validating it again."""
-        return _trusted(Word, letters=tuple(list(map(self.letters.__getitem__, part))))
+        if len(part) < 2:
+            # itemgetter of one index returns the bare item, not a tuple.
+            return _trusted(Word, letters=tuple([self.letters[v] for v in part]))
+        return _trusted(Word, letters=itemgetter(*part)(self.letters))
 
     def normal_form(self, parts: Sequence[Sequence[int]]) -> NormalForm:
         """The NormalForm of parts that each passed check_part, without
@@ -373,7 +389,7 @@ class _Comber:
             # The filled table holds every level-k letter, so y is on another
             # level: only a corrupted table can put it in rev_k.
             raise InvalidArgumentError(
-                f"component at level {k} contains {self.symbols[abs(y) - 1]}"
+                f"component at level {k} contains {self.name(y)}"
             ) from None
         del out[0]
         return out

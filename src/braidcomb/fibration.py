@@ -56,7 +56,7 @@ from .presentations import (
     orbit_presentation,
     quotient_by,
 )
-from .words import IDENTITY, GeneratorSymbol, GenFamily, Word, _frozen, _trusted
+from .words import IDENTITY, GeneratorSymbol, GenFamily, Word, _frozen, _set, _trusted
 
 
 class Surface(enum.Enum):
@@ -127,6 +127,7 @@ class FibreElement:
 
     def __post_init__(self) -> None:
         _fibre_tower(self.surface, self.n)
+        _set(self, "z_part", tuple(self.z_part))  # a tuple is kept as it is
         if len(self.z_part) != self.n - 1:
             raise InvalidArgumentError(
                 f"z_part must have length {self.n - 1}, got {len(self.z_part)}"

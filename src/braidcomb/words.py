@@ -191,7 +191,8 @@ class GeneratorSymbol:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = self.indices
+        idx = tuple(self.indices)  # a tuple argument is returned as it is
+        _set(self, "indices", idx)
         if self.family is GenFamily.ORBIT:
             if len(idx) != 2:
                 raise InvalidArgumentError(f"orbit generator needs 2 indices, got {idx}")
@@ -271,15 +272,20 @@ class Letter:
 class Word:
     """A freely reduced word; the empty word is the group identity.
 
-    Construction checks reducedness, so every Word in existence satisfies
-    the invariant; use :func:`reduce` to build one from raw letters.
+    Construction checks that every element is a Letter and that the word
+    is reduced, so every Word in existence satisfies the invariant; use
+    :func:`reduce` to build one from raw letters.  Any sequence of letters
+    is stored as a tuple.
     """
 
     letters: tuple[Letter, ...] = ()
 
     def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
+        letters = tuple(letters)  # a tuple argument is returned as it is
         prev = None
         for cur in letters:
+            if cur.__class__ is not Letter:
+                raise InvalidArgumentError(f"a word's letters must be Letters, got {cur!r}")
             if (
                 prev is not None
                 and prev.exponent == -cur.exponent

@@ -927,6 +927,67 @@ def test_integer_output_check_is_live(monkeypatch):
     c.check_part(2, [y, y])
 
 
+@pytest.mark.parametrize(
+    "k, part, message",
+    [
+        # The first letter off the level is named, by its symbol.
+        (2, [2, 3, 1, -1, -4], "component at level 2 contains r(1,0)"),
+        (1, [1, 1, -3, 2], "component at level 1 contains r(2,1)"),
+        (2, [2, 5, -6], "component at level 2 contains the unknown generator id 5"),
+        (1, [0], "component at level 1 contains the unknown generator id 0"),
+        # The level is checked before reducedness.
+        (1, [1, -1, 4], "component at level 1 contains r(2,2)"),
+        (2, [2, 3, -3, 4], "word is not freely reduced at ...r(2,1) r(2,1)^-1..."),
+    ],
+    ids=["wrong-level-positive", "wrong-level-negative", "past-the-last-id", "zero", "level-first", "unreduced"],
+)
+def test_integer_output_check_names_the_first_bad_letter(k, part, message):
+    # G_2: r(1,0) is id 1, r(2,0), r(2,1), r(2,2) are ids 2, 3, 4.
+    c = combing._Comber(G2.tower)
+    with pytest.raises(InvalidArgumentError) as raised:
+        c.check_part(k, part)
+    assert str(raised.value) == message
+
+
+def _reduced_part(rng, c, k, length):
+    """A seeded freely reduced word of length letters on level k's ids."""
+    first, last = c.bounds[k]
+    part = []
+    while len(part) < length:
+        v = rng.choice((1, -1)) * rng.randint(first, last)
+        if not part or v != -part[-1]:
+            part.append(v)
+    return part
+
+
+@pytest.mark.parametrize("tower", [G4.tower, TowerSpec(GenFamily.BAND, 6)], ids=["G4", "P6"])
+def test_trusted_decode_matches_the_checked_constructors(tower):
+    c = combing._Comber(tower)
+    rng = random.Random(20)
+
+    def checked(part):
+        return Word(tuple([Letter(c.symbols[abs(v) - 1], 1 if v > 0 else -1) for v in part]))
+
+    top = tower.n
+    for length in (0, 1, 2, 100, 137):
+        part = _reduced_part(rng, c, top, length)
+        c.check_part(top, part)
+        w = c.word(part)
+        # A one-index itemgetter returns a bare Letter, not a tuple.
+        assert type(w.letters) is tuple
+        assert w == checked(part) and len(w) == length
+    # One part per level, kernel first: long, two letters, one, then empty.
+    parts = [
+        _reduced_part(rng, c, k, length)
+        for k, length in zip(range(top, 0, -1), [120, 2, 1] + [0] * (top - 3))
+    ]
+    for k, part in zip(range(top, 0, -1), parts):
+        c.check_part(k, part)
+    form = c.normal_form(parts)
+    assert type(form.levels) is tuple
+    assert form == NormalForm(tuple([checked(part) for part in parts]))
+
+
 # --- projections and sections ---
 
 

@@ -190,6 +190,12 @@ def test_word_rejects_unreduced():
         Word((L(R10), L(R10, -1)))
 
 
+@pytest.mark.parametrize("letters", [("x",), (1, 2), (L(R10), R21)], ids=["str", "int", "symbol"])
+def test_word_refuses_an_element_that_is_not_a_letter(letters):
+    with pytest.raises(InvalidArgumentError, match="a word's letters must be Letters"):
+        Word(letters)
+
+
 def test_concat_boundary_cancellation():
     u = Word((L(R10), L(R21)))
     v = Word((L(R21, -1), L(R10, -1), L(R20)))
@@ -460,6 +466,31 @@ def test_a_frozen_value_class(cls, fields, change, defaults):
     assert repr(value).startswith(f"{cls.__name__}({next(iter(fields))}=")
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name",
+    [
+        (GeneratorSymbol, dict(family=GenFamily.ORBIT, indices=(2, 1)), "indices"),
+        (Word, dict(letters=(L(R10), L(R21))), "letters"),
+        (Presentation, dict(generators=(R10, R20), relators=(parse_word("r(1,0) r(2,0)^2"),)), "generators"),
+        (Presentation, dict(generators=(R10,), relators=(parse_word("r(1,0)^2"),)), "relators"),
+        (NormalForm, dict(levels=(parse_word("r(2,1)"), parse_word("r(1,0)"))), "levels"),
+        (FibreElement, dict(surface=Surface.S2, n=3, r_part=IDENTITY, z_part=(1, 0)), "z_part"),
+        (IntMatrix, dict(rows=1, cols=2, entries=(1, 2)), "entries"),
+        (FGAbelianGroup, dict(free_rank=1, torsion=(2, 4)), "torsion"),
+    ],
+    ids=[
+        "GeneratorSymbol", "Word", "Presentation-generators", "Presentation-relators",
+        "NormalForm", "FibreElement", "IntMatrix", "FGAbelianGroup",
+    ],
+)
+def test_a_list_argument_is_stored_as_a_tuple(cls, fields, name):
+    from_tuple = cls(**fields)
+    from_list = cls(**dict(fields, **{name: list(fields[name])}))
+    assert type(getattr(from_list, name)) is tuple
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert getattr(from_tuple, name) is fields[name]  # a tuple is not copied
 
 
 def test_a_marked_presentation_survives_pickle_and_deepcopy():

@@ -36,9 +36,11 @@ image against the output only where the two meet, since both are freely
 reduced.  The word cap is exact per target letter: the scan stops at the
 first letter whose image takes the word past it.  No image is longer than
 the engine's longest, so the cap is checked once per block of letters that
-cannot reach it, and letter by letter only near it.  A run's sub-comb,
-and its form's action, count every letter the outer scan holds, and every
-letter it has yet to read, against the same cap.
+cannot reach it, and letter by letter only near it.  A run's sub-comb
+never raises past its form, so it needs no offset: the outer scan hands it
+the room the cap leaves, the cap less the letters before the run and the
+lower letters held after it.  The run combs in that room less the level
+word, and its form acts on the level word in that room less the form.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
@@ -69,7 +71,6 @@ from .words import (
     Letter,
     Word,
     _frozen,
-    _set,
     _trusted,
     apply_homomorphism,
     exponent_sum,
@@ -99,7 +100,6 @@ class NormalForm:
     levels: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        _set(self, "levels", tuple(self.levels))  # a tuple is kept as it is
         n = len(self.levels)
         for offset, w in enumerate(self.levels):
             expected = n - offset
@@ -312,12 +312,17 @@ class _Comber:
         u = action_conjugator(self.symbols[x - 1], target)
         return tuple(self.encode(u * Word((Letter(target),)) * u.inverse()))
 
-    def _fill(self, x: int, k: int) -> None:
-        """Enter the images of both signs of every level-k target into the
-        table of the signed actor x, reversed.  A negative actor's images are
-        the peak-reduction inverse of the positive actor's, entered only once
-        they compose back to the identity."""
+    def table(self, x: int, k: int) -> dict[int, tuple[int, ...]]:
+        """The signed actor x's table {target id: reversed image}, with both
+        signs of every level-k target filled: the scan maintains level words
+        back to front.  A level is filled whole on its first read.  A
+        negative actor's images are the peak-reduction inverse of the
+        positive actor's, entered only once they compose back to the
+        identity."""
+        table = self._actions.setdefault(x, {})
         first, last = self.bounds[k]
+        if first in table:
+            return table
         images = {y: self._forward_image(abs(x), y) for y in range(first, last + 1)}
         if x < 0:
             forward, images = images, _peak_reduce(images)
@@ -328,38 +333,24 @@ class _Comber:
                         "failed verification"
                     )
         self.longest = max([self.longest, *map(len, images.values())])
-        table = self.action_table(x)
         for y, image in images.items():
             table[y] = image[::-1]
             table[-y] = tuple([-v for v in image])
-
-    def action_table(self, x: int) -> dict[int, tuple[int, ...]]:
-        """The actor x's table {target id: reversed image}, as filled so far."""
-        return self._actions.setdefault(x, {})
-
-    def rev_image(self, x: int, y: int) -> tuple[int, ...]:
-        """Image of the letter y under conjugation by the letter x, stored
-        reversed (the scan maintains level words back to front)."""
-        table = self.action_table(x)
-        if y not in table:
-            self._fill(x, self.level_of[abs(y)])
-        return table[y]
+        return table
 
     def _conjugate_rev(
-        self, x: int, rev_k: list[int], k: int, cap: int, overhead: int
+        self, x: int, rev_k: list[int], k: int, cap: int, held: int
     ) -> list[int]:
         """The reversed level-k word rev_k conjugated by the letter x, also
         reversed.  Raises WordSizeExceededError at the first letter of rev_k
-        after which the word, plus overhead letters, is longer than cap."""
-        table = self.action_table(x)
-        if self.bounds[k][0] not in table:
-            self._fill(x, k)
+        after which the word, plus held letters, is longer than cap."""
+        table = self.table(x, k)
         longest = self.longest
         # out[0] is a sentinel: ids are non-zero, so it never cancels and
-        # out is never empty.  base counts the overhead less the sentinel.
+        # out is never empty.  base counts the held letters less the sentinel.
         out = [0]
         extend, pop = out.extend, out.pop
-        base = overhead - 1
+        base = held - 1
         start, n = 0, len(rev_k)
         try:
             while start < n:
@@ -395,29 +386,26 @@ class _Comber:
         return out
 
     def _form_acted(
-        self, run: list[int], rev_k: list[int], k: int, cap: int, held: int
+        self, run: list[int], rev_k: list[int], k: int, room: int
     ) -> tuple[list[int], list[int]] | None:
-        """rev_k acted on by the normal form of run, and the form's letters,
-        kernel first, when the form is shorter than run and both its comb
-        and its whole action fit under cap with held letters outside run and
-        rev_k; None otherwise, and the run's own letters act instead."""
-        top = max([self.level_of[abs(v)] for v in run])
+        """rev_k acted on by the normal form of run, a run of letters below
+        level k, and the form's letters, kernel first, when the form is
+        shorter than run and room letters hold both its comb, beside rev_k,
+        and its whole action, beside the form; None otherwise, and the run's
+        own letters act instead."""
         try:
-            form = [v for part in self.comb(run, cap, top, held + len(rev_k)) for v in part]
+            form = [v for part in self.comb(run, room - len(rev_k), k - 1) for v in part]
             if len(form) >= len(run):
                 return None
             for v in reversed(form):
-                rev_k = self._conjugate_rev(v, rev_k, k, cap, held + len(form))
+                rev_k = self._conjugate_rev(v, rev_k, k, room, len(form))
         except WordSizeExceededError:
             return None
         return rev_k, form
 
-    def comb(
-        self, ints: list[int], cap: int, top: int | None = None, overhead: int = 0
-    ) -> list[list[int]]:
+    def comb(self, ints: list[int], cap: int, top: int | None = None) -> list[list[int]]:
         """The parts of ints from level top (the tower's height unless
-        given) down to level 1, kernel first.  overhead letters, held
-        outside ints, count against cap."""
+        given) down to level 1, kernel first."""
         level_of = self.level_of
         rest = ints
         parts = []
@@ -453,8 +441,10 @@ class _Comber:
                         # letter, as it would without run combing.
                         if _RUN_COMB_MIN_LETTERS <= pos + 1 - start <= len(rev_k):
                             tried = True
-                            held = overhead + start + len(rev_rest)
-                            acted = self._form_acted(rest[start : pos + 1], rev_k, k, cap, held)
+                            # What the cap leaves beside the letters before
+                            # the run and the lower letters held after it.
+                            room = cap - start - len(rev_rest)
+                            acted = self._form_acted(rest[start : pos + 1], rev_k, k, room)
                             if acted is not None:
                                 rev_k, form = acted
                                 for v in reversed(form):
@@ -462,9 +452,7 @@ class _Comber:
                                 pos = start - 1
                                 continue
                     if rev_k:
-                        rev_k = self._conjugate_rev(
-                            x, rev_k, k, cap, overhead + pos + len(rev_rest) + 1
-                        )
+                        rev_k = self._conjugate_rev(x, rev_k, k, cap, pos + len(rev_rest) + 1)
                     _push(rev_rest, x)
                     pos -= 1
             except WordSizeExceededError as exc:
@@ -505,7 +493,7 @@ def conjugation_action(tower: TowerSpec, actor: Letter, target: Letter) -> Word:
         raise InvalidArgumentError(
             f"actor {actor.symbol} must sit strictly below target {target.symbol}"
         )
-    image = c.rev_image(x, y)[::-1]
+    image = c.table(x, target.symbol.level)[y][::-1]
     c.check_part(target.symbol.level, image)
     return c.word(image)
 
@@ -628,16 +616,17 @@ class CenterReport:
 
 
 def center_check(
-    p: Presentation | TowerSpec, witness_budget: int = 8, word_cap: int = DEFAULT_WORD_CAP
+    p: Presentation | TowerSpec, word_cap: int = DEFAULT_WORD_CAP
 ) -> CenterReport:
     """Verify Theta_n is central and every non-Theta generator is not,
     where n is the height of the orbit tower p, or of the tower the
     presentation p carries.
 
-    For each generator g that is not a power of Theta, search up to
-    witness_budget candidate generators h for one with gh != hg; a None
-    witness in the report means none was found within budget.  Every comb
-    runs under word_cap, and a word past it raises WordSizeExceededError.
+    For each generator g that is not a power of Theta, try the other
+    generators h, nearest level first, until one has gh != hg; a None
+    witness in the report means g commutes with every generator.  Every
+    comb runs under word_cap, and a word past it raises
+    WordSizeExceededError.
     """
     tower = _require_tower(p)
     if tower.family is not GenFamily.ORBIT:
@@ -663,7 +652,7 @@ def center_check(
             key=lambda h: (abs(h.level - g.level), h.indices),
         )
         found = None
-        for h in candidates[:witness_budget]:
+        for h in candidates:
             hw = Word((Letter(h),))
             if not words_equal(p, gw * hw, hw * gw, word_cap):
                 found = h

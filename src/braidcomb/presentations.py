@@ -48,7 +48,6 @@ from .words import (
     Letter,
     Word,
     _frozen,
-    _set,
     _trusted,
     band_gen,
     format_word,
@@ -168,9 +167,6 @@ class Presentation:
     _marked = None
 
     def __post_init__(self) -> None:
-        # Tuple arguments are kept as they are.
-        _set(self, "generators", tuple(self.generators))
-        _set(self, "relators", tuple(self.relators))
         known = set(self.generators)
         if len(known) != len(self.generators):
             raise InvalidArgumentError("duplicate generator")

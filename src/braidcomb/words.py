@@ -78,7 +78,8 @@ def _frozen(cls):
     a repr ``Cls(f=v, ...)``; __setattr__ and __delattr__ that raise
     AttributeError; and, unless cls writes its own, an __init__ taking the
     fields by position or keyword, a class attribute of a field's name
-    being its default, that then calls __post_init__ if cls has one.
+    being its default, that stores a field annotated tuple[...] as a tuple
+    (a tuple argument as it is) and then calls __post_init__ if cls has one.
     Nothing is compiled: dataclasses would import inspect and exec each
     class's methods, a tenth of a cold CLI call.  Fields are set through
     object.__setattr__, as _trusted sets them: writing to the instance
@@ -86,6 +87,7 @@ def _frozen(cls):
     """
     names = tuple(cls.__annotations__)
     count = len(names)
+    tuples = {name for name in names if str(cls.__annotations__[name]).startswith("tuple[")}
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     qualname = cls.__qualname__
     get = attrgetter(*names)  # the one field's value, or a tuple of them
@@ -138,7 +140,7 @@ def _frozen(cls):
         if kwargs or len(args) != count:
             args = bind(args, kwargs)
         for name, value in zip(names, args):
-            _set(self, name, value)
+            _set(self, name, tuple(value) if name in tuples else value)
         if post_init is not None:
             post_init(self)
 
@@ -191,8 +193,7 @@ class GeneratorSymbol:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(self.indices)  # a tuple argument is returned as it is
-        _set(self, "indices", idx)
+        idx = self.indices
         if self.family is GenFamily.ORBIT:
             if len(idx) != 2:
                 raise InvalidArgumentError(f"orbit generator needs 2 indices, got {idx}")

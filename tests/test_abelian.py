@@ -379,6 +379,18 @@ def test_relation_matrix_of_conjugation_presentations_is_zero():
         assert not any(relation_matrix(p).entries)
 
 
+def test_h1_of_a_quotient_of_a_hand_built_presentation_reads_every_relator():
+    # A presentation built by hand is unmarked, so its quotient stores the
+    # extras after its own relators: Z^2 / (4, 0), (6, 0), (0, 3) is Z/2 + Z/3.
+    r10, r20 = orbit_gen(1, 0), orbit_gen(2, 0)
+    p = Presentation((r10, r20), (reduce([Letter(r10)] * 4),))
+    extra = (reduce([Letter(r10)] * 6), reduce([Letter(r20)] * 3))
+    q = quotient_by(p, extra)
+    assert p._marked is None and q._marked is None and q.tower is None
+    assert q.relators == p.relators + extra
+    assert h1(q) == FGAbelianGroup(0, (6,))
+
+
 def test_relation_matrix_of_theta_quotient():
     theta_sq = element_Theta(2) * element_Theta(2)
     q = quotient_by(orbit_presentation(2), [theta_sq])

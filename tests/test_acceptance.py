@@ -165,7 +165,7 @@ def test_03_noncentral_generators_have_witnesses() -> None:
     ok = True
     for n in (2, 3, 4):
         p = orbit_presentation(n)
-        report = center_check(p, witness_budget=len(p.generators))
+        report = center_check(p)
         ok = ok and report.theta_commutes and report.all_witnessed
         ok = ok and not report.theta_powers
         witnessed += len(report.witnesses)

@@ -14,7 +14,7 @@ from braidcomb import cli
 from braidcomb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_WORD_CAP, main
 from braidcomb.combing import CenterReport, comb
 from braidcomb.presentations import TowerSpec, orbit_presentation, parse_presentation
-from braidcomb.words import GenFamily, orbit_gen, parse_word
+from braidcomb.words import GenFamily, format_word, orbit_gen, parse_word
 
 
 def run(capsys, *argv):
@@ -941,6 +941,26 @@ def test_verify_center_formats_library_failures(capsys, monkeypatch):
         "FAIL r(2,1): conjugation by theta fixes the combed form "
         "(reproducer: r(1,0) r(2,0) r(2,1) r(2,0)^-1 r(1,0)^-1)"
     ) in out
+
+
+def test_verify_relators_reports_an_insertion_that_combs_differently(capsys, monkeypatch):
+    # Left as a word of the free group, where no relator is trivial, every
+    # insertion differs from its base pair u v at the first pair.
+    combed = []
+
+    def free_comb(p, w, word_cap):
+        combed.append(w)
+        return w
+
+    monkeypatch.setattr(cli, "comb", free_comb)
+    code, out, _ = run(capsys, "verify", "--suite", "relators", "--group", "gn", "--n", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert "PASS" not in out and out.count("FAIL relator") == 3
+    # The first word combed is the first relator inserted into the first pair.
+    assert (
+        f"FAIL relator 0: insertion invariant over {cli.SUITE_PAIRS} pairs "
+        f"(reproducer: {format_word(combed[0])})"
+    ) in out.splitlines()
 
 
 def test_verify_relators_combs_each_base_word_once(capsys, monkeypatch):

@@ -223,7 +223,7 @@ def _inverse_table_dump(family, n):
             if actor.level >= target.level:
                 continue
             for y in (c.ids[target], -c.ids[target]):
-                image = c.word(c.rev_image(x, y)[::-1])
+                image = c.word(c.table(x, target.level)[y][::-1])
                 lines.append(f"{c.letters[x]} {c.letters[y]} -> {format_word(image)}\n")
     return "".join(lines)
 
@@ -251,8 +251,8 @@ def test_inverse_fill_refuses_a_substitution_it_cannot_undo(images):
     c._forward_image = lambda x, y: forward.get(y, (y,))
     x = -c.ids[orbit_gen(1, 0)]
     with pytest.raises(AssertionError, match=r"inverse action of r\(1,0\) on level 2 "):
-        c.rev_image(x, c.ids[orbit_gen(2, 2)])
-    assert c.action_table(x) == {}
+        c.table(x, 2)
+    assert not c._actions.get(x)
 
 
 def _built_shortening_move(images):
@@ -304,9 +304,9 @@ def test_a_miss_fills_one_whole_level_of_one_table(p):
     for k in range(lowest + 1, p.tower.n + 1):
         for x in (1, -1):
             c = combing._Comber(p.tower)
-            c.rev_image(x, c.bounds[k][0])
+            c.table(x, k)
             assert set(c._actions) == {x}
-            assert len(c.action_table(x)) == 2 * p.tower.kernel_rank(k)
+            assert len(c._actions[x]) == 2 * p.tower.kernel_rank(k)
 
 
 def test_action_rejects_bad_levels():
@@ -609,18 +609,14 @@ def test_word_cap_boundary_is_exact(p):
 
 class _PerLetterComber(combing._Comber):
     """The engine as it was before the cap was checked per block of letters:
-    it fills a table on its first miss and tests the cap after every image
-    it appends."""
+    it tests the cap after every image it appends."""
 
-    def _conjugate_rev(self, x, rev_k, k, cap, overhead):
-        table = self.action_table(x)
+    def _conjugate_rev(self, x, rev_k, k, cap, held):
+        table = self.table(x, k)
         out = []
         extend, pop = out.extend, out.pop
         for y in rev_k:
-            try:
-                image = table[y]
-            except KeyError:
-                image = self.rev_image(x, y)
+            image = table[y]
             if out and out[-1] == -image[0]:
                 pop()
                 i, n = 1, len(image)
@@ -630,8 +626,8 @@ class _PerLetterComber(combing._Comber):
                 extend(image[i:])
             else:
                 extend(image)
-            if len(out) + overhead > cap:
-                raise WordSizeExceededError(len(out) + overhead, cap)
+            if len(out) + held > cap:
+                raise WordSizeExceededError(len(out) + held, cap)
         return out
 
 
@@ -764,8 +760,8 @@ class _FormCountingComber(combing._Comber):
 
     forms = 0
 
-    def _form_acted(self, run, rev_k, k, cap, held):
-        acted = super()._form_acted(run, rev_k, k, cap, held)
+    def _form_acted(self, run, rev_k, k, room):
+        acted = super()._form_acted(run, rev_k, k, room)
         self.forms += acted is not None
         return acted
 
@@ -823,11 +819,11 @@ def test_a_refused_sub_comb_falls_back_to_the_run_letters(monkeypatch):
     c = combing._Comber(G3.tower)
     refusals = []
 
-    def refuse_runs(ints, cap, top=None, overhead=0):
+    def refuse_runs(ints, cap, top=None):
         if top is not None:
             refusals.append(len(ints))
             raise WordSizeExceededError(cap + 1, cap)
-        return combing._Comber.comb(c, ints, cap, top, overhead)
+        return combing._Comber.comb(c, ints, cap, top)
 
     monkeypatch.setattr(c, "comb", refuse_runs)
     w = parse_word("r(3,0) r(1,0) r(2,0) r(1,0)^-1 r(3,1)^64")
@@ -886,7 +882,7 @@ def test_longest_bounds_every_stored_image(family, top):
         c = combing._Comber(TowerSpec(family, n))
         for x in (*range(1, len(c.symbols) + 1), *range(-len(c.symbols), 0)):
             for k in range(c.level_of[abs(x)] + 1, n + 1):
-                c.rev_image(x, c.bounds[k][0])
+                c.table(x, k)
         images = [image for table in c._actions.values() for image in table.values()]
         assert c.longest >= max(map(len, images), default=1)
 
@@ -897,8 +893,7 @@ def test_a_letter_planted_off_level_is_refused(planted):
     # word; the second r(1,0) then finds no image for it in its filled table.
     c = combing._Comber(G3.tower)
     x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
-    c.rev_image(x, y)
-    c.action_table(x)[y] = (c.ids[planted],)
+    c.table(x, 2)[y] = (c.ids[planted],)
     with pytest.raises(
         InvalidArgumentError, match=re.escape(f"component at level 2 contains {planted}")
     ):
@@ -912,14 +907,14 @@ def test_integer_output_check_is_live(monkeypatch):
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
     x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
     w = parse_word("r(1,0) r(2,0)")
-    c.action_table(x)[y] = (x,)  # a level-1 letter in a level-2 image
+    c.table(x, 2)[y] = (x,)  # a level-1 letter in a level-2 image
     with pytest.raises(InvalidArgumentError):
         comb(G2, w)
     with pytest.raises(InvalidArgumentError):
         words_equal(G2, w, w)
     with pytest.raises(InvalidArgumentError):
         is_identity(G2, w)
-    c.action_table(x)[y] = (y, -y)  # an unreduced image
+    c.table(x, 2)[y] = (y, -y)  # an unreduced image
     with pytest.raises(InvalidArgumentError):
         comb(G2, w)
     with pytest.raises(InvalidArgumentError):
@@ -1133,6 +1128,24 @@ def test_center_check_n3():
     report = center_check(G3)
     assert report.ok
     assert len(report.witnesses) == 9
+
+
+def test_center_check_lists_a_generator_theta_does_not_commute_with(monkeypatch):
+    # No generator of G_2 breaks Theta's centrality, so equality is broken
+    # for the one pair Theta r(2,1) = r(2,1) Theta.
+    expected = center_check(G2)
+    broken = orbit_gen(2, 1)
+    theta_g = element_Theta(2) * Word((Letter(broken),))
+    real = combing.words_equal
+
+    def words_equal(p, u, v, word_cap):
+        return u != theta_g and real(p, u, v, word_cap)
+
+    monkeypatch.setattr(combing, "words_equal", words_equal)
+    report = center_check(G2)
+    assert report.commutation_failures == (broken,)
+    assert not report.theta_commutes and not report.ok
+    assert (report.theta_powers, report.witnesses) == (expected.theta_powers, expected.witnesses)
 
 
 def test_center_check_validates_presentation():

@@ -468,6 +468,16 @@ def test_a_frozen_value_class(cls, fields, change, defaults):
         assert type(copied) is cls and copied == value and hash(copied) == hash(value)
 
 
+_SPLIT_FIELDS = dict(
+    coeff=FGAbelianGroup(1), n=2, vector=(1, 0), section_index=0, section_identity=True,
+    quotient=FGAbelianGroup(1), expected=FGAbelianGroup(1),
+)
+_CENTER_FIELDS = dict(
+    n=2, theta_commutes=True, commutation_failures=(R21,), theta_powers=(R10,),
+    witnesses=((R21, R20),),
+)
+
+
 @pytest.mark.parametrize(
     "cls, fields, name",
     [
@@ -479,10 +489,15 @@ def test_a_frozen_value_class(cls, fields, change, defaults):
         (FibreElement, dict(surface=Surface.S2, n=3, r_part=IDENTITY, z_part=(1, 0)), "z_part"),
         (IntMatrix, dict(rows=1, cols=2, entries=(1, 2)), "entries"),
         (FGAbelianGroup, dict(free_rank=1, torsion=(2, 4)), "torsion"),
+        (SplitReport, _SPLIT_FIELDS, "vector"),
+        (CenterReport, _CENTER_FIELDS, "commutation_failures"),
+        (CenterReport, _CENTER_FIELDS, "theta_powers"),
+        (CenterReport, _CENTER_FIELDS, "witnesses"),
     ],
     ids=[
         "GeneratorSymbol", "Word", "Presentation-generators", "Presentation-relators",
-        "NormalForm", "FibreElement", "IntMatrix", "FGAbelianGroup",
+        "NormalForm", "FibreElement", "IntMatrix", "FGAbelianGroup", "SplitReport",
+        "CenterReport-failures", "CenterReport-powers", "CenterReport-witnesses",
     ],
 )
 def test_a_list_argument_is_stored_as_a_tuple(cls, fields, name):

@@ -31,16 +31,22 @@ until the images are the bare letters.  A move's length change is counted
 from the letters next to each y_t, not built, so each accepted move is
 applied once.  The composite of the moves is the inverse; it enters the
 table only after it composes back to the identity substitution.
-Conjugating a level word fetches the actor's table once and cancels each
-image against the output only where the two meet, since both are freely
-reduced.  The word cap is exact per target letter: the scan stops at the
-first letter whose image takes the word past it.  No image is longer than
-the engine's longest, so the cap is checked once per block of letters that
-cannot reach it, and letter by letter only near it.  A run's sub-comb
-never raises past its form, so it needs no offset: the outer scan hands it
-the room the cap leaves, the cap less the letters before the run and the
-lower letters held after it.  The run combs in that room less the level
-word, and its form acts on the level word in that room less the form.
+Conjugating a level word reads it two letters at a time.  Each actor has a
+pair table beside its table, filled from it on a miss up to a fixed number
+of pairs per engine: the freely reduced concatenation of the images of two
+adjacent letters, so a pair costs one lookup and one join to the output.
+An image, of a pair or of one letter, cancels against the output only where
+the two meet, since both are freely reduced.  The word cap is exact per
+target letter: the scan stops at the first letter whose image takes the
+word past it.  No image is longer than the engine's longest, so a pair adds
+at most twice that for its two letters, and the cap is checked once per
+block of letters that cannot reach it, and letter by letter only near it,
+where each letter acts alone, as does the odd last letter of a block.  A
+run's sub-comb never raises past its form, so it needs no offset: the outer
+scan hands it the room the cap leaves, the cap less the letters before the
+run and the lower letters held after it.  The run combs in that room less
+the level word, and its form acts on the level word in that room less the
+form.
 
 Words are encoded as signed integers from the input to the output, so the
 hot loops touch no objects.  The engine's output is checked on integers
@@ -222,6 +228,14 @@ def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ..
 _RUN_COMB_LEVEL_LETTERS = 64
 _RUN_COMB_MIN_LETTERS = 3
 
+# How many pair images one engine stores (_Comber._pair_image).  A seed-1
+# perfbench sweep pass stores 7,753 over its 4 engines, at most 3,480 in one
+# (G_4, which has 4,056).  At the bound the pairs take, by tracemalloc,
+# 2.2 MB in P_12, 3.3 MB in G_6, 7.2 MB in G_20 and 19.9 MB on level 50 of
+# G_50, whose images are the longest.  A pair missed past the bound is
+# computed and used but not stored.
+_PAIR_ENTRIES = 16_384
+
 
 class _Comber:
     """Combing engine for one tower, with memoized letter actions.
@@ -258,6 +272,11 @@ class _Comber:
         # The length of the longest image in any table; images are never
         # empty, so 1 before the first fill.
         self.longest = 1
+        # actor id -> {letter id: {next letter id: reversed image of the
+        # pair}}, filled on demand; a row's entry None is its letter's own
+        # image.  _pair_count counts the pairs, not the rows.
+        self._pairs: dict[int, dict[int, dict[int | None, tuple[int, ...]]]] = {}
+        self._pair_count = 0
 
     def encode(self, w: Word) -> list[int]:
         out = []
@@ -344,7 +363,8 @@ class _Comber:
         """The reversed level-k word rev_k conjugated by the letter x, also
         reversed.  Raises WordSizeExceededError at the first letter of rev_k
         after which the word, plus held letters, is longer than cap."""
-        table = self.table(x, k)
+        self.table(x, k)
+        pairs = self._pairs.setdefault(x, {})
         longest = self.longest
         # out[0] is a sentinel: ids are non-zero, so it never cancels and
         # out is never empty.  base counts the held letters less the sentinel.
@@ -352,38 +372,73 @@ class _Comber:
         extend, pop = out.extend, out.pop
         base = held - 1
         start, n = 0, len(rev_k)
-        try:
-            while start < n:
-                # One letter adds at most longest letters to out, so the next
-                # room letters cannot reach the cap and run unchecked.  With
-                # no room left, letters run one at a time and each is checked,
-                # so the cap fires at exactly the letter that passes it.
-                room = max((cap - base - len(out)) // longest, 1)
-                for y in rev_k[start : start + room]:
-                    image = table[y]
-                    # out and every image are freely reduced and images are
-                    # never empty, so letters can cancel only where the
-                    # image joins out.
-                    if out[-1] == -image[0]:
+        while start < n:
+            # One letter adds at most longest letters to out, so the next
+            # room letters cannot reach the cap and run unchecked, two at a
+            # time.  With no room left, letters run one at a time and each is
+            # checked, so the cap fires at exactly the letter that passes it.
+            room = max((cap - base - len(out)) // longest, 1)
+            block = rev_k[start : start + room]
+            start += room
+            if len(block) & 1:
+                # The one letter of a checked step, or the odd last letter
+                # of a block, acts alone: its row's entry None is its image.
+                block.append(None)
+            letters = iter(block)
+            for a, b in zip(letters, letters):
+                try:
+                    image = pairs[a][b]
+                except KeyError:
+                    image = self._pair_image(x, k, a, b)
+                # out and every image are freely reduced and images are
+                # never empty, so letters can cancel only where the image
+                # joins out.
+                if out[-1] == -image[0]:
+                    pop()
+                    i, m = 1, len(image)
+                    while i < m and out[-1] == -image[i]:
                         pop()
-                        i, m = 1, len(image)
-                        while i < m and out[-1] == -image[i]:
-                            pop()
-                            i += 1
-                        extend(image[i:])
-                    else:
-                        extend(image)
-                start += room
-                if len(out) + base > cap:
-                    raise WordSizeExceededError(len(out) + base, cap)
-        except KeyError:
-            # The filled table holds every level-k letter, so y is on another
-            # level: only a corrupted table can put it in rev_k.
-            raise InvalidArgumentError(
-                f"component at level {k} contains {self.name(y)}"
-            ) from None
+                        i += 1
+                    extend(image[i:])
+                else:
+                    extend(image)
+            if len(out) + base > cap:
+                raise WordSizeExceededError(len(out) + base, cap)
         del out[0]
         return out
+
+    def _pair_image(self, x: int, k: int, a: int, b: int | None) -> tuple[int, ...]:
+        """The reversed image under the actor x of the reversed level-k
+        letters a b, or of a alone when b is None: the freely reduced
+        concatenation of their reversed images.  It enters x's pair table
+        while the engine holds fewer than _PAIR_ENTRIES pairs."""
+        table = self._actions[x]
+        for y in (a, b):
+            # The filled table holds every level-k letter, so y is on another
+            # level: only a corrupted table can put it in a level word.
+            if y is not None and y not in table:
+                raise InvalidArgumentError(f"component at level {k} contains {self.name(y)}")
+        pairs = self._pairs[x]
+        row = pairs.get(a)
+        if row is None:
+            row = pairs[a] = {None: table[a]}
+        if b is None:
+            return row[None]
+        first, second = table[a], table[b]
+        i, m = 0, min(len(first), len(second))
+        while i < m and first[-1 - i] == -second[i]:
+            i += 1
+        image = first[: len(first) - i] + second[i:]
+        if not image:
+            # An automorphism sends no reduced pair of letters to the identity.
+            raise InvalidArgumentError(
+                f"the action of {self.letters[x]} on level {k} sends "
+                f"{self.letters[b]} {self.letters[a]} to the identity"
+            )
+        if self._pair_count < _PAIR_ENTRIES:
+            row[b] = image
+            self._pair_count += 1
+        return image
 
     def _form_acted(
         self, run: list[int], rev_k: list[int], k: int, room: int
@@ -466,7 +521,14 @@ class _Comber:
         return parts
 
 
-@lru_cache(maxsize=None)
+# How many towers' engines _comber_for keeps, the most recently used: the
+# perfbench sweep combs in 4 towers, its homology workload in 2 and a CLI
+# call in 1.  An evicted engine is rebuilt on its next use, and its tables
+# are filled again.
+_ENGINES = 8
+
+
+@lru_cache(maxsize=_ENGINES)
 def _comber_for(tower: TowerSpec) -> _Comber:
     return _Comber(tower)
 

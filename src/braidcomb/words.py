@@ -73,9 +73,9 @@ _set = object.__setattr__  # how _frozen classes set a field
 def _frozen(cls):
     """Make cls an immutable value class over its annotated fields, in order.
 
-    Installs __eq__ between instances of the same class, comparing their
-    field tuples; __hash__ of the field tuple, unless cls writes its own;
-    a repr ``Cls(f=v, ...)``; __setattr__ and __delattr__ that raise
+    Installs, unless cls writes its own, __eq__ between instances of the
+    same class, comparing their field tuples, and __hash__ of the field
+    tuple; a repr ``Cls(f=v, ...)``; __setattr__ and __delattr__ that raise
     AttributeError; and, unless cls writes its own, an __init__ taking the
     fields by position or keyword, a class attribute of a field's name
     being its default, that stores a field annotated tuple[...] as a tuple
@@ -144,7 +144,8 @@ def _frozen(cls):
         if post_init is not None:
             post_init(self)
 
-    cls.__eq__ = __eq__
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__ = __eq__
     cls.__repr__ = __repr__
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__
@@ -212,6 +213,14 @@ class GeneratorSymbol:
                 )
         object.__setattr__(self, "_hash", hash((_FAMILIES.index(self.family), *idx)))
 
+    # GeneratorSymbol, Letter and Word write __eq__ and __hash__ out:
+    # _frozen's generic ones read the fields through an attrgetter, about
+    # half again as slow, and these three are compared by the thousand.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.family is other.family and self.indices == other.indices
+        return NotImplemented
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -262,6 +271,17 @@ class Letter:
         _set(self, "symbol", symbol)
         _set(self, "exponent", exponent)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # Exponents first, then identity: shared symbols rarely need __eq__.
+            return self.exponent == other.exponent and (
+                self.symbol is other.symbol or self.symbol == other.symbol
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.exponent))
+
     def inverse(self) -> "Letter":
         return Letter(self.symbol, -self.exponent)
 
@@ -297,6 +317,14 @@ class Word:
                 )
             prev = cur
         _set(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

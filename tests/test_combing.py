@@ -576,6 +576,22 @@ def test_band_tower_has_no_centre_check_or_theta_split():
         theta_decompose(tower, parse_word("A(1,2)"))
 
 
+def test_the_engine_cache_keeps_the_most_recently_used_towers():
+    # One tower more than the bound: the least recently used engine, the
+    # first, is evicted, and the engine rebuilt for it gives the same form.
+    towers = [TowerSpec(GenFamily.ORBIT, n) for n in range(2, combing._ENGINES + 3)]
+    w = parse_word("r(2,1) r(1,0) r(2,0)^-1 r(1,0)^-1 r(2,2)")
+    forms = [comb(tower, w) for tower in towers]
+    info = combing._comber_for.cache_info()
+    assert info.maxsize == info.currsize == combing._ENGINES
+    combing._comber_for(towers[1])  # still held
+    assert combing._comber_for.cache_info().misses == info.misses
+    rebuilt = combing._comber_for(towers[0])
+    assert combing._comber_for.cache_info().misses == info.misses + 1
+    assert not rebuilt._actions and not rebuilt._pairs
+    assert comb(towers[0], w) == forms[0]
+
+
 @pytest.mark.parametrize("p", [G3, P4], ids=["G3", "P4"])
 def test_word_cap_boundary_is_exact(p):
     rng = random.Random(0)
@@ -653,8 +669,9 @@ def _per_letter_comber(tower):
         TowerSpec(GenFamily.ORBIT, 4),
         TowerSpec(GenFamily.BAND, 4),
         TowerSpec(GenFamily.BAND, 5),
+        TowerSpec(GenFamily.BAND, 6),
     ],
-    ids=["G3", "G4", "P4", "P5"],
+    ids=["G3", "G4", "P4", "P5", "P6"],
 )
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 20))
@@ -889,15 +906,107 @@ def test_longest_bounds_every_stored_image(family, top):
 
 @pytest.mark.parametrize("planted", [orbit_gen(1, 0), orbit_gen(3, 0)], ids=["lower", "higher"])
 def test_a_letter_planted_off_level_is_refused(planted):
-    # The first r(1,0) acts on r(2,0) and plants the letter in the level-2
-    # word; the second r(1,0) then finds no image for it in its filled table.
-    c = combing._Comber(G3.tower)
-    x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
-    c.table(x, 2)[y] = (c.ids[planted],)
+    # The first r(1,0) acts on the level-2 word and plants the letter where
+    # r(2,0) was; the second r(1,0) then finds no image for it in its filled
+    # table.  Every image is a conjugate u y u^-1, of odd length, so in
+    # these words the planted letter is read alone, as the first letter of
+    # a pair and as the second.
+    for text in ("r(1,0) r(1,0) r(2,0)", "r(1,0) r(1,0) r(2,1) r(2,0)", "r(1,0) r(1,0) r(2,0) r(2,1)"):
+        c = combing._Comber(G3.tower)
+        x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
+        c.table(x, 2)[y] = (c.ids[planted],)
+        with pytest.raises(
+            InvalidArgumentError, match=re.escape(f"component at level 2 contains {planted}")
+        ):
+            c.comb(c.encode(parse_word(text)), DEFAULT_WORD_CAP)
+
+
+def test_a_pair_whose_images_cancel_is_refused():
+    # No automorphism sends a reduced pair of letters to the identity, so a
+    # pair image that reduces to nothing is a corrupted table: a typed
+    # refusal, never an IndexError from the empty image.
+    c = combing._Comber(G2.tower)
+    x, y, z = (c.ids[orbit_gen(*indices)] for indices in ((1, 0), (2, 0), (2, 1)))
+    table = c.table(x, 2)
+    table[y], table[z] = (y,), (-y,)
     with pytest.raises(
-        InvalidArgumentError, match=re.escape(f"component at level 2 contains {planted}")
+        InvalidArgumentError,
+        match=re.escape("the action of r(1,0) on level 2 sends r(2,0) r(2,1) to the identity"),
     ):
-        c.comb(c.encode(parse_word("r(1,0) r(1,0) r(2,0)")), DEFAULT_WORD_CAP)
+        c.comb(c.encode(parse_word("r(1,0) r(2,0) r(2,1)")), DEFAULT_WORD_CAP)
+
+
+def _combed_seeded_words(c, seed, count, length):
+    """Comb count seeded words of length letters on the engine c, under the
+    sweep's cap, and return their outcomes."""
+    rng = random.Random(seed)
+    generators = c.tower.all_generators()
+    words = [
+        reduce(Letter(rng.choice(generators), rng.choice((1, -1))) for _ in range(length))
+        for _ in range(count)
+    ]
+    return [_outcome(c, w, 12_000) for w in words]
+
+
+def _joined(first, second):
+    """The freely reduced concatenation of two words of signed ids."""
+    out = []
+    for v in (*first, *second):
+        combing._push(out, v)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [
+        *(TowerSpec(GenFamily.ORBIT, n) for n in (3, 4, 5)),
+        *(TowerSpec(GenFamily.BAND, n) for n in (4, 5, 6)),
+    ],
+    ids=["G3", "G4", "G5", "P4", "P5", "P6"],
+)
+def test_every_stored_pair_is_the_reduced_join_of_its_letters(tower):
+    c = combing._Comber(tower)
+    _combed_seeded_words(c, 22, 20, 12)
+    stored = 0
+    for x, rows in c._pairs.items():
+        table = c._actions[x]
+        for a, row in rows.items():
+            assert row[None] == table[a]
+            for b, image in row.items():
+                if b is not None:
+                    stored += 1
+                    assert image and image == _joined(table[a], table[b])
+    assert stored == c._pair_count > 0
+
+
+class _PairCountingComber(combing._Comber):
+    """The engine, counting the pairs of letters it finds in no store."""
+
+    missed = 0
+
+    def _pair_image(self, x, k, a, b):
+        self.missed += b is not None
+        return super()._pair_image(x, k, a, b)
+
+
+def test_the_pair_store_stops_at_its_bound(monkeypatch):
+    # Past the bound a missed pair is still computed and used, so the
+    # answers are those of the per-letter engine, which stores no pair.
+    monkeypatch.setattr(combing, "_PAIR_ENTRIES", 50)
+    c = _PairCountingComber(G4.tower)
+    reference = _PerLetterComber(G4.tower)
+    assert _combed_seeded_words(c, 5, 20, 12) == _combed_seeded_words(reference, 5, 20, 12)
+    stored = sum(b is not None for rows in c._pairs.values() for row in rows.values() for b in row)
+    assert c.missed > stored == c._pair_count == 50
+
+
+def test_seeded_words_take_the_pair_path():
+    # On 40 seeded G_4 words conjugation reads level words two letters at a
+    # time and misses each pair once: a kernel that went back to one letter
+    # at a time would miss no pair.
+    c = _PairCountingComber(G4.tower)
+    _combed_seeded_words(c, 4, 40, 10)
+    assert c.missed == c._pair_count >= 500
 
 
 def test_integer_output_check_is_live(monkeypatch):

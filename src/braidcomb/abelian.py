@@ -14,6 +14,9 @@ of the non-zeros), pivots on the smallest non-zero entry (a unit ends the
 search), and leaves the divisibility of the diagonal to one final pass of
 2x2 gcd moves between diagonal entries (Kannan-Bachem; on sparse integer
 Smith forms see Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+It keeps no column index: the rows that meet a pivot's column are found
+among the rows not yet pivots, the only rows a later move can change, by
+a scan that costs less than the fill-in of the moves it precedes.
 The multiply-back check runs on the same sparse lines, and U and V become
 IntMatrix values only when a caller first reads them.
 
@@ -101,7 +104,7 @@ class IntMatrix:
         if not (isinstance(rows, int) and isinstance(cols, int)):
             raise InvalidArgumentError(f"expected int matrix dimensions, got {rows!r} x {cols!r}")
         if rows < 0 or cols < 0:
-            raise InvalidArgumentError("matrix dimensions must be non-negative")
+            raise InvalidArgumentError(f"negative matrix dimension in {rows} x {cols}")
         entries = tuple(entries)  # a tuple argument is returned as it is
         if len(entries) != rows * cols:
             raise InvalidArgumentError(f"expected {rows * cols} entries, got {len(entries)}")
@@ -198,7 +201,7 @@ class SmithForm:
     ) -> None:
         d = tuple(d)
         if rank != len(d):
-            raise InvalidArgumentError("rank must equal the number of invariant factors")
+            raise InvalidArgumentError(f"rank {rank} is not the number of invariant factors {d}")
         for a, b in zip(d, d[1:]):
             if a <= 0 or b % a != 0:
                 raise InvalidArgumentError(f"broken divisibility chain {d}")
@@ -327,85 +330,61 @@ def _reduce(
     Returns (d, rows of U, columns of V) with U @ A @ V = diag(d) and d a
     positive divisibility chain.  Only non-zero entries are stored or
     visited, and lines is left as it was.
+
+    There is no column index: the rows that meet the pivot column are
+    found among the active rows, those neither pivots nor empty.  That is
+    exact because a finished pivot's row and column are zero off the pivot
+    and no later move touches them, and an empty row stays empty.
     """
     height = len(lines)
     a = [dict(line) for line in lines]
     u = _unit_lines(height)
     v = _unit_lines(width)
-    where: list[set[int]] = [set() for _ in range(width)]  # column -> its rows
-    for i, row in enumerate(a):
-        for k in row:
-            where[k].add(i)
-    # Rows not yet pivots, in order; a row that empties stays empty.
+    # Rows not yet pivots, in order; a row leaves as soon as it empties.
     active = dict.fromkeys(i for i, row in enumerate(a) if row)
-
-    def add_row(i: int, r: int, q: int) -> None:  # row i += q * row r
-        row = a[i]
-        for k, y in a[r].items():
-            old = row.get(k)
-            x = (old or 0) + q * y
-            if x:
-                if old is None:
-                    where[k].add(i)
-                row[k] = x
-            else:
-                del row[k]
-                where[k].discard(i)
-        _add_multiple(u[i], u[r], q)
-
-    def add_col(k: int, c: int, r: int, q: int) -> None:
-        # col k += q * col c, where column c is zero off the pivot row r.
-        row = a[r]
-        x = row[k] + q * row[c]
-        if x:
-            row[k] = x
-        else:
-            del row[k]
-            where[k].discard(r)
-        _add_multiple(v[k], v[c], q)
-
     pivots: list[tuple[int, int]] = []
     while active:
         # The smallest non-zero entry is the pivot; a unit ends the search.
-        r = c = -1
         best = 0
-        emptied = []
         for i in active:
-            row = a[i]
-            if not row:
-                emptied.append(i)
-                continue
-            for k, x in row.items():
+            for k, x in a[i].items():
                 if not best or abs(x) < best:
                     r, c, best = i, k, abs(x)
                     if best == 1:
                         break
             if best == 1:
                 break
-        for i in emptied:
-            del active[i]
-        if not best:
-            break
         # Clear column c, then row r, by euclidean steps; a non-zero
         # remainder is smaller than the pivot and takes its seat.
         while True:
-            p = a[r][c]
-            for i in [i for i in where[c] if i != r]:
-                q = a[i][c] // p
-                if q:
-                    add_row(i, r, -q)
-            rest = [i for i in where[c] if i != r]
+            pivot_row = a[r]
+            p = pivot_row[c]
+            rest = []
+            for i in [i for i in active if i != r and c in a[i]]:
+                row = a[i]
+                q = row[c] // p
+                if q:  # row i -= q * row r
+                    _add_multiple(row, pivot_row, -q)
+                    _add_multiple(u[i], u[r], -q)
+                if not row:
+                    del active[i]
+                elif c in row:
+                    rest.append(i)
             if rest:
                 r = min(rest, key=lambda i: abs(a[i][c]))
                 continue
-            row = a[r]
-            for k in [k for k in row if k != c]:
-                q = row[k] // p
-                if q:
-                    add_col(k, c, r, -q)
-            rest = [k for k in row if k != c]
+            for k in [k for k in pivot_row if k != c]:
+                q = pivot_row[k] // p
+                if q:  # column k -= q * column c, which is zero off row r
+                    x = pivot_row[k] - q * p
+                    if x:
+                        pivot_row[k] = x
+                    else:
+                        del pivot_row[k]
+                    _add_multiple(v[k], v[c], -q)
+            rest = [k for k in pivot_row if k != c]
             if rest:
-                c = min(rest, key=lambda k: abs(row[k]))
+                c = min(rest, key=lambda k: abs(pivot_row[k]))
                 continue
             break
         pivots.append((r, c))
@@ -475,7 +454,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize m over Z with tracked unimodular row/column transforms.
 
     The rows of the working matrix and of U are sparse lines, V is kept as
-    sparse columns, and each step visits only non-zero entries.  Each pivot
+    sparse columns, and each move visits only non-zero entries.  Each pivot
     is the smallest non-zero entry left, found by a search that stops at
     the first unit; clearing its row and column by euclidean steps moves
     the pivot seat to any smaller remainder.  A final pass of 2x2 gcd moves

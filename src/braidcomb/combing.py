@@ -625,7 +625,7 @@ def section_sprime(w: Word, n: int) -> Word:
     """The twisted section: r(n-1,0) picks up an r(n,0) on the right, every
     other generator is kept as is."""
     if n < 2:
-        raise InvalidArgumentError("sections run into level n >= 2")
+        raise InvalidArgumentError(f"sections run into level n >= 2, got n = {n}")
     _require_below(w, n)
     doubled = orbit_gen(n - 1, 0)
     images = {sym: Word((Letter(sym),)) for sym in w.symbols()}

@@ -156,6 +156,8 @@ class FibreElement:
     # letters are letters of the factors and its z_part keeps their length.
 
     def __mul__(self, other: "FibreElement") -> "FibreElement":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if (self.surface, self.n) != (other.surface, other.n):
             raise InvalidArgumentError(
                 "cannot multiply fibre elements attached to different (surface, n)"

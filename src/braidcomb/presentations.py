@@ -169,7 +169,8 @@ class Presentation:
     def __post_init__(self) -> None:
         known = set(self.generators)
         if len(known) != len(self.generators):
-            raise InvalidArgumentError("duplicate generator")
+            twice = next(g for i, g in enumerate(self.generators) if g in self.generators[:i])
+            raise InvalidArgumentError(f"duplicate generator {twice}")
         _check_symbols(self.relators, known)
         if self.tower is not None and self.tower.all_generators() != self.generators:
             raise InvalidArgumentError("tower alphabets must exhaust the generators in order")
@@ -493,7 +494,8 @@ def _export_text(p: Presentation) -> str:
 def _parse_text(source: str) -> Presentation:
     lines = [line.strip() for line in source.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("generators:"):
-        raise InvalidArgumentError("text presentation must open with a 'generators:' line")
+        first = lines[0] if lines else ""
+        raise InvalidArgumentError(f"a text presentation opens with 'generators:', not {first!r}")
     gens = [_symbol_from_text(token) for token in lines[0][len("generators:") :].split()]
     body = lines[1:]
     _check_relator_count(len(body), "the text presentation")
@@ -537,8 +539,10 @@ def _parse_json(source: str) -> Presentation:
         payload = json.loads(source)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"malformed json: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("schema_version") != 1:
-        raise InvalidArgumentError("expected a schema_version 1 presentation object")
+    if not isinstance(payload, dict):
+        raise InvalidArgumentError(f"expected a json object, got a {type(payload).__name__}")
+    if payload.get("schema_version") != 1:
+        raise InvalidArgumentError(f"schema_version must be 1, got {payload.get('schema_version')!r}")
     tower_info = payload.get("tower")
     tower = None if tower_info is None else _json_tower(tower_info)
     raw_relators = _json_list(payload.get("relators"), "relators")

@@ -333,6 +333,8 @@ class Word:
         return iter(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return concat(self, other)
 
     def inverse(self) -> "Word":

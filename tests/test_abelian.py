@@ -44,6 +44,21 @@ def M(rows):
 # --- IntMatrix basics ---------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: IntMatrix(-1, 0, ()), "-1 x 0"),
+        (lambda: SmithForm((1,), 2, IntMatrix.identity(2), IntMatrix.identity(2)), "rank 2"),
+        (lambda: SmithForm((0,), 1, IntMatrix.identity(1), IntMatrix.identity(1)), "(0,)"),
+    ],
+    ids=["negative-rows", "rank-not-len-d", "zero-factor"],
+)
+def test_refusals_are_typed_and_name_the_bad_value(build, bad):
+    with pytest.raises(InvalidArgumentError) as refused:
+        build()
+    assert bad in str(refused.value)
+
+
 def test_matrix_shape_validation():
     with pytest.raises(InvalidArgumentError):
         IntMatrix(2, 2, (1, 2, 3))

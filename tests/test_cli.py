@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,18 @@ def test_n_zero_is_usage_error(capsys):
     code, _, err = run(capsys, "presentation", "--group", "gn", "--n", "0")
     assert code == EXIT_USAGE
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "abc"), ("--word-cap", "1.5")],
+    ids=["n", "word-cap"],
+)
+def test_a_non_integer_count_is_a_usage_error_naming_flag_and_value(capsys, flag, value):
+    argv = {"--n": "2", "--word": "r(1,0)", "--word-cap": "10", flag: value}
+    code, _, err = run(capsys, "comb", *[x for pair in argv.items() for x in pair])
+    assert code == EXIT_USAGE
+    assert flag in err and repr(value) in err
 
 
 def test_unknown_flag_value_is_usage_error(capsys):
@@ -1002,10 +1015,15 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_module_entry_point():
+    # The child finds braidcomb where this process did, installed or not.
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "braidcomb", "presentation", "--group", "gn", "--n", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "generators: r(1,0)\n(no relators)\n"

@@ -1117,6 +1117,21 @@ def test_sections_validate_levels():
         section_sprime(parse_word("r(3,0)"), 3)
 
 
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: NormalForm((IDENTITY, IDENTITY)).level_word(0), "level 0"),
+        (lambda: NormalForm((IDENTITY, IDENTITY)).level_word(3), "level 3"),
+        (lambda: section_sprime(IDENTITY, 1), "n = 1"),
+    ],
+    ids=["level-word-0", "level-word-past-n", "section-below-2"],
+)
+def test_refusals_are_typed_and_name_the_bad_value(build, bad):
+    with pytest.raises(InvalidArgumentError) as refused:
+        build()
+    assert bad in str(refused.value)
+
+
 def test_section_sprime_doubles_the_right_generator():
     assert section_sprime(parse_word("r(2,0)"), 3) == parse_word("r(2,0) r(3,0)")
     assert section_sprime(parse_word("r(2,0)^-1"), 3) == parse_word("r(3,0)^-1 r(2,0)^-1")

@@ -76,6 +76,29 @@ def test_fibre_element_algebra():
         a * FibreElement(RP2, 4, IDENTITY, (0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: split_ses_check(FGAbelianGroup(1), 1, (1,)), "n = 1"),
+        (lambda: split_ses_check(FGAbelianGroup(1), 3, (1, 1)), "length 2"),
+    ],
+    ids=["split-n-1", "split-short-vector"],
+)
+def test_refusals_are_typed_and_name_the_bad_value(build, bad):
+    with pytest.raises(InvalidArgumentError) as refused:
+        build()
+    assert bad in str(refused.value)
+
+
+@pytest.mark.parametrize("other", [parse_word("r(2,1)"), 2], ids=["word", "int"])
+def test_a_fibre_element_times_another_type_is_a_type_error(other):
+    a = FibreElement(RP2, 3, parse_word("r(2,1)"), (1, 0))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        a * other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        other * a
+
+
 @st.composite
 def _fibre_elements(draw):
     """(surface, n) and a few elements of its fibre group."""

@@ -492,6 +492,53 @@ def test_json_import_raises_typed_errors(edit):
         parse_presentation(json.dumps(payload), "json")
 
 
+def _json(**fields):
+    return json.dumps({"schema_version": 1, "generators": [], "relators": [], **fields})
+
+
+@pytest.mark.parametrize(
+    "build, error, bad",
+    [
+        (lambda: TowerSpec(GenFamily.ORBIT, 2).kernel_rank(0), InvalidArgumentError, "level 0"),
+        (lambda: TowerSpec(GenFamily.ORBIT, 2).alphabet(3), InvalidArgumentError, "level 3"),
+        (lambda: TowerSpec(GenFamily.ORBIT), TypeError, "'n'"),
+        (
+            lambda: Presentation((orbit_gen(1, 0), orbit_gen(2, 0), orbit_gen(1, 0)), ()),
+            InvalidArgumentError,
+            "r(1,0)",
+        ),
+        (lambda: element_Theta(0), InvalidArgumentError, "got 0"),
+        (lambda: element_full_twist(0), InvalidArgumentError, "got 0"),
+        (lambda: parse_presentation("r(1,0)\n", "text"), InvalidArgumentError, "'r(1,0)'"),
+        (lambda: parse_presentation("", "text"), InvalidArgumentError, "''"),
+        (lambda: parse_presentation(_json(generators=[7]), "json"), InvalidArgumentError, "7"),
+        (
+            lambda: parse_presentation(_json(generators=["r(1,0) r(2,0)"]), "json"),
+            InvalidArgumentError,
+            "'r(1,0) r(2,0)'",
+        ),
+        (lambda: parse_presentation('{"schema_version": 1,', "json"), InvalidArgumentError, "char 21"),
+        (lambda: parse_presentation("[1]", "json"), InvalidArgumentError, "list"),
+        (lambda: parse_presentation(_json(schema_version=2), "json"), InvalidArgumentError, "got 2"),
+    ],
+    ids=[
+        "kernel-rank-0", "alphabet-past-n", "tower-without-n", "duplicate-generator",
+        "theta-0", "full-twist-0", "text-without-generators", "text-empty",
+        "json-non-string-token", "json-two-letter-token", "json-malformed", "json-not-an-object",
+        "json-schema-2",
+    ],
+)
+def test_refusals_are_typed_and_name_the_bad_value(build, error, bad):
+    with pytest.raises(error) as refused:
+        build()
+    assert bad in str(refused.value)
+
+
+def test_gap_export_of_the_empty_presentation():
+    script = export_presentation(Presentation((), ()), "gap")
+    assert script == "F := FreeGroup(0);;\nrels := [];;\nG := F / rels;;"
+
+
 # sha256 of the text exports of G_4 and P_5.  Export bytes and seeded
 # relator sampling depend on the relator order, so a reordering shows here.
 PINNED_EXPORT_SHA256 = {

@@ -99,6 +99,22 @@ def test_boundary_matrices_match_dense_reference(surface):
         _check(boundary_matrix_ab(surface, n))
 
 
+# Each matrix drives one branch of the reduction: row 0 empties while
+# column 0 is cleared and must leave the rows still to pivot; the pivot
+# seat moves down its column and back before a row empties; the pivot seat
+# moves along its row.
+@pytest.mark.parametrize(
+    "rows",
+    [[[2, 4], [1, 2]], [[5], [3]], [[5, 3]]],
+    ids=["row-empties", "pivot-moves-down-its-column", "pivot-moves-along-its-row"],
+)
+def test_reduction_branches_match_dense_reference(rows):
+    m = IntMatrix.from_rows(rows)
+    form = smith_normal_form(m)
+    assert form.d == dense_invariant_factors(m)
+    assert form.U @ m @ form.V == IntMatrix.diagonal(form.d, m.rows, m.cols)
+
+
 def _tall_sparse(rng: random.Random) -> IntMatrix:
     rows = rng.randint(20, 160)
     cols = rng.randint(1, 8)

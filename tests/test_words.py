@@ -90,6 +90,21 @@ def test_band_gen_validation():
         band_gen(0, 1)
 
 
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: GeneratorSymbol(GenFamily.ORBIT, (1,)), "(1,)"),
+        (lambda: GeneratorSymbol(GenFamily.BAND, (1,)), "(1,)"),
+        (lambda: Letter(R10, 2), "got 2"),
+    ],
+    ids=["orbit-one-index", "band-one-index", "letter-exponent-2"],
+)
+def test_refusals_are_typed_and_name_the_bad_value(build, bad):
+    with pytest.raises(InvalidArgumentError) as refused:
+        build()
+    assert bad in str(refused.value)
+
+
 # --- shared symbols -----------------------------------------------------------
 
 
@@ -206,6 +221,16 @@ def test_mul_sugar_and_inverse():
     u = Word((L(R10), L(R21)))
     assert (u * u.inverse()).is_identity
     assert u.inverse() == Word((L(R21, -1), L(R10, -1)))
+
+
+@pytest.mark.parametrize("other", [2, R10, L(R10)], ids=["int", "symbol", "letter"])
+def test_a_word_times_a_non_word_is_a_type_error(other):
+    # As 2 * u already was: Word.__mul__ declines, and nothing else accepts.
+    u = Word((L(R10),))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        u * other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        other * u
 
 
 def test_exponent_sum():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from braidcomb import cli
+from braidcomb import cli, combing
 from braidcomb.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, EXIT_WORD_CAP, main
 from braidcomb.combing import CenterReport, comb
 from braidcomb.presentations import TowerSpec, orbit_presentation, parse_presentation
@@ -842,13 +842,17 @@ def test_verify_center_honours_the_word_cap(capsys, fmt):
     assert "exceeds the cap of 2" in err and "--word-cap" in err
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_verify_center_at_the_default_cap_matches_the_catalog(capsys, n):
+def test_every_catalog_argv_matches_the_catalog(capsys):
+    # The benchmark's cold CLI calls, run in-process: each exits 0 and
+    # prints the bytes the catalog recorded.
     catalog = Path(__file__).parents[1] / "perfbench" / "cli_catalog.json"
-    (entry,) = [e for e in json.loads(catalog.read_text())["entries"] if e["kind"] == f"center-{n}"]
-    code, out, _ = run(capsys, *entry["argv"])
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+    entries = json.loads(catalog.read_text())["entries"]
+    mismatched = []
+    for entry in entries:
+        code, out, _ = run(capsys, *entry["argv"])
+        if code != EXIT_OK or hashlib.sha256(out.encode()).hexdigest() != entry["sha256"]:
+            mismatched.append((entry["kind"], entry["argv"], code))
+    assert len(entries) == 116 and mismatched == []
 
 
 def test_verify_relators_prints_seed_and_reproduces(capsys):
@@ -867,6 +871,20 @@ def test_verify_theta_suite(capsys):
     assert code == EXIT_OK
     assert out.splitlines()[0] == "seed: 3"
     assert all(line.startswith("PASS") for line in out.splitlines()[1:])
+
+
+def test_verify_theta_suite_fails_on_a_wrong_engine(capsys, monkeypatch):
+    # Swapping two images in one action table leaves every answer a valid
+    # normal form, but a wrong one: Theta^e * remainder then combs apart
+    # from remainder * Theta^e, though it still reduces to the word itself.
+    c = combing._Comber(TowerSpec(GenFamily.ORBIT, 2))
+    x, y, z = (c.ids[orbit_gen(*indices)] for indices in ((1, 0), (2, 1), (2, 2)))
+    table = c.table(x, 2)
+    table[y], table[z], table[-y], table[-z] = table[z], table[y], table[-z], table[-y]
+    monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
+    code, out, _ = run(capsys, "verify", "--suite", "theta", "--n", "2", "--seed", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert any(line.startswith("FAIL word") for line in out.splitlines())
 
 
 def test_verify_theta_suite_hands_its_word_cap_to_the_split(capsys, monkeypatch):

@@ -223,8 +223,8 @@ def _inverse_table_dump(family, n):
             if actor.level >= target.level:
                 continue
             for y in (c.ids[target], -c.ids[target]):
-                image = c.word(c.table(x, target.level)[y][::-1])
-                lines.append(f"{c.letters[x]} {c.letters[y]} -> {format_word(image)}\n")
+                image = c.word(target.level, c.table(x, target.level)[y][::-1])
+                lines.append(f"{c.letter(x)} {c.letter(y)} -> {format_word(image)}\n")
     return "".join(lines)
 
 
@@ -1053,6 +1053,60 @@ def test_integer_output_check_names_the_first_bad_letter(k, part, message):
     assert str(raised.value) == message
 
 
+@st.composite
+def _mixed_parts(draw):
+    """A level of G_3 and a part on it with up to two letters planted: any
+    id from -11 to 11 (on the level, on another, 0 or past the last
+    generator), alone or followed by its inverse."""
+    k = draw(st.integers(1, 3))
+    first, last = combing._comber_for(G3.tower).bounds[k]
+    on_level = st.tuples(st.integers(first, last), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
+    part = draw(st.lists(on_level, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(part)))
+        v = draw(st.integers(-11, 11))
+        part[at:at] = draw(st.sampled_from(([v], [v, -v])))
+    return k, part
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mixed_parts())
+@example((2, [2, 3, 1, -1, -4]))
+@example((1, [0]))
+@example((2, [3, -3, 7]))
+@example((3, [5, 6, -5]))
+@example((3, []))
+def test_checked_decode_refuses_exactly_what_check_part_refuses(drawn):
+    k, part = drawn
+    c = combing._comber_for(G3.tower)
+    try:
+        c.check_part(k, part)
+    except InvalidArgumentError as refusal:
+        with pytest.raises(InvalidArgumentError) as raised:
+            c.word(k, part)
+        assert str(raised.value) == str(refusal)
+    else:
+        letters = [Letter(c.symbols[abs(v) - 1], 1 if v > 0 else -1) for v in part]
+        assert c.word(k, part) == Word(tuple(letters))
+
+
+def test_conjugation_action_checks_its_image(monkeypatch):
+    # The planted-letter and unreduced-image cases of
+    # test_integer_output_check_is_live, read straight off the table.
+    c = combing._Comber(G2.tower)
+    monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
+    x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
+    actor, target = Letter(orbit_gen(1, 0)), Letter(orbit_gen(2, 0))
+    c.table(x, 2)[y] = (x,)
+    with pytest.raises(InvalidArgumentError, match=re.escape("component at level 2 contains r(1,0)")):
+        conjugation_action(G2.tower, actor, target)
+    c.table(x, 2)[y] = (y, -y)  # reversed in the table, so the image is y^-1 y
+    with pytest.raises(
+        InvalidArgumentError, match=re.escape("word is not freely reduced at ...r(2,0)^-1 r(2,0)...")
+    ):
+        conjugation_action(G2.tower, actor, target)
+
+
 def _reduced_part(rng, c, k, length):
     """A seeded freely reduced word of length letters on level k's ids."""
     first, last = c.bounds[k]
@@ -1075,8 +1129,7 @@ def test_trusted_decode_matches_the_checked_constructors(tower):
     top = tower.n
     for length in (0, 1, 2, 100, 137):
         part = _reduced_part(rng, c, top, length)
-        c.check_part(top, part)
-        w = c.word(part)
+        w = c.word(top, part)
         # A one-index itemgetter returns a bare Letter, not a tuple.
         assert type(w.letters) is tuple
         assert w == checked(part) and len(w) == length
@@ -1085,9 +1138,8 @@ def test_trusted_decode_matches_the_checked_constructors(tower):
         _reduced_part(rng, c, k, length)
         for k, length in zip(range(top, 0, -1), [120, 2, 1] + [0] * (top - 3))
     ]
-    for k, part in zip(range(top, 0, -1), parts):
-        c.check_part(k, part)
-    form = c.normal_form(parts)
+    # A kernel-first concatenation of level words is its own normal form.
+    form = comb(tower, Word(tuple([letter for part in parts for letter in checked(part).letters])))
     assert type(form.levels) is tuple
     assert form == NormalForm(tuple([checked(part) for part in parts]))
 

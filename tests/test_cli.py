@@ -842,6 +842,15 @@ def test_verify_center_honours_the_word_cap(capsys, fmt):
     assert "exceeds the cap of 2" in err and "--word-cap" in err
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_center_at_the_default_cap_matches_the_catalog(capsys, n):
+    catalog = Path(__file__).parents[1] / "perfbench" / "cli_catalog.json"
+    (entry,) = [e for e in json.loads(catalog.read_text())["entries"] if e["kind"] == f"center-{n}"]
+    code, out, _ = run(capsys, *entry["argv"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+
+
 def test_every_catalog_argv_matches_the_catalog(capsys):
     # The benchmark's cold CLI calls, run in-process: each exits 0 and
     # prints the bytes the catalog recorded.

@@ -623,6 +623,36 @@ def test_word_cap_boundary_is_exact(p):
     assert str(err.value).startswith(f"input word of length {len(w)} ")
 
 
+# sha256 over the outcomes of test_seeded_answers_and_refusals_are_pinned,
+# recorded from the engine that carried letters as signed ids.  Normal forms
+# are unique, so an answer can move only if the engine is wrong; a refusal's
+# (length, cap, level, position) moves whenever the words built along the
+# way do.
+PINNED_ANSWERS_SHA256 = "8532eba2b9cded0de55aa3abbec9fa97a8d294b3c174f365d635731440c1a926"
+
+
+def test_seeded_answers_and_refusals_are_pinned():
+    # 150 seeded words u r v per tower, r a relator, each combed under the
+    # acceptance sweep's cap and under a cap of 400 that refuses 165 of the
+    # 1,200 combs.
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+
+    def word(p, length):
+        return reduce(Letter(rng.choice(p.generators), rng.choice((1, -1))) for _ in range(length))
+
+    for p in (G3, G4, artin_presentation(5), artin_presentation(6)):
+        for _ in range(150):
+            w = word(p, rng.randint(1, 10)) * rng.choice(p.relators) * word(p, rng.randint(1, 10))
+            for cap in (12_000, 400):
+                try:
+                    text = " | ".join(format_word(level) for level in comb(p, w, word_cap=cap).levels)
+                except WordSizeExceededError as err:
+                    text = f"refused {err.length} {err.cap} {err.level} {err.position}"
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_ANSWERS_SHA256
+
+
 class _PerLetterComber(combing._Comber):
     """The engine as it was before the cap was checked per block of letters:
     it tests the cap after every image it appends."""

@@ -389,12 +389,12 @@ def _suite_theta(ns: argparse.Namespace) -> _SuiteResult:
         w = _random_word(rng, generators, SUITE_WORD_LENGTH)
         exponent, remainder = theta_decompose(tower, w, ns.word_cap)
         power = word_power(theta, exponent)
-        # The remainder is built as Theta^-exponent * w, so the first
-        # comparison holds by free reduction alone; Theta is central, so
-        # the second fails only when combing does.
+        # Equal as words, Theta^exponent * remainder and w are equal in the
+        # group; Theta is central, so the comparison combed fails only when
+        # combing does.
         ok = (
             exponent_sum(remainder, kernel_functional) == 0
-            and words_equal(tower, power * remainder, w, ns.word_cap)
+            and power * remainder == w
             and words_equal(tower, power * remainder, remainder * power, ns.word_cap)
         )
         checks.append(

@@ -31,10 +31,11 @@ until the images are the bare letters.  A move's length change is counted
 from the letters next to each y_t, not built, so each accepted move is
 applied once.  The composite of the moves is the inverse; it enters the
 table only after it composes back to the identity substitution.
-Conjugating a level word reads it two letters at a time.  Each actor has a
-pair table beside its table, filled from it on a miss up to a fixed number
-of pairs per engine: the freely reduced concatenation of the images of two
-adjacent letters, so a pair costs one lookup and one join to the output.
+Conjugating a level word reads it two letters at a time.  Each actor has
+pair rows beside its table, filled from it on a miss while the engine's
+store is under its bounds: a letter's row holds, for each next letter, the
+freely reduced concatenation of the two images, so a pair costs two list
+lookups and one join to the output.
 An image, of a pair or of one letter, cancels against the output only where
 the two meet, since both are freely reduced.  The word cap is exact per
 target letter: the scan stops at the first letter whose image takes the
@@ -48,18 +49,25 @@ run and the lower letters held after it.  The run combs in that room less
 the level word, and its form acts on the level word in that room less the
 form.
 
-Words are encoded as signed integers from the input to the output, so the
-hot loops touch no objects.  Each part of an answer leaves the engine
-through one checked decode, of two C loops over the part, for the
-invariants Word and NormalForm enforce.  One itemgetter call maps the part
-through its level's {signed id: shared Letter}, which holds that level's
+Words are encoded as letter codes from the input to the output, so the
+hot loops touch no objects.  With N the tower's generator count, the
+generator of id i is the code N + i and its inverse N - i: every code is a
+small non-negative int, the inverse of c is 2N - c, and N itself, no
+letter, marks the bottom of the output and a letter that acts alone.  A
+cancellation test then compares cached small ints and allocates nothing, a
+pair row is a list indexed by code, and a missing row or image is a None
+that raises TypeError when read.  Peak reduction works on signed ids, and
+a fill converts its images to codes once.  Each part of an answer leaves
+the engine through one checked decode, of two C loops over the part, for
+the invariants Word and NormalForm enforce.  One itemgetter call maps the
+part through its level's {code: shared Letter}, which holds that level's
 letters and no other, so a letter off the level is a KeyError; the other
-loop finds no adjacent x x^-1 among the sums of neighbouring ids.  A part
-that fails either goes to check_part, which names its first bad letter.
-On the 1.88 M answer letters of a warm seed-1 perfbench sweep pass (2-core
-Xeon VM) this costs about 44 ns a letter: 17 ns decoding, 26 ns testing
-reducedness.  The letters are shared, so comparing two combed forms is
-mostly identity checks.
+loop finds no adjacent c, 2N - c among the sums of neighbouring codes.  A
+part that fails either goes to check_part, which names its first bad
+letter.  On the 1.87 M answer letters of a warm seed-1 perfbench sweep pass
+(2-core Xeon VM) this costs about 41 ns a letter: 12 ns decoding, 26 ns
+testing reducedness.  The letters are shared, so comparing two combed forms
+is mostly identity checks.
 """
 
 from __future__ import annotations
@@ -138,11 +146,13 @@ class NormalForm:
 # --- integer word helpers -----------------------------------------------------
 
 
-def _push(stack: list[int], v: int) -> None:
-    if stack and stack[-1] == -v:
+def _push(stack: list[int], c: int, twice: int) -> None:
+    """Push the letter code c onto stack, or cancel it against its inverse,
+    the code twice - c, on top."""
+    if stack and stack[-1] == twice - c:
         stack.pop()
     else:
-        stack.append(v)
+        stack.append(c)
 
 
 def _substitute(
@@ -230,53 +240,77 @@ def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ..
 _RUN_COMB_LEVEL_LETTERS = 64
 _RUN_COMB_MIN_LETTERS = 3
 
-# How many pair images one engine stores (_Comber._pair_image).  A seed-1
-# perfbench sweep pass stores 7,753 over its 4 engines, at most 3,480 in one
-# (G_4, which has 4,056).  At the bound the pairs take, by tracemalloc,
-# 2.2 MB in P_12, 3.3 MB in G_6, 7.2 MB in G_20 and 19.9 MB on level 50 of
-# G_50, whose images are the longest.  A pair missed past the bound is
-# computed and used but not stored.
+# How many pair images one engine stores (_Comber._pair_image), and how many
+# cells its row lists may take: a list has one 8-byte cell per letter code,
+# and each actor with stored pairs has one list of rows and one row per
+# letter.  A seed-1 perfbench sweep pass stores 7,753 pairs over its 4
+# engines, at most 3,480 in one (G_4, which has 4,056), and at most 11,946
+# cells in one.  The cells bound the store where lists are long: a list of
+# G_50 is 5,001 cells, 40 KB, and 16,384 pairs in rows of their own there
+# would take 655 MB.  Filled to its bounds by 40-letter level words that
+# seeded lower actors conjugate, the store takes, by tracemalloc, 1.3 MB in
+# P_12, 2.5 MB in G_6, 0.7 MB in G_20 and 0.6 MB on level 50 of G_50, where
+# a store bounded by its pairs alone took 2.6, 2.8, 5.6 and 4.3 MB.  A pair
+# missed past either bound is computed and used but not stored.
 _PAIR_ENTRIES = 16_384
+_PAIR_CELLS = 65_536
 
 
 class _Comber:
     """Combing engine for one tower, with memoized letter actions.
 
-    Words are lists of signed generator ids (1-based, level-major order).
-    Caches are filled idempotently, so instances may be shared freely.
+    Words are lists of letter codes: the generator with the 1-based,
+    level-major id i is the code N + i and its inverse N - i, where N is
+    the tower's generator count, so the code c has the inverse 2N - c.  The
+    code N is no letter.  Caches are filled idempotently, so instances may
+    be shared freely.
     """
 
     def __init__(self, tower: TowerSpec) -> None:
         self.tower = tower
         self.symbols = tower.all_generators()
+        n = len(self.symbols)
         self.ids = {s: i + 1 for i, s in enumerate(self.symbols)}
-        self.level_of = [0] + [s.level for s in self.symbols]
+        # The code of a letter and of its inverse sum to twice.
+        self.twice = 2 * n
+        self.level_of = [0] * (2 * n + 1)
+        for i, s in enumerate(self.symbols, 1):
+            self.level_of[n + i] = self.level_of[n - i] = s.level
         # Level k owns the ids bounds[k][0] .. bounds[k][1]; first > last
         # when its alphabet is empty.
         self.bounds = [(1, 0)]
         for k in range(1, tower.n + 1):
             first = self.bounds[-1][1] + 1
             self.bounds.append((first, first + tower.kernel_rank(k) - 1))
-        # level_letters[k] maps each of level k's signed ids, and nothing
-        # else, to its shared Letter.
+        # level_letters[k] maps each of level k's codes, and nothing else,
+        # to its shared Letter.
         self.level_letters: list[dict[int, Letter]] = []
         for first, last in self.bounds:
             ids = range(first, last + 1)
-            letters = {v: Letter(self.symbols[v - 1]) for v in ids}
-            letters.update({-v: Letter(self.symbols[v - 1], -1) for v in ids})
+            letters = {n + i: Letter(self.symbols[i - 1]) for i in ids}
+            letters.update({n - i: Letter(self.symbols[i - 1], -1) for i in ids})
             self.level_letters.append(letters)
-        # actor id -> {target id: reversed image}, filled on demand.
+        # actor code -> {target code: reversed image}, filled on demand.
         self._actions: dict[int, dict[int, tuple[int, ...]]] = {}
         # The length of the longest image in any table; images are never
         # empty, so 1 before the first fill.
         self.longest = 1
-        # actor id -> {letter id: {next letter id: reversed image of the
-        # pair}}, filled on demand; a row's entry None is its letter's own
-        # image.  _pair_count counts the pairs, not the rows.
-        self._pairs: dict[int, dict[int, dict[int | None, tuple[int, ...]]]] = {}
+        # actor code -> its list of rows by letter code.  A row lists, by
+        # next letter code, the reversed images of the pairs, and its cell N
+        # holds its own letter's.  A row or image not stored is None.
+        # _pair_count counts the pairs, _cells the cells of all these lists.
+        self._pairs: dict[int, list[list[tuple[int, ...] | None] | None]] = {}
         self._pair_count = 0
+        self._cells = 0
+        # The rows of an actor the store has no room for; never written.
+        self._no_rows = [None] * (2 * n + 1)
+
+    def code(self, v: int) -> int:
+        """The code of the signed id v."""
+        return len(self.symbols) + v
 
     def encode(self, w: Word) -> list[int]:
+        n = len(self.symbols)
         out = []
         for letter in w.letters:
             gid = self.ids.get(letter.symbol)
@@ -284,31 +318,32 @@ class _Comber:
                 raise InvalidArgumentError(
                     f"{letter.symbol} is not a generator of this tower"
                 )
-            out.append(gid if letter.exponent == 1 else -gid)
+            out.append(n + gid if letter.exponent == 1 else n - gid)
         return out
 
-    def letter(self, v: int) -> Letter:
-        """The shared Letter of the tower's signed id v."""
-        return self.level_letters[self.level_of[abs(v)]][v]
+    def letter(self, c: int) -> Letter:
+        """The shared Letter of the tower's code c."""
+        return self.level_letters[self.level_of[c]][c]
 
     def check_part(self, k: int, part: Sequence[int]) -> None:
         """Raise InvalidArgumentError unless part is a freely reduced word on
-        level k's alphabet: the invariants of Word and NormalForm, on ids.
+        level k's alphabet: the invariants of Word and NormalForm, on codes.
         The first letter off the level is named; the level is checked before
         reducedness."""
         letters = self.level_letters[k]
-        for v in part:
-            if v not in letters:
-                raise InvalidArgumentError(f"component at level {k} contains {self.name(v)}")
+        for c in part:
+            if c not in letters:
+                raise InvalidArgumentError(f"component at level {k} contains {self.name(c)}")
         for a, b in zip(part, islice(part, 1, None)):
-            if a == -b:
+            if a + b == self.twice:
                 raise InvalidArgumentError(
                     f"word is not freely reduced at ...{letters[a]} {letters[b]}..."
                 )
 
-    def name(self, v: int) -> str:
-        """The generator the signed id v stands for, or the id itself when
-        it stands for none of the tower's."""
+    def name(self, c: int) -> str:
+        """The generator the code c stands for, or its signed id when it
+        stands for none of the tower's."""
+        v = c - len(self.symbols)
         if 0 < abs(v) <= len(self.symbols):
             return str(self.symbols[abs(v) - 1])
         return f"the unknown generator id {v}"
@@ -319,55 +354,68 @@ class _Comber:
         otherwise check_part's InvalidArgumentError.
 
         The decode is the level check: a letter off level k is a KeyError.
-        Ids are non-zero, so an adjacent pair sums to 0 exactly when it is
-        v, -v, and part is reduced when every such sum is true.  Either
+        An adjacent pair of level-k codes sums to twice exactly when it is
+        c, twice - c, so part is reduced when no such sum is twice.  Either
         failure hands part to check_part, which words the refusal."""
         letters = self.level_letters[k]
         try:
             if len(part) < 2:
                 # itemgetter of one index returns the bare item, not a tuple.
-                return _trusted(Word, letters=tuple([letters[v] for v in part]))
+                return _trusted(Word, letters=tuple([letters[c] for c in part]))
             decoded = itemgetter(*part)(letters)
         except KeyError:
             pass
         else:
-            if all(map(add, part, islice(part, 1, None))):
+            if self.twice not in map(add, part, islice(part, 1, None)):
                 return _trusted(Word, letters=decoded)
         self.check_part(k, part)
         raise AssertionError(f"check_part accepted the level-{k} part {part} the decode refused")
 
     def _forward_image(self, x: int, y: int) -> tuple[int, ...]:
-        """The image u y u^-1 of the positive letter y under conjugation by
-        the positive letter x, with u read off the defining relations."""
+        """The image u y u^-1, in signed ids, of the positive id y under
+        conjugation by the positive id x, with u read off the defining
+        relations."""
         target = self.symbols[y - 1]
         u = action_conjugator(self.symbols[x - 1], target)
-        return tuple(self.encode(u * Word((Letter(target),)) * u.inverse()))
+        n = len(self.symbols)
+        return tuple([c - n for c in self.encode(u * Word((Letter(target),)) * u.inverse())])
 
     def table(self, x: int, k: int) -> dict[int, tuple[int, ...]]:
-        """The signed actor x's table {target id: reversed image}, with both
+        """The actor code x's table {target code: reversed image}, with both
         signs of every level-k target filled: the scan maintains level words
-        back to front.  A level is filled whole on its first read.  A
-        negative actor's images are the peak-reduction inverse of the
-        positive actor's, entered only once they compose back to the
-        identity."""
+        back to front.  A level is filled whole on its first read.  The
+        images are found on signed ids; a negative actor's are the
+        peak-reduction inverse of the positive actor's, entered only once
+        they compose back to the identity."""
         table = self._actions.setdefault(x, {})
+        n = len(self.symbols)
         first, last = self.bounds[k]
-        if first in table:
+        if n + first in table:
             return table
-        images = {y: self._forward_image(abs(x), y) for y in range(first, last + 1)}
-        if x < 0:
+        v = x - n
+        images = {y: self._forward_image(abs(v), y) for y in range(first, last + 1)}
+        if v < 0:
             forward, images = images, _peak_reduce(images)
             for y, image in forward.items():
                 if _substitute(image, images) != (y,):
                     raise AssertionError(
-                        f"inverse action of {self.symbols[-x - 1]} on level {k} "
+                        f"inverse action of {self.symbols[-v - 1]} on level {k} "
                         "failed verification"
                     )
         self.longest = max([self.longest, *map(len, images.values())])
         for y, image in images.items():
-            table[y] = image[::-1]
-            table[-y] = tuple([-v for v in image])
+            table[n + y] = tuple([n + u for u in reversed(image)])
+            table[n - y] = tuple([n - u for u in image])
         return table
+
+    def _row(self) -> list | None:
+        """A new row of empty cells, one per code, or None once the rows
+        would pass _PAIR_CELLS cells."""
+        size = len(self.level_of)
+        if self._cells + size > _PAIR_CELLS:
+            return None
+        self._cells += size
+        return [None] * size
 
     def _conjugate_rev(
         self, x: int, rev_k: list[int], k: int, cap: int, held: int
@@ -376,11 +424,21 @@ class _Comber:
         reversed.  Raises WordSizeExceededError at the first letter of rev_k
         after which the word, plus held letters, is longer than cap."""
         self.table(x, k)
-        pairs = self._pairs.setdefault(x, {})
+        pairs = self._pairs.get(x)
+        if pairs is None:
+            pairs = self._row()
+            if pairs is None:
+                # No room: every pair misses, and none is stored.
+                pairs = self._no_rows
+            else:
+                self._pairs[x] = pairs
         longest = self.longest
-        # out[0] is a sentinel: ids are non-zero, so it never cancels and
-        # out is never empty.  base counts the held letters less the sentinel.
-        out = [0]
+        none = len(self.symbols)
+        twice = self.twice
+        # out[0] is a sentinel: the code none is no letter, so it never
+        # cancels and out is never empty.  base counts the held letters less
+        # the sentinel.
+        out = [none]
         extend, pop = out.extend, out.pop
         base = held - 1
         start, n = 0, len(rev_k)
@@ -394,21 +452,24 @@ class _Comber:
             start += room
             if len(block) & 1:
                 # The one letter of a checked step, or the odd last letter
-                # of a block, acts alone: its row's entry None is its image.
-                block.append(None)
+                # of a block, acts alone: its row's cell none is its image.
+                block.append(none)
             letters = iter(block)
             for a, b in zip(letters, letters):
+                # A missing row or image is None, so a miss is a TypeError.
                 try:
                     image = pairs[a][b]
-                except KeyError:
+                    head = image[0]
+                except TypeError:
                     image = self._pair_image(x, k, a, b)
+                    head = image[0]
                 # out and every image are freely reduced and images are
                 # never empty, so letters can cancel only where the image
                 # joins out.
-                if out[-1] == -image[0]:
+                if out[-1] == twice - head:
                     pop()
                     i, m = 1, len(image)
-                    while i < m and out[-1] == -image[i]:
+                    while i < m and out[-1] == twice - image[i]:
                         pop()
                         i += 1
                     extend(image[i:])
@@ -419,26 +480,30 @@ class _Comber:
         del out[0]
         return out
 
-    def _pair_image(self, x: int, k: int, a: int, b: int | None) -> tuple[int, ...]:
+    def _pair_image(self, x: int, k: int, a: int, b: int) -> tuple[int, ...]:
         """The reversed image under the actor x of the reversed level-k
-        letters a b, or of a alone when b is None: the freely reduced
-        concatenation of their reversed images.  It enters x's pair table
-        while the engine holds fewer than _PAIR_ENTRIES pairs."""
+        letters a b, or of a alone when b is the code N: the freely reduced
+        concatenation of their reversed images.  It enters x's row for a
+        while the engine holds fewer than _PAIR_ENTRIES pairs, and the row
+        is made while its cells fit under _PAIR_CELLS."""
         table = self._actions[x]
-        for y in (a, b):
+        none = len(self.symbols)
+        for y in (a,) if b == none else (a, b):
             # The filled table holds every level-k letter, so y is on another
             # level: only a corrupted table can put it in a level word.
-            if y is not None and y not in table:
+            if y not in table:
                 raise InvalidArgumentError(f"component at level {k} contains {self.name(y)}")
-        pairs = self._pairs[x]
-        row = pairs.get(a)
-        if row is None:
-            row = pairs[a] = {None: table[a]}
-        if b is None:
-            return row[None]
+        pairs = self._pairs.get(x)
+        row = None if pairs is None else pairs[a]
+        if row is None and pairs is not None:
+            row = pairs[a] = self._row()
+            if row is not None:
+                row[none] = table[a]
+        if b == none:
+            return table[a]
         first, second = table[a], table[b]
         i, m = 0, min(len(first), len(second))
-        while i < m and first[-1 - i] == -second[i]:
+        while i < m and first[-1 - i] + second[i] == self.twice:
             i += 1
         image = first[: len(first) - i] + second[i:]
         if not image:
@@ -447,7 +512,7 @@ class _Comber:
                 f"the action of {self.letter(x)} on level {k} sends "
                 f"{self.letter(b)} {self.letter(a)} to the identity"
             )
-        if self._pair_count < _PAIR_ENTRIES:
+        if row is not None and self._pair_count < _PAIR_ENTRIES:
             row[b] = image
             self._pair_count += 1
         return image
@@ -461,19 +526,20 @@ class _Comber:
         and its whole action, beside the form; None otherwise, and the run's
         own letters act instead."""
         try:
-            form = [v for part in self.comb(run, room - len(rev_k), k - 1) for v in part]
+            form = [c for part in self.comb(run, room - len(rev_k), k - 1) for c in part]
             if len(form) >= len(run):
                 return None
-            for v in reversed(form):
-                rev_k = self._conjugate_rev(v, rev_k, k, room, len(form))
+            for c in reversed(form):
+                rev_k = self._conjugate_rev(c, rev_k, k, room, len(form))
         except WordSizeExceededError:
             return None
         return rev_k, form
 
     def comb(self, ints: list[int], cap: int, top: int | None = None) -> list[list[int]]:
-        """The parts of ints from level top (the tower's height unless
-        given) down to level 1, kernel first."""
+        """The parts of the coded word ints from level top (the tower's
+        height unless given) down to level 1, kernel first."""
         level_of = self.level_of
+        twice = self.twice
         rest = ints
         parts = []
         for k in range(self.tower.n if top is None else top, 0, -1):
@@ -487,15 +553,15 @@ class _Comber:
             try:
                 while pos >= 0:
                     x = rest[pos]
-                    if level_of[abs(x)] == k:
-                        _push(rev_k, x)
+                    if level_of[x] == k:
+                        _push(rev_k, x, twice)
                         start, tried = None, False
                         pos -= 1
                         continue
                     if not tried and len(rev_k) >= _RUN_COMB_LEVEL_LETTERS:
                         if start is None:
                             start = pos
-                            while start and level_of[abs(rest[start - 1])] < k:
+                            while start and level_of[rest[start - 1]] < k:
                                 start -= 1
                         # The run acts on the level word only through the
                         # element it is, so a shorter word for that element,
@@ -514,13 +580,13 @@ class _Comber:
                             acted = self._form_acted(rest[start : pos + 1], rev_k, k, room)
                             if acted is not None:
                                 rev_k, form = acted
-                                for v in reversed(form):
-                                    _push(rev_rest, v)
+                                for c in reversed(form):
+                                    _push(rev_rest, c, twice)
                                 pos = start - 1
                                 continue
                     if rev_k:
                         rev_k = self._conjugate_rev(x, rev_k, k, cap, pos + len(rev_rest) + 1)
-                    _push(rev_rest, x)
+                    _push(rev_rest, x, twice)
                     pos -= 1
             except WordSizeExceededError as exc:
                 raise WordSizeExceededError(

@@ -292,8 +292,9 @@ def test_11_theta_decomposition_is_bijective() -> None:
             ok = ok and e == exponent_sum(w, loop)
             ok = ok and exponent_sum(remainder, loop) == 0
             power = _theta_power(n, e)
-            ok = ok and words_equal(p, power * remainder, w)
-            # Theta is central: unlike the line above, this can fail.
+            # Equal as words, so equal in the group.
+            ok = ok and power * remainder == w
+            # Theta is central: unlike the line above, this tests combing.
             ok = ok and words_equal(p, power * remainder, remainder * power)
             words += 1
     _report(11, "theta_decompose splits off the unique central power", ok, f"{words} words, n <= 4")

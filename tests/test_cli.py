@@ -888,8 +888,11 @@ def test_verify_theta_suite_fails_on_a_wrong_engine(capsys, monkeypatch):
     # from remainder * Theta^e, though it still reduces to the word itself.
     c = combing._Comber(TowerSpec(GenFamily.ORBIT, 2))
     x, y, z = (c.ids[orbit_gen(*indices)] for indices in ((1, 0), (2, 1), (2, 2)))
-    table = c.table(x, 2)
-    table[y], table[z], table[-y], table[-z] = table[z], table[y], table[-z], table[-y]
+    table = c.table(c.code(x), 2)
+    y, z, y_inverse, z_inverse = map(c.code, (y, z, -y, -z))
+    table[y], table[z], table[y_inverse], table[z_inverse] = (
+        table[z], table[y], table[z_inverse], table[y_inverse]
+    )
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
     code, out, _ = run(capsys, "verify", "--suite", "theta", "--n", "2", "--seed", "3")
     assert code == EXIT_CHECK_FAILED

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import random
 import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -218,11 +219,11 @@ def _inverse_table_dump(family, n):
     c = combing._Comber(TowerSpec(family, n))
     lines = []
     for actor in c.symbols:
-        x = -c.ids[actor]
+        x = c.code(-c.ids[actor])
         for target in c.symbols:
             if actor.level >= target.level:
                 continue
-            for y in (c.ids[target], -c.ids[target]):
+            for y in map(c.code, (c.ids[target], -c.ids[target])):
                 image = c.word(target.level, c.table(x, target.level)[y][::-1])
                 lines.append(f"{c.letter(x)} {c.letter(y)} -> {format_word(image)}\n")
     return "".join(lines)
@@ -249,7 +250,7 @@ def test_inverse_fill_refuses_a_substitution_it_cannot_undo(images):
     c = combing._Comber(G2.tower)
     forward = images(c.ids[orbit_gen(2, 0)], c.ids[orbit_gen(2, 1)])
     c._forward_image = lambda x, y: forward.get(y, (y,))
-    x = -c.ids[orbit_gen(1, 0)]
+    x = c.code(-c.ids[orbit_gen(1, 0)])
     with pytest.raises(AssertionError, match=r"inverse action of r\(1,0\) on level 2 "):
         c.table(x, 2)
     assert not c._actions.get(x)
@@ -302,8 +303,9 @@ def test_counted_move_is_the_built_move(images):
 def test_a_miss_fills_one_whole_level_of_one_table(p):
     lowest = p.tower.all_generators()[0].level
     for k in range(lowest + 1, p.tower.n + 1):
-        for x in (1, -1):
+        for v in (1, -1):
             c = combing._Comber(p.tower)
+            x = c.code(v)
             c.table(x, k)
             assert set(c._actions) == {x}
             assert len(c._actions[x]) == 2 * p.tower.kernel_rank(k)
@@ -663,10 +665,10 @@ class _PerLetterComber(combing._Comber):
         extend, pop = out.extend, out.pop
         for y in rev_k:
             image = table[y]
-            if out and out[-1] == -image[0]:
+            if out and out[-1] == self.twice - image[0]:
                 pop()
                 i, n = 1, len(image)
-                while i < n and out and out[-1] == -image[i]:
+                while i < n and out and out[-1] == self.twice - image[i]:
                     pop()
                     i += 1
                 extend(image[i:])
@@ -751,14 +753,14 @@ class _PlainScanComber(combing._Comber):
             try:
                 for pos in range(len(rest) - 1, -1, -1):
                     x = rest[pos]
-                    if level_of[abs(x)] == k:
-                        combing._push(rev_k, x)
+                    if level_of[x] == k:
+                        combing._push(rev_k, x, self.twice)
                     else:
                         if rev_k:
                             rev_k = self._conjugate_rev(
                                 x, rev_k, k, cap, pos + len(rev_rest) + 1
                             )
-                        combing._push(rev_rest, x)
+                        combing._push(rev_rest, x, self.twice)
             except WordSizeExceededError as exc:
                 raise WordSizeExceededError(
                     exc.length, exc.cap, level=k, position=pos
@@ -927,8 +929,8 @@ def test_a_run_that_never_combs_shorter_is_combed_once(monkeypatch):
 def test_longest_bounds_every_stored_image(family, top):
     for n in range(1, top + 1):
         c = combing._Comber(TowerSpec(family, n))
-        for x in (*range(1, len(c.symbols) + 1), *range(-len(c.symbols), 0)):
-            for k in range(c.level_of[abs(x)] + 1, n + 1):
+        for x in map(c.code, (*range(1, len(c.symbols) + 1), *range(-len(c.symbols), 0))):
+            for k in range(c.level_of[x] + 1, n + 1):
                 c.table(x, k)
         images = [image for table in c._actions.values() for image in table.values()]
         assert c.longest >= max(map(len, images), default=1)
@@ -943,8 +945,8 @@ def test_a_letter_planted_off_level_is_refused(planted):
     # a pair and as the second.
     for text in ("r(1,0) r(1,0) r(2,0)", "r(1,0) r(1,0) r(2,1) r(2,0)", "r(1,0) r(1,0) r(2,0) r(2,1)"):
         c = combing._Comber(G3.tower)
-        x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
-        c.table(x, 2)[y] = (c.ids[planted],)
+        x, y = c.code(c.ids[orbit_gen(1, 0)]), c.code(c.ids[orbit_gen(2, 0)])
+        c.table(x, 2)[y] = (c.code(c.ids[planted]),)
         with pytest.raises(
             InvalidArgumentError, match=re.escape(f"component at level 2 contains {planted}")
         ):
@@ -957,8 +959,8 @@ def test_a_pair_whose_images_cancel_is_refused():
     # refusal, never an IndexError from the empty image.
     c = combing._Comber(G2.tower)
     x, y, z = (c.ids[orbit_gen(*indices)] for indices in ((1, 0), (2, 0), (2, 1)))
-    table = c.table(x, 2)
-    table[y], table[z] = (y,), (-y,)
+    table = c.table(c.code(x), 2)
+    table[c.code(y)], table[c.code(z)] = (c.code(y),), (c.code(-y),)
     with pytest.raises(
         InvalidArgumentError,
         match=re.escape("the action of r(1,0) on level 2 sends r(2,0) r(2,1) to the identity"),
@@ -978,11 +980,11 @@ def _combed_seeded_words(c, seed, count, length):
     return [_outcome(c, w, 12_000) for w in words]
 
 
-def _joined(first, second):
-    """The freely reduced concatenation of two words of signed ids."""
+def _joined(c, first, second):
+    """The freely reduced concatenation of two words of c's letter codes."""
     out = []
     for v in (*first, *second):
-        combing._push(out, v)
+        combing._push(out, v, c.twice)
     return tuple(out)
 
 
@@ -997,15 +999,18 @@ def _joined(first, second):
 def test_every_stored_pair_is_the_reduced_join_of_its_letters(tower):
     c = combing._Comber(tower)
     _combed_seeded_words(c, 22, 20, 12)
+    alone = len(c.symbols)  # the code that is no letter
     stored = 0
     for x, rows in c._pairs.items():
         table = c._actions[x]
-        for a, row in rows.items():
-            assert row[None] == table[a]
-            for b, image in row.items():
-                if b is not None:
+        for a, row in enumerate(rows):
+            if row is None:
+                continue
+            assert row[alone] == table[a]
+            for b, image in enumerate(row):
+                if b != alone and image is not None:
                     stored += 1
-                    assert image and image == _joined(table[a], table[b])
+                    assert image and image == _joined(c, table[a], table[b])
     assert stored == c._pair_count > 0
 
 
@@ -1015,19 +1020,65 @@ class _PairCountingComber(combing._Comber):
     missed = 0
 
     def _pair_image(self, x, k, a, b):
-        self.missed += b is not None
+        self.missed += b != len(self.symbols)
         return super()._pair_image(x, k, a, b)
 
 
+def _stored_pairs(c):
+    """How many pair images c's rows hold, not counting each row's cell for
+    its own letter."""
+    alone = len(c.symbols)
+    return sum(
+        image is not None and b != alone
+        for rows in c._pairs.values()
+        for row in rows
+        if row is not None
+        for b, image in enumerate(row)
+    )
+
+
 def test_the_pair_store_stops_at_its_bound(monkeypatch):
-    # Past the bound a missed pair is still computed and used, so the
+    # Past either bound a missed pair is still computed and used, so the
     # answers are those of the per-letter engine, which stores no pair.
+    expected = _combed_seeded_words(_PerLetterComber(G4.tower), 5, 20, 12)
+    entries = combing._PAIR_ENTRIES
     monkeypatch.setattr(combing, "_PAIR_ENTRIES", 50)
     c = _PairCountingComber(G4.tower)
-    reference = _PerLetterComber(G4.tower)
-    assert _combed_seeded_words(c, 5, 20, 12) == _combed_seeded_words(reference, 5, 20, 12)
-    stored = sum(b is not None for rows in c._pairs.values() for row in rows.values() for b in row)
-    assert c.missed > stored == c._pair_count == 50
+    assert _combed_seeded_words(c, 5, 20, 12) == expected
+    assert c.missed > _stored_pairs(c) == c._pair_count == 50
+    # A G_4 row list has 33 cells, one per code, so 330 cells hold the
+    # rows of 10 lists: actors' and letters' together.
+    monkeypatch.setattr(combing, "_PAIR_ENTRIES", entries)
+    monkeypatch.setattr(combing, "_PAIR_CELLS", 330)
+    c = _PairCountingComber(G4.tower)
+    assert _combed_seeded_words(c, 5, 20, 12) == expected
+    lists = len(c._pairs) + sum(row is not None for rows in c._pairs.values() for row in rows)
+    assert c._cells == 33 * lists == 330
+    assert c.missed > _stored_pairs(c) == c._pair_count > 0
+
+
+def test_the_pair_store_at_its_bound_is_small_in_g20():
+    # A G_20 row is 801 cells, 6.4 KB.  Stored for every letter that 40
+    # actors meet in 300 conjugations of 40-letter level-20 words, the rows
+    # would take about 18 MB; under the cell bound the store, pairs
+    # included, stays under the 7.2 MB that 16,384 pairs took there when
+    # only pairs were counted.
+    c = combing._Comber(TowerSpec(GenFamily.ORBIT, 20))
+    rng = random.Random(20)
+    first, last = c.bounds[20]
+    actors = [c.code(v) for v in range(1, 41)]
+    for x in actors:
+        c.table(x, 20)
+    tracemalloc.start()
+    try:
+        for _ in range(300):
+            word = _reduced_part(rng, c, 20, 40)
+            c._conjugate_rev(rng.choice(actors), [c.code(v) for v in word], 20, DEFAULT_WORD_CAP, 0)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert combing._PAIR_CELLS - 801 < c._cells <= combing._PAIR_CELLS
+    assert size <= 7_200_000
 
 
 def test_seeded_words_take_the_pair_path():
@@ -1044,7 +1095,8 @@ def test_integer_output_check_is_live(monkeypatch):
     # broken action table must surface as a typed error, never as a word.
     c = combing._Comber(G2.tower)
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
-    x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
+    x, y = c.code(c.ids[orbit_gen(1, 0)]), c.code(c.ids[orbit_gen(2, 0)])
+    y_inverse = c.code(-c.ids[orbit_gen(2, 0)])
     w = parse_word("r(1,0) r(2,0)")
     c.table(x, 2)[y] = (x,)  # a level-1 letter in a level-2 image
     with pytest.raises(InvalidArgumentError):
@@ -1053,11 +1105,11 @@ def test_integer_output_check_is_live(monkeypatch):
         words_equal(G2, w, w)
     with pytest.raises(InvalidArgumentError):
         is_identity(G2, w)
-    c.table(x, 2)[y] = (y, -y)  # an unreduced image
+    c.table(x, 2)[y] = (y, y_inverse)  # an unreduced image
     with pytest.raises(InvalidArgumentError):
         comb(G2, w)
     with pytest.raises(InvalidArgumentError):
-        c.check_part(2, [y, -y])
+        c.check_part(2, [y, y_inverse])
     c.check_part(2, [y, y])
 
 
@@ -1079,7 +1131,7 @@ def test_integer_output_check_names_the_first_bad_letter(k, part, message):
     # G_2: r(1,0) is id 1, r(2,0), r(2,1), r(2,2) are ids 2, 3, 4.
     c = combing._Comber(G2.tower)
     with pytest.raises(InvalidArgumentError) as raised:
-        c.check_part(k, part)
+        c.check_part(k, [c.code(v) for v in part])
     assert str(raised.value) == message
 
 
@@ -1109,15 +1161,16 @@ def _mixed_parts(draw):
 def test_checked_decode_refuses_exactly_what_check_part_refuses(drawn):
     k, part = drawn
     c = combing._comber_for(G3.tower)
+    codes = [c.code(v) for v in part]
     try:
-        c.check_part(k, part)
+        c.check_part(k, codes)
     except InvalidArgumentError as refusal:
         with pytest.raises(InvalidArgumentError) as raised:
-            c.word(k, part)
+            c.word(k, codes)
         assert str(raised.value) == str(refusal)
     else:
         letters = [Letter(c.symbols[abs(v) - 1], 1 if v > 0 else -1) for v in part]
-        assert c.word(k, part) == Word(tuple(letters))
+        assert c.word(k, codes) == Word(tuple(letters))
 
 
 def test_conjugation_action_checks_its_image(monkeypatch):
@@ -1125,12 +1178,13 @@ def test_conjugation_action_checks_its_image(monkeypatch):
     # test_integer_output_check_is_live, read straight off the table.
     c = combing._Comber(G2.tower)
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
-    x, y = c.ids[orbit_gen(1, 0)], c.ids[orbit_gen(2, 0)]
+    x, y = c.code(c.ids[orbit_gen(1, 0)]), c.code(c.ids[orbit_gen(2, 0)])
     actor, target = Letter(orbit_gen(1, 0)), Letter(orbit_gen(2, 0))
     c.table(x, 2)[y] = (x,)
     with pytest.raises(InvalidArgumentError, match=re.escape("component at level 2 contains r(1,0)")):
         conjugation_action(G2.tower, actor, target)
-    c.table(x, 2)[y] = (y, -y)  # reversed in the table, so the image is y^-1 y
+    # Reversed in the table, so the image is y^-1 y.
+    c.table(x, 2)[y] = (y, c.code(-c.ids[orbit_gen(2, 0)]))
     with pytest.raises(
         InvalidArgumentError, match=re.escape("word is not freely reduced at ...r(2,0)^-1 r(2,0)...")
     ):
@@ -1159,7 +1213,7 @@ def test_trusted_decode_matches_the_checked_constructors(tower):
     top = tower.n
     for length in (0, 1, 2, 100, 137):
         part = _reduced_part(rng, c, top, length)
-        w = c.word(top, part)
+        w = c.word(top, [c.code(v) for v in part])
         # A one-index itemgetter returns a bare Letter, not a tuple.
         assert type(w.letters) is tuple
         assert w == checked(part) and len(w) == length

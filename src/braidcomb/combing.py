@@ -273,9 +273,9 @@ class _Comber:
         self.ids = {s: i + 1 for i, s in enumerate(self.symbols)}
         # The code of a letter and of its inverse sum to twice.
         self.twice = 2 * n
-        self.level_of = [0] * (2 * n + 1)
-        for i, s in enumerate(self.symbols, 1):
-            self.level_of[n + i] = self.level_of[n - i] = s.level
+        # The codes 0 .. N - 1 are the inverses of the ids N .. 1.
+        levels = [s.level for s in self.symbols]
+        self.level_of = levels[::-1] + [0] + levels
         # Level k owns the ids bounds[k][0] .. bounds[k][1]; first > last
         # when its alphabet is empty.
         self.bounds = [(1, 0)]
@@ -377,8 +377,8 @@ class _Comber:
         relations."""
         target = self.symbols[y - 1]
         u = action_conjugator(self.symbols[x - 1], target)
-        n = len(self.symbols)
-        return tuple([c - n for c in self.encode(u * Word((Letter(target),)) * u.inverse())])
+        image = u * Word((Letter(target),)) * u.inverse()
+        return tuple([self.ids[letter.symbol] * letter.exponent for letter in image.letters])
 
     def table(self, x: int, k: int) -> dict[int, tuple[int, ...]]:
         """The actor code x's table {target code: reversed image}, with both
@@ -433,12 +433,12 @@ class _Comber:
             else:
                 self._pairs[x] = pairs
         longest = self.longest
-        none = len(self.symbols)
+        no_letter = len(self.symbols)
         twice = self.twice
-        # out[0] is a sentinel: the code none is no letter, so it never
+        # out[0] is a sentinel: the code no_letter is no letter, so it never
         # cancels and out is never empty.  base counts the held letters less
         # the sentinel.
-        out = [none]
+        out = [no_letter]
         extend, pop = out.extend, out.pop
         base = held - 1
         start, n = 0, len(rev_k)
@@ -452,8 +452,9 @@ class _Comber:
             start += room
             if len(block) & 1:
                 # The one letter of a checked step, or the odd last letter
-                # of a block, acts alone: its row's cell none is its image.
-                block.append(none)
+                # of a block, acts alone: its row's cell no_letter holds its
+                # image.
+                block.append(no_letter)
             letters = iter(block)
             for a, b in zip(letters, letters):
                 # A missing row or image is None, so a miss is a TypeError.
@@ -487,19 +488,21 @@ class _Comber:
         while the engine holds fewer than _PAIR_ENTRIES pairs, and the row
         is made while its cells fit under _PAIR_CELLS."""
         table = self._actions[x]
-        none = len(self.symbols)
-        for y in (a,) if b == none else (a, b):
+        no_letter = len(self.symbols)
+        for y in (a,) if b == no_letter else (a, b):
             # The filled table holds every level-k letter, so y is on another
             # level: only a corrupted table can put it in a level word.
             if y not in table:
                 raise InvalidArgumentError(f"component at level {k} contains {self.name(y)}")
         pairs = self._pairs.get(x)
-        row = None if pairs is None else pairs[a]
-        if row is None and pairs is not None:
-            row = pairs[a] = self._row()
-            if row is not None:
-                row[none] = table[a]
-        if b == none:
+        row = None
+        if pairs is not None:
+            row = pairs[a]
+            if row is None:
+                row = pairs[a] = self._row()
+                if row is not None:
+                    row[no_letter] = table[a]
+        if b == no_letter:
             return table[a]
         first, second = table[a], table[b]
         i, m = 0, min(len(first), len(second))

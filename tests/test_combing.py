@@ -648,7 +648,8 @@ def test_seeded_answers_and_refusals_are_pinned():
             w = word(p, rng.randint(1, 10)) * rng.choice(p.relators) * word(p, rng.randint(1, 10))
             for cap in (12_000, 400):
                 try:
-                    text = " | ".join(format_word(level) for level in comb(p, w, word_cap=cap).levels)
+                    levels = comb(p, w, word_cap=cap).levels
+                    text = " | ".join(format_word(level) for level in levels)
                 except WordSizeExceededError as err:
                     text = f"refused {err.length} {err.cap} {err.level} {err.position}"
                 digest.update(text.encode() + b"\n")

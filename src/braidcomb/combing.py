@@ -18,10 +18,10 @@ the run then costs nothing at level k.  The form acts whole or not at all:
 if its comb or its action passes the word cap, or it is not shorter, the
 run's own letters act, so a refusal always names a letter the scan read.
 
-Each signed actor letter has one action table, {target: image} for both
-signs of every target, kept per tower and filled a whole level at a time
-on the first miss there.  A positive actor reads its images straight off
-the defining relations (action_conjugator).  Each sends every target y to
+Each signed actor letter has one action table per level, the image of
+both signs of every target there, kept per tower and filled whole on its
+first miss.  A positive actor reads its images straight off the defining
+relations (action_conjugator).  Each sends every target y to
 a conjugate u y u^-1, so the action is a basis-conjugating automorphism of
 the level-k free group (McCool, Can. J. Math. 38, 1986).  A negative
 actor's images are the inverse, found by peak reduction (Collins, Comment.
@@ -32,10 +32,10 @@ from the letters next to each y_t, not built, so each accepted move is
 applied once.  The composite of the moves is the inverse; it enters the
 table only after it composes back to the identity substitution.
 Conjugating a level word reads it two letters at a time.  Each actor has
-pair rows beside its table, filled from it on a miss while the engine's
-store is under its bounds: a letter's row holds, for each next letter, the
-freely reduced concatenation of the two images, so a pair costs two list
-lookups and one join to the output.
+pair rows beside each of its tables, filled from it on a miss while the
+engine's store is under its bounds: a letter's row holds, for each next
+letter of its level, the freely reduced concatenation of the two images,
+so a pair costs two list lookups and one join to the output.
 An image, of a pair or of one letter, cancels against the output only where
 the two meet, since both are freely reduced.  The word cap is exact per
 target letter: the scan stops at the first letter whose image takes the
@@ -50,24 +50,33 @@ the level word, and its form acts on the level word in that room less the
 form.
 
 Words are encoded as letter codes from the input to the output, so the
-hot loops touch no objects.  With N the tower's generator count, the
-generator of id i is the code N + i and its inverse N - i: every code is a
-small non-negative int, the inverse of c is 2N - c, and N itself, no
-letter, marks the bottom of the output and a letter that acts alone.  A
-cancellation test then compares cached small ints and allocates nothing, a
-pair row is a list indexed by code, and a missing row or image is a None
-that raises TypeError when read.  Peak reduction works on signed ids, and
-a fill converts its images to codes once.  Each part of an answer leaves
-the engine through one checked decode, of two C loops over the part, for
-the invariants Word and NormalForm enforce.  One itemgetter call maps the
-part through its level's {code: shared Letter}, which holds that level's
-letters and no other, so a letter off the level is a KeyError; the other
-loop finds no adjacent c, 2N - c among the sums of neighbouring codes.  A
-part that fails either goes to check_part, which names its first bad
-letter.  On the 1.87 M answer letters of a warm seed-1 perfbench sweep pass
-(2-core Xeon VM) this costs about 41 ns a letter: 12 ns decoding, 26 ns
-testing reducedness.  The letters are shared, so comparing two combed forms
-is mostly identity checks.
+hot loops touch no objects.  Input words, runs and actors are in tower
+codes: with N the tower's generator count, the generator of id i is the
+code N + i and its inverse N - i.  A level word only ever holds its own
+level's letters, so level words, tables, pair rows and answer parts are in
+level codes: on level k, of rank m, the level's j-th generator is m + j and
+its inverse m - j.  Every code is a small non-negative int, the inverse of
+c is 2m - c, and m itself, no letter, marks the bottom of the output and a
+letter that acts alone.  A letter is converted as it is pushed onto its
+level word, and a run's normal form back to tower codes before it acts.
+A cancellation test then compares cached small ints and allocates nothing,
+a pair row is a list of 2m + 1 cells, and a missing row or image is a None,
+or an index past a row, that raises when read.  Peak reduction works on
+signed ids, and a fill converts its images to level codes once.
+
+No level code passes 198 (level 50 of G_50 has rank 99, the largest any
+tower up to MAX_TOWER_GENERATORS has), so each part of an answer leaves the
+engine through one checked decode of its bytes, for the invariants Word and
+NormalForm enforce.  bytes() refuses a code outside 0 .. 255; one
+itemgetter call maps the part through its level's tuple of 2m + 1 shared
+Letters, which refuses a code past 2m; m is searched for; and the bytes
+after the first, xored as one int with the inverses of the bytes before
+the last, have a zero byte exactly where two neighbours cancel.  A part
+that fails goes to check_part, which names its first bad letter.  On the
+1.88 M answer letters of a warm seed-1 perfbench sweep pass (2-core Xeon
+VM) this costs about 29 ns a letter, where a dict decode and a loop over
+the sums of neighbouring tower codes cost 45.  The letters are shared, so
+comparing two combed forms is mostly identity checks.
 """
 
 from __future__ import annotations
@@ -75,7 +84,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidArgumentError, WordSizeExceededError
@@ -241,17 +250,18 @@ _RUN_COMB_LEVEL_LETTERS = 64
 _RUN_COMB_MIN_LETTERS = 3
 
 # How many pair images one engine stores (_Comber._pair_image), and how many
-# cells its row lists may take: a list has one 8-byte cell per letter code,
-# and each actor with stored pairs has one list of rows and one row per
-# letter.  A seed-1 perfbench sweep pass stores 7,753 pairs over its 4
-# engines, at most 3,480 in one (G_4, which has 4,056), and at most 11,946
-# cells in one.  The cells bound the store where lists are long: a list of
-# G_50 is 5,001 cells, 40 KB, and 16,384 pairs in rows of their own there
-# would take 655 MB.  Filled to its bounds by 40-letter level words that
-# seeded lower actors conjugate, the store takes, by tracemalloc, 1.3 MB in
-# P_12, 2.5 MB in G_6, 0.7 MB in G_20 and 0.6 MB on level 50 of G_50, where
-# a store bounded by its pairs alone took 2.6, 2.8, 5.6 and 4.3 MB.  A pair
-# missed past either bound is computed and used but not stored.
+# cells its lists may take: a list has one 8-byte cell per code of its
+# level, 2m + 1, and each actor with stored pairs on a level has one list of
+# rows there and one row per letter.  A seed-1 perfbench sweep pass stores
+# 7,753 pairs over its 4 engines, at most 3,480 in one (G_4), and at most
+# 5,116 cells in one.  The longest list, on level 50 of G_50, is 199 cells,
+# 1.6 KB.  Filled to its bounds by seeded 40-letter top-level words that up
+# to 40 lower actors conjugate, the store takes, by tracemalloc, 1.9 MB in
+# G_6, which holds every pair the words reach, 1.6 MB in P_12, where the
+# pairs bound binds, and 3.9 MB in G_20 and 4.9 MB on level 50 of G_50,
+# where the cells bound binds too and a store bounded by its pairs alone
+# took 5.3 and 17.8 MB.  A pair missed past either bound is computed and
+# used but not stored.
 _PAIR_ENTRIES = 16_384
 _PAIR_CELLS = 65_536
 
@@ -259,11 +269,14 @@ _PAIR_CELLS = 65_536
 class _Comber:
     """Combing engine for one tower, with memoized letter actions.
 
-    Words are lists of letter codes: the generator with the 1-based,
-    level-major id i is the code N + i and its inverse N - i, where N is
-    the tower's generator count, so the code c has the inverse 2N - c.  The
-    code N is no letter.  Caches are filled idempotently, so instances may
-    be shared freely.
+    Input words and actors are lists of tower codes: the generator with the
+    1-based, level-major id i is the code N + i and its inverse N - i, where
+    N is the tower's generator count, so the code c has the inverse 2N - c.
+    Level words, action tables, pair rows and parts are lists of level
+    codes: on level k, of rank m, the generator with the level's j-th id is
+    the code m + j and its inverse m - j, so c has the inverse 2m - c.
+    Neither N nor m is a letter.  Caches are filled idempotently, so
+    instances may be shared freely.
     """
 
     def __init__(self, tower: TowerSpec) -> None:
@@ -271,42 +284,64 @@ class _Comber:
         self.symbols = tower.all_generators()
         n = len(self.symbols)
         self.ids = {s: i + 1 for i, s in enumerate(self.symbols)}
-        # The code of a letter and of its inverse sum to twice.
+        # The tower code of a letter and of its inverse sum to twice.
         self.twice = 2 * n
         # The codes 0 .. N - 1 are the inverses of the ids N .. 1.
         levels = [s.level for s in self.symbols]
         self.level_of = levels[::-1] + [0] + levels
         # Level k owns the ids bounds[k][0] .. bounds[k][1]; first > last
-        # when its alphabet is empty.
+        # when its alphabet is empty.  Its rank is ranks[k].
         self.bounds = [(1, 0)]
         for k in range(1, tower.n + 1):
             first = self.bounds[-1][1] + 1
             self.bounds.append((first, first + tower.kernel_rank(k) - 1))
-        # level_letters[k] maps each of level k's codes, and nothing else,
-        # to its shared Letter.
-        self.level_letters: list[dict[int, Letter]] = []
-        for first, last in self.bounds:
-            ids = range(first, last + 1)
-            letters = {n + i: Letter(self.symbols[i - 1]) for i in ids}
-            letters.update({n - i: Letter(self.symbols[i - 1], -1) for i in ids})
-            self.level_letters.append(letters)
-        # actor code -> {target code: reversed image}, filled on demand.
-        self._actions: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.ranks = [last - first + 1 for first, last in self.bounds]
+        # Level codes run to 2m, 198 at the top of G_50, so the checked
+        # decode reads each part as bytes.
+        if 2 * max(self.ranks) > 255:
+            raise AssertionError(f"level codes of {tower} do not fit in a byte")
+        # local maps each tower code to the level code of that letter on its
+        # own level, and tower_codes[k] maps level k's codes back.
+        # level_letters[k] holds the shared Letter of each of level k's
+        # codes, None at m, and inverses[k] translates each byte c <= 2m
+        # to 2m - c.
+        self.local = [0] * (2 * n + 1)
+        self.tower_codes: list[tuple[int, ...]] = []
+        self.level_letters: list[tuple[Letter | None, ...]] = []
+        self.inverses: list[bytes] = []
+        for (first, _), m in zip(self.bounds, self.ranks):
+            codes = [n] * (2 * m + 1)
+            letters: list[Letter | None] = [None] * (2 * m + 1)
+            for j in range(1, m + 1):
+                symbol = self.symbols[first + j - 2]
+                for sign in (1, -1):
+                    codes[m + sign * j] = n + sign * (first + j - 1)
+                    self.local[n + sign * (first + j - 1)] = m + sign * j
+                    letters[m + sign * j] = Letter(symbol, sign)
+            self.tower_codes.append(tuple(codes))
+            self.level_letters.append(tuple(letters))
+            self.inverses.append(bytes(range(2 * m, -1, -1)).ljust(256, b"\0"))
+        # Per level, actor code -> its table, filled on demand.
+        self._actions: list[dict[int, list[tuple[int, ...] | None]]] = [{} for _ in self.ranks]
         # The length of the longest image in any table; images are never
         # empty, so 1 before the first fill.
         self.longest = 1
-        # actor code -> its list of rows by letter code.  A row lists, by
-        # next letter code, the reversed images of the pairs, and its cell N
-        # holds its own letter's.  A row or image not stored is None.
-        # _pair_count counts the pairs, _cells the cells of all these lists.
-        self._pairs: dict[int, list[list[tuple[int, ...] | None] | None]] = {}
+        # Per level, actor code -> its list of rows by letter code.  A row
+        # lists, by next letter code, the reversed images of the pairs, and
+        # its cell m holds its own letter's.  A row or image not stored is
+        # None.  _pair_count counts the pairs, _cells the cells of all
+        # these lists.
+        self._pairs: list[dict[int, list[list[tuple[int, ...] | None] | None]]] = [
+            {} for _ in self.ranks
+        ]
         self._pair_count = 0
         self._cells = 0
-        # The rows of an actor the store has no room for; never written.
-        self._no_rows = [None] * (2 * n + 1)
+        # Per level, the rows of an actor the store has no room for; never
+        # written.
+        self._no_rows = [[None] * (2 * m + 1) for m in self.ranks]
 
     def code(self, v: int) -> int:
-        """The code of the signed id v."""
+        """The tower code of the signed id v."""
         return len(self.symbols) + v
 
     def encode(self, w: Word) -> list[int]:
@@ -322,28 +357,33 @@ class _Comber:
         return out
 
     def letter(self, c: int) -> Letter:
-        """The shared Letter of the tower's code c."""
-        return self.level_letters[self.level_of[c]][c]
+        """The shared Letter of the tower code c."""
+        return self.level_letters[self.level_of[c]][self.local[c]]
 
     def check_part(self, k: int, part: Sequence[int]) -> None:
-        """Raise InvalidArgumentError unless part is a freely reduced word on
-        level k's alphabet: the invariants of Word and NormalForm, on codes.
-        The first letter off the level is named; the level is checked before
-        reducedness."""
-        letters = self.level_letters[k]
+        """Raise InvalidArgumentError unless part is a freely reduced word of
+        level k's codes: the invariants of Word and NormalForm.  The first
+        code that is no level-k letter is named; the level is checked
+        before reducedness."""
+        m = self.ranks[k]
         for c in part:
-            if c not in letters:
-                raise InvalidArgumentError(f"component at level {k} contains {self.name(c)}")
+            if not 0 <= c <= 2 * m or c == m:
+                raise InvalidArgumentError(f"component at level {k} contains {self.name(k, c)}")
+        letters = self.level_letters[k]
         for a, b in zip(part, islice(part, 1, None)):
-            if a + b == self.twice:
+            if a + b == 2 * m:
                 raise InvalidArgumentError(
                     f"word is not freely reduced at ...{letters[a]} {letters[b]}..."
                 )
 
-    def name(self, c: int) -> str:
-        """The generator the code c stands for, or its signed id when it
-        stands for none of the tower's."""
-        v = c - len(self.symbols)
+    def name(self, k: int, c: int) -> str:
+        """The generator the level-k code c stands for, or its signed id when
+        it stands for none of the tower's.  Codes past either end of the
+        level continue its ids into the levels above; m is the id 0."""
+        v = c - self.ranks[k]
+        if v:
+            below = self.bounds[k][0] - 1
+            v += below if v > 0 else -below
         if 0 < abs(v) <= len(self.symbols):
             return str(self.symbols[abs(v) - 1])
         return f"the unknown generator id {v}"
@@ -353,20 +393,24 @@ class _Comber:
         only once part passes the invariants of Word and NormalForm;
         otherwise check_part's InvalidArgumentError.
 
-        The decode is the level check: a letter off level k is a KeyError.
-        An adjacent pair of level-k codes sums to twice exactly when it is
-        c, twice - c, so part is reduced when no such sum is twice.  Either
-        failure hands part to check_part, which words the refusal."""
+        bytes refuses a code past 0 .. 255, reading level k's tuple of
+        letters refuses one past 2m, and m is looked for.  An adjacent pair
+        c, 2m - c cancels, so the bytes after the first, xored with the
+        inverses of the bytes before the last, have a zero byte exactly
+        where part is not reduced.  Any failure hands part to check_part,
+        which words the refusal."""
         letters = self.level_letters[k]
         try:
-            if len(part) < 2:
-                # itemgetter of one index returns the bare item, not a tuple.
-                return _trusted(Word, letters=tuple([letters[c] for c in part]))
-            decoded = itemgetter(*part)(letters)
-        except KeyError:
+            b = bytes(part)
+            # itemgetter of one index returns the bare item, not a tuple.
+            decoded = itemgetter(*b)(letters) if len(b) > 1 else tuple([letters[c] for c in b])
+        except (ValueError, IndexError):
             pass
         else:
-            if self.twice not in map(add, part, islice(part, 1, None)):
+            joins = int.from_bytes(b[1:], "big") ^ int.from_bytes(
+                b.translate(self.inverses[k])[:-1], "big"
+            )
+            if self.ranks[k] not in b and 0 not in joins.to_bytes(max(len(b) - 1, 0), "big"):
                 return _trusted(Word, letters=decoded)
         self.check_part(k, part)
         raise AssertionError(f"check_part accepted the level-{k} part {part} the decode refused")
@@ -380,18 +424,18 @@ class _Comber:
         image = u * Word((Letter(target),)) * u.inverse()
         return tuple([self.ids[letter.symbol] * letter.exponent for letter in image.letters])
 
-    def table(self, x: int, k: int) -> dict[int, tuple[int, ...]]:
-        """The actor code x's table {target code: reversed image}, with both
-        signs of every level-k target filled: the scan maintains level words
-        back to front.  A level is filled whole on its first read.  The
-        images are found on signed ids; a negative actor's are the
-        peak-reduction inverse of the positive actor's, entered only once
-        they compose back to the identity."""
-        table = self._actions.setdefault(x, {})
+    def table(self, x: int, k: int) -> list[tuple[int, ...] | None]:
+        """The actor x's level-k table: by level code, the reversed image of
+        that letter, and None at m.  The scan maintains level words back to
+        front.  The whole table is filled on its first read.  The images
+        are found on signed ids; a negative actor's are the peak-reduction
+        inverse of the positive actor's, entered only once they compose
+        back to the identity."""
+        table = self._actions[k].get(x)
+        if table is not None:
+            return table
         n = len(self.symbols)
         first, last = self.bounds[k]
-        if n + first in table:
-            return table
         v = x - n
         images = {y: self._forward_image(abs(v), y) for y in range(first, last + 1)}
         if v < 0:
@@ -403,15 +447,18 @@ class _Comber:
                         "failed verification"
                     )
         self.longest = max([self.longest, *map(len, images.values())])
+        local = self.local
+        table = [None] * (2 * self.ranks[k] + 1)
         for y, image in images.items():
-            table[n + y] = tuple([n + u for u in reversed(image)])
-            table[n - y] = tuple([n - u for u in image])
+            table[local[n + y]] = tuple([local[n + u] for u in reversed(image)])
+            table[local[n - y]] = tuple([local[n - u] for u in image])
+        self._actions[k][x] = table
         return table
 
-    def _row(self) -> list | None:
-        """A new row of empty cells, one per code, or None once the rows
-        would pass _PAIR_CELLS cells."""
-        size = len(self.level_of)
+    def _row(self, k: int) -> list | None:
+        """A new list of empty cells, one per level-k code, or None once the
+        store's lists would pass _PAIR_CELLS cells."""
+        size = 2 * self.ranks[k] + 1
         if self._cells + size > _PAIR_CELLS:
             return None
         self._cells += size
@@ -423,18 +470,18 @@ class _Comber:
         """The reversed level-k word rev_k conjugated by the letter x, also
         reversed.  Raises WordSizeExceededError at the first letter of rev_k
         after which the word, plus held letters, is longer than cap."""
-        self.table(x, k)
-        pairs = self._pairs.get(x)
+        pairs = self._pairs[k].get(x)
         if pairs is None:
-            pairs = self._row()
+            self.table(x, k)
+            pairs = self._row(k)
             if pairs is None:
                 # No room: every pair misses, and none is stored.
-                pairs = self._no_rows
+                pairs = self._no_rows[k]
             else:
-                self._pairs[x] = pairs
+                self._pairs[k][x] = pairs
         longest = self.longest
-        no_letter = len(self.symbols)
-        twice = self.twice
+        no_letter = self.ranks[k]
+        twice = 2 * no_letter
         # out[0] is a sentinel: the code no_letter is no letter, so it never
         # cancels and out is never empty.  base counts the held letters less
         # the sentinel.
@@ -457,11 +504,12 @@ class _Comber:
                 block.append(no_letter)
             letters = iter(block)
             for a, b in zip(letters, letters):
-                # A missing row or image is None, so a miss is a TypeError.
+                # A missing row or image is None, and a code past the rows
+                # is out of range, so a miss is a TypeError or IndexError.
                 try:
                     image = pairs[a][b]
                     head = image[0]
-                except TypeError:
+                except (TypeError, IndexError):
                     image = self._pair_image(x, k, a, b)
                     head = image[0]
                 # out and every image are freely reduced and images are
@@ -483,37 +531,43 @@ class _Comber:
 
     def _pair_image(self, x: int, k: int, a: int, b: int) -> tuple[int, ...]:
         """The reversed image under the actor x of the reversed level-k
-        letters a b, or of a alone when b is the code N: the freely reduced
+        letters a b, or of a alone when b is the code m: the freely reduced
         concatenation of their reversed images.  It enters x's row for a
         while the engine holds fewer than _PAIR_ENTRIES pairs, and the row
         is made while its cells fit under _PAIR_CELLS."""
-        table = self._actions[x]
-        no_letter = len(self.symbols)
+        table = self._actions[k][x]
+        no_letter = self.ranks[k]
         for y in (a,) if b == no_letter else (a, b):
-            # The filled table holds every level-k letter, so y is on another
-            # level: only a corrupted table can put it in a level word.
-            if y not in table:
-                raise InvalidArgumentError(f"component at level {k} contains {self.name(y)}")
-        pairs = self._pairs.get(x)
+            # The filled table holds an image of every level-k letter, and
+            # the code m in no image, so a code without an image, or an
+            # image holding m, is a corrupted table.
+            image = table[y] if 0 <= y < len(table) else None
+            if image is None or no_letter in image:
+                raise InvalidArgumentError(
+                    f"component at level {k} contains "
+                    f"{self.name(k, y if image is None else no_letter)}"
+                )
+        pairs = self._pairs[k].get(x)
         row = None
         if pairs is not None:
             row = pairs[a]
             if row is None:
-                row = pairs[a] = self._row()
+                row = pairs[a] = self._row(k)
                 if row is not None:
                     row[no_letter] = table[a]
         if b == no_letter:
             return table[a]
         first, second = table[a], table[b]
         i, m = 0, min(len(first), len(second))
-        while i < m and first[-1 - i] + second[i] == self.twice:
+        while i < m and first[-1 - i] + second[i] == 2 * no_letter:
             i += 1
         image = first[: len(first) - i] + second[i:]
         if not image:
             # An automorphism sends no reduced pair of letters to the identity.
+            letters = self.level_letters[k]
             raise InvalidArgumentError(
                 f"the action of {self.letter(x)} on level {k} sends "
-                f"{self.letter(b)} {self.letter(a)} to the identity"
+                f"{letters[b]} {letters[a]} to the identity"
             )
         if row is not None and self._pair_count < _PAIR_ENTRIES:
             row[b] = image
@@ -524,14 +578,16 @@ class _Comber:
         self, run: list[int], rev_k: list[int], k: int, room: int
     ) -> tuple[list[int], list[int]] | None:
         """rev_k acted on by the normal form of run, a run of letters below
-        level k, and the form's letters, kernel first, when the form is
-        shorter than run and room letters hold both its comb, beside rev_k,
-        and its whole action, beside the form; None otherwise, and the run's
-        own letters act instead."""
+        level k, and the form's letters in tower codes, kernel first, when
+        the form is shorter than run and room letters hold both its comb,
+        beside rev_k, and its whole action, beside the form; None otherwise,
+        and the run's own letters act instead."""
         try:
-            form = [c for part in self.comb(run, room - len(rev_k), k - 1) for c in part]
-            if len(form) >= len(run):
+            parts = self.comb(run, room - len(rev_k), k - 1)
+            if sum(map(len, parts)) >= len(run):
                 return None
+            codes = self.tower_codes
+            form = [codes[j][c] for j, part in zip(range(k - 1, 0, -1), parts) for c in part]
             for c in reversed(form):
                 rev_k = self._conjugate_rev(c, rev_k, k, room, len(form))
         except WordSizeExceededError:
@@ -539,13 +595,16 @@ class _Comber:
         return rev_k, form
 
     def comb(self, ints: list[int], cap: int, top: int | None = None) -> list[list[int]]:
-        """The parts of the coded word ints from level top (the tower's
-        height unless given) down to level 1, kernel first."""
+        """The parts of the word ints, in tower codes, from level top (the
+        tower's height unless given) down to level 1, kernel first, each in
+        its level's codes."""
         level_of = self.level_of
+        local = self.local
         twice = self.twice
         rest = ints
         parts = []
         for k in range(self.tower.n if top is None else top, 0, -1):
+            twice_k = 2 * self.ranks[k]
             rev_k: list[int] = []
             rev_rest: list[int] = []
             # rest[start : pos + 1] is the run of lower letters being
@@ -557,7 +616,7 @@ class _Comber:
                 while pos >= 0:
                     x = rest[pos]
                     if level_of[x] == k:
-                        _push(rev_k, x, twice)
+                        _push(rev_k, local[x], twice_k)
                         start, tried = None, False
                         pos -= 1
                         continue
@@ -637,7 +696,7 @@ def conjugation_action(tower: TowerSpec, actor: Letter, target: Letter) -> Word:
             f"actor {actor.symbol} must sit strictly below target {target.symbol}"
         )
     k = target.symbol.level
-    return c.word(k, c.table(x, k)[y][::-1])
+    return c.word(k, c.table(x, k)[c.local[y]][::-1])
 
 
 def _combed(p: Presentation | TowerSpec, w: Word, word_cap: int) -> NormalForm:

@@ -447,7 +447,19 @@ def format_word(w: Word) -> str:
     """Canonical text form; the identity prints as ``1``."""
     if w.is_identity:
         return "1"
-    return " ".join(format_letter(letter) for letter in w.letters)
+    # One name per Letter object, looked up by identity: combed words share
+    # their letters, so a long one has few objects.  Symbols are shared too,
+    # so each is written out once.
+    letters = w.letters
+    bases: dict[int, str] = {}
+    names = {}
+    for key, letter in dict(zip(map(id, letters), letters)).items():
+        symbol = letter.symbol
+        base = bases.get(id(symbol))
+        if base is None:
+            base = bases[id(symbol)] = str(symbol)
+        names[key] = base + "^-1" if letter.exponent == -1 else base
+    return " ".join(map(names.__getitem__, map(id, letters)))
 
 
 def parse_word(text: str, word_cap: int = DEFAULT_WORD_CAP) -> Word:

@@ -889,7 +889,7 @@ def test_verify_theta_suite_fails_on_a_wrong_engine(capsys, monkeypatch):
     c = combing._Comber(TowerSpec(GenFamily.ORBIT, 2))
     x, y, z = (c.ids[orbit_gen(*indices)] for indices in ((1, 0), (2, 1), (2, 2)))
     table = c.table(c.code(x), 2)
-    y, z, y_inverse, z_inverse = map(c.code, (y, z, -y, -z))
+    y, z, y_inverse, z_inverse = (c.local[c.code(v)] for v in (y, z, -y, -z))
     table[y], table[z], table[y_inverse], table[z_inverse] = (
         table[z], table[y], table[z_inverse], table[y_inverse]
     )

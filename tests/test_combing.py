@@ -224,7 +224,7 @@ def _inverse_table_dump(family, n):
             if actor.level >= target.level:
                 continue
             for y in map(c.code, (c.ids[target], -c.ids[target])):
-                image = c.word(target.level, c.table(x, target.level)[y][::-1])
+                image = c.word(target.level, c.table(x, target.level)[c.local[y]][::-1])
                 lines.append(f"{c.letter(x)} {c.letter(y)} -> {format_word(image)}\n")
     return "".join(lines)
 
@@ -253,7 +253,7 @@ def test_inverse_fill_refuses_a_substitution_it_cannot_undo(images):
     x = c.code(-c.ids[orbit_gen(1, 0)])
     with pytest.raises(AssertionError, match=r"inverse action of r\(1,0\) on level 2 "):
         c.table(x, 2)
-    assert not c._actions.get(x)
+    assert not any(c._actions)
 
 
 def _built_shortening_move(images):
@@ -307,8 +307,14 @@ def test_a_miss_fills_one_whole_level_of_one_table(p):
             c = combing._Comber(p.tower)
             x = c.code(v)
             c.table(x, k)
-            assert set(c._actions) == {x}
-            assert len(c._actions[x]) == 2 * p.tower.kernel_rank(k)
+            assert [set(actions) for actions in c._actions] == [
+                {x} if j == k else set() for j in range(p.tower.n + 1)
+            ]
+            # One image per letter, by level code, and None at the sentinel.
+            table = c._actions[k][x]
+            assert len(table) == 2 * p.tower.kernel_rank(k) + 1 == 2 * c.ranks[k] + 1
+            assert [image is None for image in table].count(False) == 2 * p.tower.kernel_rank(k)
+            assert table[c.ranks[k]] is None
 
 
 def test_action_rejects_bad_levels():
@@ -590,7 +596,7 @@ def test_the_engine_cache_keeps_the_most_recently_used_towers():
     assert combing._comber_for.cache_info().misses == info.misses
     rebuilt = combing._comber_for(towers[0])
     assert combing._comber_for.cache_info().misses == info.misses + 1
-    assert not rebuilt._actions and not rebuilt._pairs
+    assert not any(rebuilt._actions) and not any(rebuilt._pairs)
     assert comb(towers[0], w) == forms[0]
 
 
@@ -662,14 +668,15 @@ class _PerLetterComber(combing._Comber):
 
     def _conjugate_rev(self, x, rev_k, k, cap, held):
         table = self.table(x, k)
+        twice = 2 * self.ranks[k]
         out = []
         extend, pop = out.extend, out.pop
         for y in rev_k:
             image = table[y]
-            if out and out[-1] == self.twice - image[0]:
+            if out and out[-1] == twice - image[0]:
                 pop()
                 i, n = 1, len(image)
-                while i < n and out and out[-1] == self.twice - image[i]:
+                while i < n and out and out[-1] == twice - image[i]:
                     pop()
                     i += 1
                 extend(image[i:])
@@ -741,6 +748,61 @@ def test_blocked_cap_check_is_exact_where_every_image_is_longest():
     assert engines[0].longest == 4
 
 
+def test_blocked_cap_check_is_exact_where_an_inverse_image_is_longest():
+    # In G_4, r(2,0)^-1 sends some level-4 letters to 25-letter images, and
+    # r(2,0) sends none to more than 21, so the longest image a block may
+    # add can be an inverse actor's.  Fresh engines fill only its table
+    # here, and the blocked check must still fire exactly where the
+    # per-letter check does, at every cap up to the word's peak.
+    engines = combing._Comber(G4.tower), _PerLetterComber(G4.tower)
+    c = engines[0]
+    x = c.code(-c.ids[orbit_gen(2, 0)])
+    table = c.table(x, 4)
+    # Letters of one sign, so that the level word does not cancel.
+    longest = [c.level_letters[4][y] for y, image in enumerate(table) if y > c.ranks[4] and len(image) == 25]
+    forward = combing._Comber(G4.tower).table(c.code(c.ids[orbit_gen(2, 0)]), 4)
+    assert longest and max(len(image) for image in forward if image) == 21
+    w = reduce([Letter(orbit_gen(2, 0), -1)] + [longest[i % len(longest)] for i in range(12)])
+    outcomes = {}
+    for cap in range(len(w), 25 * 12 + 2):
+        outcomes[cap] = _outcome(engines[1], w, cap)
+        assert _outcome(engines[0], w, cap) == outcomes[cap]
+    assert not isinstance(outcomes[len(w)], NormalForm)
+    assert isinstance(outcomes[25 * 12 + 1], NormalForm)
+    assert c.longest == engines[1].longest == 25
+
+
+@pytest.mark.parametrize("before, after", [(1, 0), (1, 5), (3, 2)])
+def test_a_run_form_works_in_the_room_the_cap_leaves(monkeypatch, before, after):
+    # The level-3 scan reads `after` lower letters, holds them, then 64
+    # level-3 letters, then a run of three lower letters, and `before`
+    # level-3 letters before the run.  The run's form acts beside the
+    # letters before the run and the lower letters held after it, so it
+    # gets the cap less those; its comb runs beside the level word too, so
+    # it gets that room less the 64 letters.  No word built along the way
+    # then passes the cap.
+    c = combing._Comber(G3.tower)
+    rooms, caps = [], []
+    form_acted, comb_run = c._form_acted, c.comb
+
+    def form_spy(run, rev_k, k, room):
+        rooms.append((len(run), len(rev_k), k, room))
+        return form_acted(run, rev_k, k, room)
+
+    def comb_spy(ints, cap, top=None):
+        if top is not None:
+            caps.append(cap)
+        return comb_run(ints, cap, top)
+
+    monkeypatch.setattr(c, "_form_acted", form_spy)
+    monkeypatch.setattr(c, "comb", comb_spy)
+    w = parse_word(f"r(3,0)^{before} r(1,0) r(2,0) r(1,0)^-1 r(3,1)^64 " + "r(2,1) " * after)
+    cap = 10_000
+    assert isinstance(_outcome(c, w, cap), NormalForm)
+    assert rooms == [(3, 64, 3, cap - before - after)]
+    assert caps == [cap - before - after - 64]
+
+
 class _PlainScanComber(combing._Comber):
     """The engine as it was before runs of lower letters were combed: every
     lower letter acts on the whole level word built so far."""
@@ -755,7 +817,7 @@ class _PlainScanComber(combing._Comber):
                 for pos in range(len(rest) - 1, -1, -1):
                     x = rest[pos]
                     if level_of[x] == k:
-                        combing._push(rev_k, x, self.twice)
+                        combing._push(rev_k, self.local[x], 2 * self.ranks[k])
                     else:
                         if rev_k:
                             rev_k = self._conjugate_rev(
@@ -933,25 +995,61 @@ def test_longest_bounds_every_stored_image(family, top):
         for x in map(c.code, (*range(1, len(c.symbols) + 1), *range(-len(c.symbols), 0))):
             for k in range(c.level_of[x] + 1, n + 1):
                 c.table(x, k)
-        images = [image for table in c._actions.values() for image in table.values()]
+        images = [
+            image
+            for actions in c._actions
+            for table in actions.values()
+            for image in table
+            if image is not None
+        ]
         assert c.longest >= max(map(len, images), default=1)
 
 
-@pytest.mark.parametrize("planted", [orbit_gen(1, 0), orbit_gen(3, 0)], ids=["lower", "higher"])
-def test_a_letter_planted_off_level_is_refused(planted):
-    # The first r(1,0) acts on the level-2 word and plants the letter where
-    # r(2,0) was; the second r(1,0) then finds no image for it in its filled
-    # table.  Every image is a conjugate u y u^-1, of odd length, so in
-    # these words the planted letter is read alone, as the first letter of
-    # a pair and as the second.
+# Level 2 of G_3 has rank 3: its codes are 0 .. 6, and 3 is no letter.  The
+# code 7 continues its ids to the first of level 3, r(3,0).
+_PLANTED_CODES = pytest.mark.parametrize(
+    "planted, named", [(3, "the unknown generator id 0"), (7, "r(3,0)")], ids=["sentinel", "past-the-level"]
+)
+
+
+def _no_pair_store(monkeypatch):
+    """Bound the pair store at nothing, so every pair takes the no-row path."""
+    monkeypatch.setattr(combing, "_PAIR_CELLS", 0)
+    monkeypatch.setattr(combing, "_PAIR_ENTRIES", 0)
+
+
+@pytest.mark.parametrize("store", ["rows", "no-rows"])
+@_PLANTED_CODES
+def test_a_code_planted_off_level_is_refused(planted, named, store, monkeypatch):
+    # The first r(1,0) acts on the level-2 word and plants the code where
+    # r(2,0) was.  An image that holds the sentinel is refused as it is
+    # read; a code past the level is refused when the second r(1,0) finds
+    # no image for it in its filled table.  Every image is a conjugate
+    # u y u^-1, of odd length, so in these words the planted code is read
+    # alone, as the first letter of a pair and as the second.  With no
+    # rows, every pair is a miss, and the refusal is the same.
+    if store == "no-rows":
+        _no_pair_store(monkeypatch)
     for text in ("r(1,0) r(1,0) r(2,0)", "r(1,0) r(1,0) r(2,1) r(2,0)", "r(1,0) r(1,0) r(2,0) r(2,1)"):
         c = combing._Comber(G3.tower)
         x, y = c.code(c.ids[orbit_gen(1, 0)]), c.code(c.ids[orbit_gen(2, 0)])
-        c.table(x, 2)[y] = (c.code(c.ids[planted]),)
-        with pytest.raises(
-            InvalidArgumentError, match=re.escape(f"component at level 2 contains {planted}")
-        ):
+        c.table(x, 2)[c.local[y]] = (planted,)
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"component at level 2 contains {named}")):
             c.comb(c.encode(parse_word(text)), DEFAULT_WORD_CAP)
+        assert c._cells == c._pair_count == 0 or store == "rows"
+
+
+def test_the_no_row_path_refuses_where_the_store_does(monkeypatch):
+    # The over-cap refusals of seeded G_4 words are the same (length, cap,
+    # level, position) with the pair store bounded at nothing, where every
+    # pair is computed by _pair_image and none is kept.
+    outcomes = _combed_seeded_words(combing._Comber(G4.tower), 26, 60, 16, cap=400)
+    refused = [o for o in outcomes if not isinstance(o, NormalForm)]
+    assert len(refused) >= 5
+    _no_pair_store(monkeypatch)
+    c = combing._Comber(G4.tower)
+    assert _combed_seeded_words(c, 26, 60, 16, cap=400) == outcomes
+    assert c._cells == c._pair_count == 0 and not any(c._pairs)
 
 
 def test_a_pair_whose_images_cancel_is_refused():
@@ -961,7 +1059,8 @@ def test_a_pair_whose_images_cancel_is_refused():
     c = combing._Comber(G2.tower)
     x, y, z = (c.ids[orbit_gen(*indices)] for indices in ((1, 0), (2, 0), (2, 1)))
     table = c.table(c.code(x), 2)
-    table[c.code(y)], table[c.code(z)] = (c.code(y),), (c.code(-y),)
+    y, z, y_inverse = (c.local[c.code(v)] for v in (y, z, -y))
+    table[y], table[z] = (y,), (y_inverse,)
     with pytest.raises(
         InvalidArgumentError,
         match=re.escape("the action of r(1,0) on level 2 sends r(2,0) r(2,1) to the identity"),
@@ -969,23 +1068,24 @@ def test_a_pair_whose_images_cancel_is_refused():
         c.comb(c.encode(parse_word("r(1,0) r(2,0) r(2,1)")), DEFAULT_WORD_CAP)
 
 
-def _combed_seeded_words(c, seed, count, length):
+def _combed_seeded_words(c, seed, count, length, cap=12_000):
     """Comb count seeded words of length letters on the engine c, under the
-    sweep's cap, and return their outcomes."""
+    sweep's cap unless given, and return their outcomes."""
     rng = random.Random(seed)
     generators = c.tower.all_generators()
     words = [
         reduce(Letter(rng.choice(generators), rng.choice((1, -1))) for _ in range(length))
         for _ in range(count)
     ]
-    return [_outcome(c, w, 12_000) for w in words]
+    return [_outcome(c, w, cap) for w in words]
 
 
-def _joined(c, first, second):
-    """The freely reduced concatenation of two words of c's letter codes."""
+def _joined(twice, first, second):
+    """The freely reduced concatenation of two words of codes in which c has
+    the inverse twice - c."""
     out = []
     for v in (*first, *second):
-        combing._push(out, v, c.twice)
+        combing._push(out, v, twice)
     return tuple(out)
 
 
@@ -1000,18 +1100,21 @@ def _joined(c, first, second):
 def test_every_stored_pair_is_the_reduced_join_of_its_letters(tower):
     c = combing._Comber(tower)
     _combed_seeded_words(c, 22, 20, 12)
-    alone = len(c.symbols)  # the code that is no letter
     stored = 0
-    for x, rows in c._pairs.items():
-        table = c._actions[x]
-        for a, row in enumerate(rows):
-            if row is None:
-                continue
-            assert row[alone] == table[a]
-            for b, image in enumerate(row):
-                if b != alone and image is not None:
-                    stored += 1
-                    assert image and image == _joined(c, table[a], table[b])
+    for k, (actions, level_pairs) in enumerate(zip(c._actions, c._pairs)):
+        alone = c.ranks[k]  # the level code that is no letter
+        for x, rows in level_pairs.items():
+            table = actions[x]
+            assert len(rows) == len(table) == 2 * alone + 1
+            for a, row in enumerate(rows):
+                if row is None:
+                    continue
+                assert len(row) == 2 * alone + 1
+                assert row[alone] == table[a]
+                for b, image in enumerate(row):
+                    if b != alone and image is not None:
+                        stored += 1
+                        assert image and image == _joined(2 * alone, table[a], table[b])
     assert stored == c._pair_count > 0
 
 
@@ -1021,17 +1124,17 @@ class _PairCountingComber(combing._Comber):
     missed = 0
 
     def _pair_image(self, x, k, a, b):
-        self.missed += b != len(self.symbols)
+        self.missed += b != self.ranks[k]
         return super()._pair_image(x, k, a, b)
 
 
 def _stored_pairs(c):
     """How many pair images c's rows hold, not counting each row's cell for
     its own letter."""
-    alone = len(c.symbols)
     return sum(
-        image is not None and b != alone
-        for rows in c._pairs.values()
+        image is not None and b != c.ranks[k]
+        for k, level_pairs in enumerate(c._pairs)
+        for rows in level_pairs.values()
         for row in rows
         if row is not None
         for b, image in enumerate(row)
@@ -1047,23 +1150,26 @@ def test_the_pair_store_stops_at_its_bound(monkeypatch):
     c = _PairCountingComber(G4.tower)
     assert _combed_seeded_words(c, 5, 20, 12) == expected
     assert c.missed > _stored_pairs(c) == c._pair_count == 50
-    # A G_4 row list has 33 cells, one per code, so 330 cells hold the
-    # rows of 10 lists: actors' and letters' together.
+    # A G_4 list, of an actor's rows or of a row's pairs, has one cell per
+    # code of its level: 3, 7, 11 or 15.  The store counts every cell of
+    # them and stops only where a list would pass 330 cells, so within 15.
     monkeypatch.setattr(combing, "_PAIR_ENTRIES", entries)
     monkeypatch.setattr(combing, "_PAIR_CELLS", 330)
     c = _PairCountingComber(G4.tower)
     assert _combed_seeded_words(c, 5, 20, 12) == expected
-    lists = len(c._pairs) + sum(row is not None for rows in c._pairs.values() for row in rows)
-    assert c._cells == 33 * lists == 330
+    lists = [rows for level_pairs in c._pairs for rows in level_pairs.values()]
+    lists += [row for rows in lists for row in rows if row is not None]
+    assert {len(cells) for cells in lists} <= {3, 7, 11, 15}
+    assert 330 - 15 < c._cells == sum(map(len, lists)) <= 330
     assert c.missed > _stored_pairs(c) == c._pair_count > 0
 
 
 def test_the_pair_store_at_its_bound_is_small_in_g20():
-    # A G_20 row is 801 cells, 6.4 KB.  Stored for every letter that 40
-    # actors meet in 300 conjugations of 40-letter level-20 words, the rows
-    # would take about 18 MB; under the cell bound the store, pairs
-    # included, stays under the 7.2 MB that 16,384 pairs took there when
-    # only pairs were counted.
+    # A level-20 row of G_20 is 79 cells, 632 bytes.  Stored for every
+    # letter that 40 actors meet in 300 conjugations of 40-letter level-20
+    # words, the rows and pairs would take about 3 MB (18 MB when a row
+    # had a cell per code of the tower, 801); under the cell bound the
+    # store, pairs included, takes about 1 MB.
     c = combing._Comber(TowerSpec(GenFamily.ORBIT, 20))
     rng = random.Random(20)
     first, last = c.bounds[20]
@@ -1074,12 +1180,13 @@ def test_the_pair_store_at_its_bound_is_small_in_g20():
     try:
         for _ in range(300):
             word = _reduced_part(rng, c, 20, 40)
-            c._conjugate_rev(rng.choice(actors), [c.code(v) for v in word], 20, DEFAULT_WORD_CAP, 0)
+            part = [c.local[c.code(v)] for v in word]
+            c._conjugate_rev(rng.choice(actors), part, 20, DEFAULT_WORD_CAP, 0)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert combing._PAIR_CELLS - 801 < c._cells <= combing._PAIR_CELLS
-    assert size <= 7_200_000
+    assert combing._PAIR_CELLS - 79 < c._cells <= combing._PAIR_CELLS
+    assert size <= 2_000_000
 
 
 def test_seeded_words_take_the_pair_path():
@@ -1096,10 +1203,10 @@ def test_integer_output_check_is_live(monkeypatch):
     # broken action table must surface as a typed error, never as a word.
     c = combing._Comber(G2.tower)
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
-    x, y = c.code(c.ids[orbit_gen(1, 0)]), c.code(c.ids[orbit_gen(2, 0)])
-    y_inverse = c.code(-c.ids[orbit_gen(2, 0)])
+    x = c.code(c.ids[orbit_gen(1, 0)])
+    y, y_inverse = (c.local[c.code(v * c.ids[orbit_gen(2, 0)])] for v in (1, -1))
     w = parse_word("r(1,0) r(2,0)")
-    c.table(x, 2)[y] = (x,)  # a level-1 letter in a level-2 image
+    c.table(x, 2)[y] = (c.ranks[2],)  # the code that is no letter in a level-2 image
     with pytest.raises(InvalidArgumentError):
         comb(G2, w)
     with pytest.raises(InvalidArgumentError):
@@ -1117,61 +1224,98 @@ def test_integer_output_check_is_live(monkeypatch):
 @pytest.mark.parametrize(
     "k, part, message",
     [
-        # The first letter off the level is named, by its symbol.
-        (2, [2, 3, 1, -1, -4], "component at level 2 contains r(1,0)"),
-        (1, [1, 1, -3, 2], "component at level 1 contains r(2,1)"),
-        (2, [2, 5, -6], "component at level 2 contains the unknown generator id 5"),
-        (1, [0], "component at level 1 contains the unknown generator id 0"),
+        # The first code off the level is named, by the symbol its id
+        # continues to, or by that id.
+        (1, [2, 2, 3, -2], "component at level 1 contains r(2,0)"),
+        (1, [2, 2, -2, 3], "component at level 1 contains r(2,1)"),
+        (2, [4, 7, -1], "component at level 2 contains the unknown generator id 5"),
+        (1, [1], "component at level 1 contains the unknown generator id 0"),
         # The level is checked before reducedness.
-        (1, [1, -1, 4], "component at level 1 contains r(2,2)"),
-        (2, [2, 3, -3, 4], "word is not freely reduced at ...r(2,1) r(2,1)^-1..."),
+        (1, [2, 0, 5], "component at level 1 contains r(2,2)"),
+        (2, [4, 5, 1, 6], "word is not freely reduced at ...r(2,1) r(2,1)^-1..."),
     ],
     ids=["wrong-level-positive", "wrong-level-negative", "past-the-last-id", "zero", "level-first", "unreduced"],
 )
 def test_integer_output_check_names_the_first_bad_letter(k, part, message):
-    # G_2: r(1,0) is id 1, r(2,0), r(2,1), r(2,2) are ids 2, 3, 4.
+    # G_2: level 1 has rank 1, so r(1,0) is the code 2, its inverse 0, and
+    # 1 is no letter; past 2, the codes 3, 4, 5 continue to the ids of
+    # r(2,0), r(2,1), r(2,2), and -1, -2, -3 to their inverses.  Level 2 has
+    # rank 3: r(2,0), r(2,1), r(2,2) are 4, 5, 6, their inverses 2, 1, 0,
+    # and 3 is no letter; past 6, the code 7 continues to the id 5.
     c = combing._Comber(G2.tower)
     with pytest.raises(InvalidArgumentError) as raised:
-        c.check_part(k, [c.code(v) for v in part])
+        c.check_part(k, part)
     assert str(raised.value) == message
 
 
+# Levels whose codes span the byte: level 50 of G_50 has rank 99, the
+# largest any tower has, so its codes run to 198.
+_DECODE_LEVELS = [
+    *((G3.tower, k) for k in (1, 2, 3)),
+    (TowerSpec(GenFamily.BAND, 6), 1),
+    (TowerSpec(GenFamily.ORBIT, 50), 50),
+    (TowerSpec(GenFamily.BAND, 71), 71),
+]
+
+
 @st.composite
-def _mixed_parts(draw):
-    """A level of G_3 and a part on it with up to two letters planted: any
-    id from -11 to 11 (on the level, on another, 0 or past the last
-    generator), alone or followed by its inverse."""
-    k = draw(st.integers(1, 3))
-    first, last = combing._comber_for(G3.tower).bounds[k]
-    on_level = st.tuples(st.integers(first, last), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
-    part = draw(st.lists(on_level, max_size=12))
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(part)))
-        v = draw(st.integers(-11, 11))
-        part[at:at] = draw(st.sampled_from(([v], [v, -v])))
-    return k, part
+def _planted_parts(draw):
+    """A level and a part on it of 0, 1, 2 or up to 300 letters, freely
+    reduced, with up to three codes planted anywhere: any byte, the
+    sentinel m, a code past 2m, or a code outside the byte, alone or
+    followed by its inverse 2m - c, which cancels it when c is a letter."""
+    tower, k = draw(st.sampled_from(_DECODE_LEVELS))
+    m = combing._comber_for(tower).ranks[k]
+    length = draw(st.one_of(st.sampled_from((0, 1, 2)), st.integers(3, 300)))
+    part = draw(st.lists(st.integers(0, 2 * m - 1), min_size=length, max_size=length)) if m else []
+    part = [c + (c >= m) for c in part]  # skip the sentinel
+    for i in range(1, len(part)):
+        if part[i] == 2 * m - part[i - 1]:
+            part[i] = part[i - 1]  # c is never its own inverse
+    codes = st.one_of(
+        st.integers(0, 255), st.just(m), st.integers(2 * m + 1, 255), st.integers(-300, -1), st.integers(256, 600)
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from((0, len(part) // 2, len(part))) | st.integers(0, len(part)))
+        c = draw(codes)
+        part[at:at] = draw(st.sampled_from(([c], [c, 2 * m - c])))
+    return tower, k, part
 
 
-@settings(max_examples=400, deadline=None)
-@given(_mixed_parts())
-@example((2, [2, 3, 1, -1, -4]))
-@example((1, [0]))
-@example((2, [3, -3, 7]))
-@example((3, [5, 6, -5]))
-@example((3, []))
+@settings(max_examples=500, deadline=None)
+@given(_planted_parts())
+# G_3 level 3 has rank 5: codes 0 .. 10, the sentinel 5.
+@example((G3.tower, 3, []))
+@example((G3.tower, 3, [5]))
+@example((G3.tower, 3, [6]))
+@example((G3.tower, 3, [6, 4]))
+@example((G3.tower, 3, [6, 4, 7, 8]))
+@example((G3.tower, 3, [7, 6, 4, 8]))
+@example((G3.tower, 3, [7, 8, 6, 4]))
+@example((G3.tower, 3, [6, 7, 11]))
+@example((G3.tower, 3, [6, 255, 4]))
+@example((G3.tower, 3, [6, -1]))
+@example((G3.tower, 2, [2, 3, 1, -1, -4]))
+# Level 1 of P_6 has rank 0: its one code, 0, is no letter.
+@example((TowerSpec(GenFamily.BAND, 6), 1, [0]))
+@example((TowerSpec(GenFamily.ORBIT, 50), 50, [0, 198]))
+@example((TowerSpec(GenFamily.ORBIT, 50), 50, [198, 0, 99]))
+@example((TowerSpec(GenFamily.ORBIT, 50), 50, [198, 199]))
+@example((TowerSpec(GenFamily.ORBIT, 50), 50, [0] * 200 + [256]))
 def test_checked_decode_refuses_exactly_what_check_part_refuses(drawn):
-    k, part = drawn
-    c = combing._comber_for(G3.tower)
-    codes = [c.code(v) for v in part]
+    tower, k, part = drawn
+    c = combing._comber_for(tower)
     try:
-        c.check_part(k, codes)
+        c.check_part(k, part)
     except InvalidArgumentError as refusal:
         with pytest.raises(InvalidArgumentError) as raised:
-            c.word(k, codes)
+            c.word(k, part)
         assert str(raised.value) == str(refusal)
     else:
-        letters = [Letter(c.symbols[abs(v) - 1], 1 if v > 0 else -1) for v in part]
-        assert c.word(k, codes) == Word(tuple(letters))
+        # The level's j-th id is bounds[k][0] + j - 1, written m +- j.
+        m, first = c.ranks[k], c.bounds[k][0]
+        letters = [Letter(c.symbols[first + abs(x - m) - 2], 1 if x > m else -1) for x in part]
+        assert c.word(k, part) == Word(tuple(letters))
 
 
 def test_conjugation_action_checks_its_image(monkeypatch):
@@ -1179,13 +1323,16 @@ def test_conjugation_action_checks_its_image(monkeypatch):
     # test_integer_output_check_is_live, read straight off the table.
     c = combing._Comber(G2.tower)
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
-    x, y = c.code(c.ids[orbit_gen(1, 0)]), c.code(c.ids[orbit_gen(2, 0)])
+    x = c.code(c.ids[orbit_gen(1, 0)])
+    y, y_inverse = (c.local[c.code(v * c.ids[orbit_gen(2, 0)])] for v in (1, -1))
     actor, target = Letter(orbit_gen(1, 0)), Letter(orbit_gen(2, 0))
-    c.table(x, 2)[y] = (x,)
-    with pytest.raises(InvalidArgumentError, match=re.escape("component at level 2 contains r(1,0)")):
+    c.table(x, 2)[y] = (c.ranks[2],)
+    with pytest.raises(
+        InvalidArgumentError, match=re.escape("component at level 2 contains the unknown generator id 0")
+    ):
         conjugation_action(G2.tower, actor, target)
     # Reversed in the table, so the image is y^-1 y.
-    c.table(x, 2)[y] = (y, c.code(-c.ids[orbit_gen(2, 0)]))
+    c.table(x, 2)[y] = (y, y_inverse)
     with pytest.raises(
         InvalidArgumentError, match=re.escape("word is not freely reduced at ...r(2,0)^-1 r(2,0)...")
     ):
@@ -1214,7 +1361,7 @@ def test_trusted_decode_matches_the_checked_constructors(tower):
     top = tower.n
     for length in (0, 1, 2, 100, 137):
         part = _reduced_part(rng, c, top, length)
-        w = c.word(top, [c.code(v) for v in part])
+        w = c.word(top, [c.local[c.code(v)] for v in part])
         # A one-index itemgetter returns a bare Letter, not a tuple.
         assert type(w.letters) is tuple
         assert w == checked(part) and len(w) == length

@@ -309,15 +309,14 @@ class _Comber:
         self.tower_codes: list[tuple[int, ...]] = []
         self.level_letters: list[tuple[Letter | None, ...]] = []
         self.inverses: list[bytes] = []
-        for (first, _), m in zip(self.bounds, self.ranks):
+        for (first, last), m in zip(self.bounds, self.ranks):
             codes = [n] * (2 * m + 1)
             letters: list[Letter | None] = [None] * (2 * m + 1)
-            for j in range(1, m + 1):
-                symbol = self.symbols[first + j - 2]
+            for j, i in enumerate(range(first, last + 1), 1):
                 for sign in (1, -1):
-                    codes[m + sign * j] = n + sign * (first + j - 1)
-                    self.local[n + sign * (first + j - 1)] = m + sign * j
-                    letters[m + sign * j] = Letter(symbol, sign)
+                    codes[m + sign * j] = n + sign * i
+                    self.local[n + sign * i] = m + sign * j
+                    letters[m + sign * j] = Letter(self.symbols[i - 1], sign)
             self.tower_codes.append(tuple(codes))
             self.level_letters.append(tuple(letters))
             self.inverses.append(bytes(range(2 * m, -1, -1)).ljust(256, b"\0"))
@@ -402,15 +401,21 @@ class _Comber:
         letters = self.level_letters[k]
         try:
             b = bytes(part)
-            # itemgetter of one index returns the bare item, not a tuple.
-            decoded = itemgetter(*b)(letters) if len(b) > 1 else tuple([letters[c] for c in b])
+            if len(b) < 2:
+                # itemgetter of one index returns the bare item, not a
+                # tuple, and one letter has no neighbour to cancel.
+                decoded = tuple([letters[c] for c in b])
+                reduced = True
+            else:
+                decoded = itemgetter(*b)(letters)
+                joins = int.from_bytes(b[1:], "big") ^ int.from_bytes(
+                    b.translate(self.inverses[k])[:-1], "big"
+                )
+                reduced = 0 not in joins.to_bytes(len(b) - 1, "big")
         except (ValueError, IndexError):
             pass
         else:
-            joins = int.from_bytes(b[1:], "big") ^ int.from_bytes(
-                b.translate(self.inverses[k])[:-1], "big"
-            )
-            if self.ranks[k] not in b and 0 not in joins.to_bytes(max(len(b) - 1, 0), "big"):
+            if reduced and self.ranks[k] not in b:
                 return _trusted(Word, letters=decoded)
         self.check_part(k, part)
         raise AssertionError(f"check_part accepted the level-{k} part {part} the decode refused")

@@ -542,16 +542,25 @@ class _Comber:
         is made while its cells fit under _PAIR_CELLS."""
         table = self._actions[k][x]
         no_letter = self.ranks[k]
-        for y in (a,) if b == no_letter else (a, b):
-            # The filled table holds an image of every level-k letter, and
-            # the code m in no image, so a code without an image, or an
-            # image holding m, is a corrupted table.
-            image = table[y] if 0 <= y < len(table) else None
-            if image is None or no_letter in image:
-                raise InvalidArgumentError(
-                    f"component at level {k} contains "
-                    f"{self.name(k, y if image is None else no_letter)}"
-                )
+        # The filled table holds an image of every level-k letter, and the
+        # code m in no image, so a code without an image, or an image
+        # holding m, is a corrupted table.  A code past the table raises
+        # IndexError, and searching the None of a code without an image
+        # raises TypeError.
+        try:
+            first = table[a] if a >= 0 else None
+            second = first if b == no_letter else table[b] if b >= 0 else None
+            corrupted = no_letter in first or no_letter in second
+        except (TypeError, IndexError):
+            corrupted = True
+        if corrupted:
+            for y in (a, b):
+                image = table[y] if 0 <= y < len(table) else None
+                if image is None or no_letter in image:
+                    raise InvalidArgumentError(
+                        f"component at level {k} contains "
+                        f"{self.name(k, y if image is None else no_letter)}"
+                    )
         pairs = self._pairs[k].get(x)
         row = None
         if pairs is not None:
@@ -559,10 +568,9 @@ class _Comber:
             if row is None:
                 row = pairs[a] = self._row(k)
                 if row is not None:
-                    row[no_letter] = table[a]
+                    row[no_letter] = first
         if b == no_letter:
-            return table[a]
-        first, second = table[a], table[b]
+            return first
         i, m = 0, min(len(first), len(second))
         while i < m and first[-1 - i] + second[i] == 2 * no_letter:
             i += 1

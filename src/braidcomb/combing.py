@@ -74,8 +74,8 @@ after the first, xored as one int with the inverses of the bytes before
 the last, have a zero byte exactly where two neighbours cancel.  A part
 that fails goes to check_part, which names its first bad letter.  On the
 1.88 M answer letters of a warm seed-1 perfbench sweep pass (2-core Xeon
-VM) this costs about 29 ns a letter, where a dict decode and a loop over
-the sums of neighbouring tower codes cost 45.  The letters are shared, so
+VM) this costs about 27 ns a letter, where a dict decode and a loop over
+the sums of neighbouring tower codes cost 44.  The letters are shared, so
 comparing two combed forms is mostly identity checks.
 """
 

@@ -260,8 +260,9 @@ _RUN_COMB_MIN_LETTERS = 3
 # G_6, which holds every pair the words reach, 1.6 MB in P_12, where the
 # pairs bound binds, and 3.9 MB in G_20 and 4.9 MB on level 50 of G_50,
 # where the cells bound binds too and a store bounded by its pairs alone
-# took 5.3 and 17.8 MB.  A pair missed past either bound is computed and
-# used but not stored.
+# took 5.3 and 17.8 MB.  Filled to both bounds by seeded pairs of level 50's
+# letters, as a test does, that store takes 5.6 MB.  A pair missed past
+# either bound is computed and used but not stored.
 _PAIR_ENTRIES = 16_384
 _PAIR_CELLS = 65_536
 
@@ -376,16 +377,8 @@ class _Comber:
                 )
 
     def name(self, k: int, c: int) -> str:
-        """The generator the level-k code c stands for, or its signed id when
-        it stands for none of the tower's.  Codes past either end of the
-        level continue its ids into the levels above; m is the id 0."""
-        v = c - self.ranks[k]
-        if v:
-            below = self.bounds[k][0] - 1
-            v += below if v > 0 else -below
-        if 0 < abs(v) <= len(self.symbols):
-            return str(self.symbols[abs(v) - 1])
-        return f"the unknown generator id {v}"
+        """The name of c, a code that is no level-k letter, in a refusal."""
+        return f"the unknown level-{k} code {c}"
 
     def word(self, k: int, part: Sequence[int]) -> Word:
         """The Word of the level-k part, decoded through level k's letters

@@ -1005,10 +1005,12 @@ def test_longest_bounds_every_stored_image(family, top):
         assert c.longest >= max(map(len, images), default=1)
 
 
-# Level 2 of G_3 has rank 3: its codes are 0 .. 6, and 3 is no letter.  The
-# code 7 continues its ids to the first of level 3, r(3,0).
+# Level 2 of G_3 has rank 3: its codes are 0 .. 6, and 3 is no letter, nor
+# is 7, past the level.
 _PLANTED_CODES = pytest.mark.parametrize(
-    "planted, named", [(3, "the unknown generator id 0"), (7, "r(3,0)")], ids=["sentinel", "past-the-level"]
+    "planted, named",
+    [(3, "the unknown level-2 code 3"), (7, "the unknown level-2 code 7")],
+    ids=["sentinel", "past-the-level"],
 )
 
 
@@ -1190,6 +1192,38 @@ def test_the_pair_store_at_its_bound_is_small_in_g20():
     assert size <= 2_000_000
 
 
+def test_the_pair_store_filled_to_both_bounds_is_small_in_g50():
+    # Level 50 of G_50 has rank 99, the largest a tower may have, so its
+    # rows, of 199 cells, are the longest.  40 actors conjugate seeded
+    # level-50 letters until the cell bound binds, at 329 lists and rows;
+    # seeded pairs then fill those rows until the pair bound binds too.
+    # The store, lists, rows and pair images, takes about 5.6 MB.
+    c = combing._Comber(TowerSpec(GenFamily.ORBIT, 50))
+    m = c.ranks[50]
+    codes = [a for a in range(2 * m + 1) if a != m]
+    rng = random.Random(50)
+    actors = [c.code(v) for v in range(1, 41)]
+    for x in actors:
+        c.table(x, 50)
+    tracemalloc.start()
+    try:
+        while c._cells + 2 * m + 1 <= combing._PAIR_CELLS:
+            c._conjugate_rev(rng.choice(actors), [rng.choice(codes)], 50, DEFAULT_WORD_CAP, 0)
+        rows = [(x, a, row) for x, lists in c._pairs[50].items() for a, row in enumerate(lists) if row]
+        while c._pair_count < combing._PAIR_ENTRIES:
+            x, a, row = rng.choice(rows)
+            b = rng.choice(codes)
+            if b != 2 * m - a and row[b] is None:
+                c._pair_image(x, 50, a, b)
+        del rows
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert combing._PAIR_CELLS - 2 * m - 1 < c._cells <= combing._PAIR_CELLS
+    assert c._pair_count == combing._PAIR_ENTRIES
+    assert size <= 6_000_000
+
+
 def test_seeded_words_take_the_pair_path():
     # On 40 seeded G_4 words conjugation reads level words two letters at a
     # time and misses each pair once: a kernel that went back to one letter
@@ -1225,24 +1259,22 @@ def test_integer_output_check_is_live(monkeypatch):
 @pytest.mark.parametrize(
     "k, part, message",
     [
-        # The first code off the level is named, by the symbol its id
-        # continues to, or by that id.
-        (1, [2, 2, 3, -2], "component at level 1 contains r(2,0)"),
-        (1, [2, 2, -2, 3], "component at level 1 contains r(2,1)"),
-        (2, [4, 7, -1], "component at level 2 contains the unknown generator id 5"),
-        (1, [1], "component at level 1 contains the unknown generator id 0"),
+        # The first code off the level is named, as that code.
+        (1, [2, 2, 3, -2], "component at level 1 contains the unknown level-1 code 3"),
+        (1, [2, 2, -2, 3], "component at level 1 contains the unknown level-1 code -2"),
+        (2, [4, 7, -1], "component at level 2 contains the unknown level-2 code 7"),
+        (1, [1], "component at level 1 contains the unknown level-1 code 1"),
         # The level is checked before reducedness.
-        (1, [2, 0, 5], "component at level 1 contains r(2,2)"),
+        (1, [2, 0, 5], "component at level 1 contains the unknown level-1 code 5"),
         (2, [4, 5, 1, 6], "word is not freely reduced at ...r(2,1) r(2,1)^-1..."),
     ],
     ids=["wrong-level-positive", "wrong-level-negative", "past-the-last-id", "zero", "level-first", "unreduced"],
 )
 def test_integer_output_check_names_the_first_bad_letter(k, part, message):
     # G_2: level 1 has rank 1, so r(1,0) is the code 2, its inverse 0, and
-    # 1 is no letter; past 2, the codes 3, 4, 5 continue to the ids of
-    # r(2,0), r(2,1), r(2,2), and -1, -2, -3 to their inverses.  Level 2 has
-    # rank 3: r(2,0), r(2,1), r(2,2) are 4, 5, 6, their inverses 2, 1, 0,
-    # and 3 is no letter; past 6, the code 7 continues to the id 5.
+    # 1 is no letter, nor is any code below 0 or past 2.  Level 2 has rank
+    # 3: r(2,0), r(2,1), r(2,2) are 4, 5, 6, their inverses 2, 1, 0, and 3
+    # is no letter, nor is 7.
     c = combing._Comber(G2.tower)
     with pytest.raises(InvalidArgumentError) as raised:
         c.check_part(k, part)
@@ -1329,7 +1361,7 @@ def test_conjugation_action_checks_its_image(monkeypatch):
     actor, target = Letter(orbit_gen(1, 0)), Letter(orbit_gen(2, 0))
     c.table(x, 2)[y] = (c.ranks[2],)
     with pytest.raises(
-        InvalidArgumentError, match=re.escape("component at level 2 contains the unknown generator id 0")
+        InvalidArgumentError, match=re.escape("component at level 2 contains the unknown level-2 code 3")
     ):
         conjugation_action(G2.tower, actor, target)
     # Reversed in the table, so the image is y^-1 y.

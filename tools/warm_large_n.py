@@ -9,7 +9,7 @@ what every pair the passes read would take.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tools/warm_large_n.py [--unbounded] [--seed 7]
+    PYTHONPATH=src python tools/warm_large_n.py [--unbounded]
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ TOWERS = [
     TowerSpec(GenFamily.ORBIT, 20),
     TowerSpec(GenFamily.BAND, 40),
 ]
-WORDS, LOWER, TOP, CAP, PASSES = 200, 4, 60, 200_000, 3
+SEED, WORDS, LOWER, TOP, CAP, PASSES = 7, 200, 4, 60, 200_000, 3
 
 
-def words(tower: TowerSpec, seed: int) -> list:
-    rng = random.Random(seed)
+def words(tower: TowerSpec) -> list:
+    rng = random.Random(SEED)
     generators = tower.all_generators()
     lower = [s for s in generators if s.level < tower.n]
     top = [s for s in generators if s.level == tower.n]
@@ -48,7 +48,6 @@ def words(tower: TowerSpec, seed: int) -> list:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--unbounded", action="store_true", help="lift the pair store's bounds")
     args = parser.parse_args()
     if args.unbounded:
@@ -56,7 +55,7 @@ def main() -> None:
     print(f"{'tower':<6} {'seconds':>8} {'pairs':>10} {'cells':>12}")
     for tower in TOWERS:
         combing._comber_for.cache_clear()
-        batch = words(tower, args.seed)
+        batch = words(tower)
         for w in batch:
             combing.comb(tower, w, CAP)
         best = float("inf")

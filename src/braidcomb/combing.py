@@ -32,10 +32,11 @@ from the letters next to each y_t, not built, so each accepted move is
 applied once.  The composite of the moves is the inverse; it enters the
 table only after it composes back to the identity substitution.
 Conjugating a level word reads it two letters at a time.  Each actor has
-pair rows beside each of its tables, filled from it on a miss while the
-engine's store is under its bounds: a letter's row holds, for each next
-letter of its level, the freely reduced concatenation of the two images,
-so a pair costs two list lookups and one join to the output.
+pair rows beside each of its tables, filled from it on a miss: a letter's
+row holds, for each next letter of its level, the freely reduced
+concatenation of the two images, so a pair costs two list lookups and one
+join to the output.  The engine's rows and pair images share one budget,
+and a fill that would pass it first empties them all.
 An image, of a pair or of one letter, cancels against the output only where
 the two meet, since both are freely reduced.  The word cap is exact per
 target letter: the scan stops at the first letter whose image takes the
@@ -249,22 +250,17 @@ def _peak_reduce(forward: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ..
 _RUN_COMB_LEVEL_LETTERS = 64
 _RUN_COMB_MIN_LETTERS = 3
 
-# How many pair images one engine stores (_Comber._pair_image), and how many
-# cells its lists may take: a list has one 8-byte cell per code of its
-# level, 2m + 1, and each actor with stored pairs on a level has one list of
-# rows there and one row per letter.  A seed-1 perfbench sweep pass stores
-# 7,753 pairs over its 4 engines, at most 3,480 in one (G_4), and at most
-# 5,116 cells in one.  The longest list, on level 50 of G_50, is 199 cells,
-# 1.6 KB.  Filled to its bounds by seeded 40-letter top-level words that up
-# to 40 lower actors conjugate, the store takes, by tracemalloc, 1.9 MB in
-# G_6, which holds every pair the words reach, 1.6 MB in P_12, where the
-# pairs bound binds, and 3.9 MB in G_20 and 4.9 MB on level 50 of G_50,
-# where the cells bound binds too and a store bounded by its pairs alone
-# took 5.3 and 17.8 MB.  Filled to both bounds by seeded pairs of level 50's
-# letters, as a test does, that store takes 5.6 MB.  A pair missed past
-# either bound is computed and used but not stored.
-_PAIR_ENTRIES = 16_384
-_PAIR_CELLS = 65_536
+# The pair store's budget per engine, in 8-byte words: a list, of an actor's
+# rows on a level or of a row's pairs, costs one word per cell, 2m + 1 on a
+# level of rank m, and a stored pair image len(image) + 5, the 5 its tuple's
+# header.  A fill that would pass the budget first empties every level's
+# store (_Comber._spend).  The perfbench sweep never empties one: the most
+# one of its engines is charged is 60,180 words (G_4) at seed 1 and 59,307
+# at seed 2027.  Filled to the step before its first emptying, by seeded
+# pairs of one level's letters that 40 actors conjugate, the store takes,
+# by tracemalloc, 4.36 MB on level 20 of G_20 and 4.14 MB on level 50 of
+# G_50, the widest level any tower has.
+_PAIR_WORDS = 1 << 19
 
 
 class _Comber:
@@ -329,16 +325,11 @@ class _Comber:
         # Per level, actor code -> its list of rows by letter code.  A row
         # lists, by next letter code, the reversed images of the pairs, and
         # its cell m holds its own letter's.  A row or image not stored is
-        # None.  _pair_count counts the pairs, _cells the cells of all
-        # these lists.
+        # None.  _room is what is left of the store's budget, in words.
         self._pairs: list[dict[int, list[list[tuple[int, ...] | None] | None]]] = [
             {} for _ in self.ranks
         ]
-        self._pair_count = 0
-        self._cells = 0
-        # Per level, the rows of an actor the store has no room for; never
-        # written.
-        self._no_rows = [[None] * (2 * m + 1) for m in self.ranks]
+        self._room = _PAIR_WORDS
 
     def code(self, v: int) -> int:
         """The tower code of the signed id v."""
@@ -453,14 +444,14 @@ class _Comber:
         self._actions[k][x] = table
         return table
 
-    def _row(self, k: int) -> list | None:
-        """A new list of empty cells, one per level-k code, or None once the
-        store's lists would pass _PAIR_CELLS cells."""
-        size = 2 * self.ranks[k] + 1
-        if self._cells + size > _PAIR_CELLS:
-            return None
-        self._cells += size
-        return [None] * size
+    def _spend(self, words: int) -> None:
+        """Charge words to the pair store, first emptying every level's
+        store when they would take it past _PAIR_WORDS."""
+        if words > self._room:
+            for level in self._pairs:
+                level.clear()
+            self._room = _PAIR_WORDS
+        self._room -= words
 
     def _conjugate_rev(
         self, x: int, rev_k: list[int], k: int, cap: int, held: int
@@ -470,13 +461,9 @@ class _Comber:
         after which the word, plus held letters, is longer than cap."""
         pairs = self._pairs[k].get(x)
         if pairs is None:
-            self.table(x, k)
-            pairs = self._row(k)
-            if pairs is None:
-                # No room: every pair misses, and none is stored.
-                pairs = self._no_rows[k]
-            else:
-                self._pairs[k][x] = pairs
+            size = len(self.table(x, k))
+            self._spend(size)
+            pairs = self._pairs[k][x] = [None] * size
         longest = self.longest
         no_letter = self.ranks[k]
         twice = 2 * no_letter
@@ -508,7 +495,7 @@ class _Comber:
                     image = pairs[a][b]
                     head = image[0]
                 except (TypeError, IndexError):
-                    image = self._pair_image(x, k, a, b)
+                    image = self._pair_image(pairs, x, k, a, b)
                     head = image[0]
                 # out and every image are freely reduced and images are
                 # never empty, so letters can cancel only where the image
@@ -527,12 +514,16 @@ class _Comber:
         del out[0]
         return out
 
-    def _pair_image(self, x: int, k: int, a: int, b: int) -> tuple[int, ...]:
+    def _pair_image(self, pairs: list, x: int, k: int, a: int, b: int) -> tuple[int, ...]:
         """The reversed image under the actor x of the reversed level-k
         letters a b, or of a alone when b is the code m: the freely reduced
-        concatenation of their reversed images.  It enters x's row for a
-        while the engine holds fewer than _PAIR_ENTRIES pairs, and the row
-        is made while its cells fit under _PAIR_CELLS."""
+        concatenation of their reversed images.  It enters the row for a in
+        pairs, x's list of rows, which gains the row if it has none; both
+        are charged to the store's budget.
+
+        A charge that empties the store leaves pairs, the list the caller
+        reads, outside it, still filled and charged, until the caller
+        returns: the only way the store outgrows its budget."""
         table = self._actions[k][x]
         no_letter = self.ranks[k]
         # The filled table holds an image of every level-k letter, and the
@@ -554,14 +545,11 @@ class _Comber:
                         f"component at level {k} contains "
                         f"{self.name(k, y if image is None else no_letter)}"
                     )
-        pairs = self._pairs[k].get(x)
-        row = None
-        if pairs is not None:
-            row = pairs[a]
-            if row is None:
-                row = pairs[a] = self._row(k)
-                if row is not None:
-                    row[no_letter] = first
+        row = pairs[a]
+        if row is None:
+            self._spend(len(pairs))
+            row = pairs[a] = [None] * len(pairs)
+            row[no_letter] = first
         if b == no_letter:
             return first
         i, m = 0, min(len(first), len(second))
@@ -575,9 +563,8 @@ class _Comber:
                 f"the action of {self.letter(x)} on level {k} sends "
                 f"{letters[b]} {letters[a]} to the identity"
             )
-        if row is not None and self._pair_count < _PAIR_ENTRIES:
-            row[b] = image
-            self._pair_count += 1
+        self._spend(len(image) + 5)
+        row[b] = image
         return image
 
     def _form_acted(
@@ -670,7 +657,8 @@ class _Comber:
 # How many towers' engines _comber_for keeps, the most recently used: the
 # perfbench sweep combs in 4 towers, its homology workload in 2 and a CLI
 # call in 1.  An evicted engine is rebuilt on its next use, and its tables
-# are filled again.
+# are filled again.  The library's pair stores thus hold at most 8 engines
+# times 4 MiB (_PAIR_WORDS); action tables are not counted.
 _ENGINES = 8
 
 

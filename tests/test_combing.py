@@ -1015,9 +1015,9 @@ _PLANTED_CODES = pytest.mark.parametrize(
 
 
 def _no_pair_store(monkeypatch):
-    """Bound the pair store at nothing, so every pair takes the no-row path."""
-    monkeypatch.setattr(combing, "_PAIR_CELLS", 0)
-    monkeypatch.setattr(combing, "_PAIR_ENTRIES", 0)
+    """Give the pair store a budget of nothing: every fill empties it, so no
+    row outlives the conjugation that made it."""
+    monkeypatch.setattr(combing, "_PAIR_WORDS", 0)
 
 
 @pytest.mark.parametrize("store", ["rows", "no-rows"])
@@ -1029,7 +1029,7 @@ def test_a_code_planted_off_level_is_refused(planted, named, store, monkeypatch)
     # no image for it in its filled table.  Every image is a conjugate
     # u y u^-1, of odd length, so in these words the planted code is read
     # alone, as the first letter of a pair and as the second.  With no
-    # rows, every pair is a miss, and the refusal is the same.
+    # rows kept, every pair is a miss, and the refusal is the same.
     if store == "no-rows":
         _no_pair_store(monkeypatch)
     for text in ("r(1,0) r(1,0) r(2,0)", "r(1,0) r(1,0) r(2,1) r(2,0)", "r(1,0) r(1,0) r(2,0) r(2,1)"):
@@ -1039,20 +1039,20 @@ def test_a_code_planted_off_level_is_refused(planted, named, store, monkeypatch)
         with pytest.raises(InvalidArgumentError, match=re.escape(f"component at level 2 contains {named}")):
             c.comb(c.encode(parse_word(text)), DEFAULT_WORD_CAP)
         if store == "no-rows":
-            assert c._cells == c._pair_count == 0
+            assert not _rows(c)
 
 
 def test_the_no_row_path_refuses_where_the_store_does(monkeypatch):
     # The over-cap refusals of seeded G_4 words are the same (length, cap,
-    # level, position) with the pair store bounded at nothing, where every
-    # pair is computed by _pair_image and none is kept.
+    # level, position) with the pair store's budget at nothing, where every
+    # fill empties the store and no row outlives its conjugation.
     outcomes = _combed_seeded_words(combing._Comber(G4.tower), 26, 60, 16, cap=400)
     refused = [o for o in outcomes if not isinstance(o, NormalForm)]
     assert len(refused) >= 5
     _no_pair_store(monkeypatch)
     c = combing._Comber(G4.tower)
     assert _combed_seeded_words(c, 26, 60, 16, cap=400) == outcomes
-    assert c._cells == c._pair_count == 0 and not any(c._pairs)
+    assert not _rows(c)
 
 
 def test_a_pair_whose_images_cancel_is_refused():
@@ -1071,16 +1071,21 @@ def test_a_pair_whose_images_cancel_is_refused():
         c.comb(c.encode(parse_word("r(1,0) r(2,0) r(2,1)")), DEFAULT_WORD_CAP)
 
 
-def _combed_seeded_words(c, seed, count, length, cap=12_000):
-    """Comb count seeded words of length letters on the engine c, under the
-    sweep's cap unless given, and return their outcomes."""
+def _seeded_words(tower, seed, count, length):
+    """count seeded, freely reduced words of at most length letters of
+    tower."""
     rng = random.Random(seed)
-    generators = c.tower.all_generators()
-    words = [
+    generators = tower.all_generators()
+    return [
         reduce(Letter(rng.choice(generators), rng.choice((1, -1))) for _ in range(length))
         for _ in range(count)
     ]
-    return [_outcome(c, w, cap) for w in words]
+
+
+def _combed_seeded_words(c, seed, count, length, cap=12_000):
+    """Comb count seeded words of length letters on the engine c, under the
+    sweep's cap unless given, and return their outcomes."""
+    return [_outcome(c, w, cap) for w in _seeded_words(c.tower, seed, count, length)]
 
 
 def _joined(twice, first, second):
@@ -1090,6 +1095,41 @@ def _joined(twice, first, second):
     for v in (*first, *second):
         combing._push(out, v, twice)
     return tuple(out)
+
+
+def _rows(c):
+    """(level, row) for each row that c's pair store holds."""
+    return [
+        (k, row)
+        for k, level_pairs in enumerate(c._pairs)
+        for rows in level_pairs.values()
+        for row in rows
+        if row is not None
+    ]
+
+
+def _pair_images(c):
+    """The pair images that c's rows hold, not counting each row's cell for
+    its own letter."""
+    return [
+        image
+        for k, row in _rows(c)
+        for b, image in enumerate(row)
+        if image is not None and b != c.ranks[k]
+    ]
+
+
+def _lists(c):
+    """Each list that c's pair store holds: each actor's list of rows, and
+    each row."""
+    lists = [rows for level_pairs in c._pairs for rows in level_pairs.values()]
+    return lists + [row for _, row in _rows(c)]
+
+
+def _held_words(c):
+    """The words c's pair store holds, counted as the engine charges them: a
+    word per cell of each list and len(image) + 5 per pair image."""
+    return sum(map(len, _lists(c))) + sum(len(image) + 5 for image in _pair_images(c))
 
 
 @pytest.mark.parametrize(
@@ -1118,110 +1158,98 @@ def test_every_stored_pair_is_the_reduced_join_of_its_letters(tower):
                     if b != alone and image is not None:
                         stored += 1
                         assert image and image == _joined(2 * alone, table[a], table[b])
-    assert stored == c._pair_count > 0
+    # Far under its budget, the store holds every word it was charged.
+    assert stored == len(_pair_images(c)) > 0
+    assert _held_words(c) == combing._PAIR_WORDS - c._room
 
 
 class _PairCountingComber(combing._Comber):
-    """The engine, counting the pairs of letters it finds in no store."""
+    """The engine, counting the pairs of letters it finds in no store, the
+    times its store is emptied, and the pairs it fills into a list of rows
+    that an emptying has taken out of the store."""
 
-    missed = 0
+    missed = flushed = orphaned = 0
 
-    def _pair_image(self, x, k, a, b):
+    def _pair_image(self, pairs, x, k, a, b):
         self.missed += b != self.ranks[k]
-        return super()._pair_image(x, k, a, b)
+        image = super()._pair_image(pairs, x, k, a, b)
+        self.orphaned += self._pairs[k].get(x) is not pairs
+        return image
 
-
-def _stored_pairs(c):
-    """How many pair images c's rows hold, not counting each row's cell for
-    its own letter."""
-    return sum(
-        image is not None and b != c.ranks[k]
-        for k, level_pairs in enumerate(c._pairs)
-        for rows in level_pairs.values()
-        for row in rows
-        if row is not None
-        for b, image in enumerate(row)
-    )
+    def _spend(self, words):
+        self.flushed += words > self._room
+        super()._spend(words)
 
 
 def test_the_pair_store_stops_at_its_bound(monkeypatch):
-    # Past either bound a missed pair is still computed and used, so the
-    # answers are those of the per-letter engine, which stores no pair.
-    expected = _combed_seeded_words(_PerLetterComber(G4.tower), 5, 20, 12)
-    entries = combing._PAIR_ENTRIES
-    monkeypatch.setattr(combing, "_PAIR_ENTRIES", 50)
+    # Past its budget the store is emptied and fills again, and a missed
+    # pair is computed and used either way, so the answers are those of the
+    # per-letter engine, which stores no pair.  A G_4 list, of an actor's
+    # rows or of a row's pairs, has one cell per code of its level: 3, 7,
+    # 11 or 15.
+    reference = _PerLetterComber(G4.tower)
+    monkeypatch.setattr(combing, "_PAIR_WORDS", 330)
     c = _PairCountingComber(G4.tower)
-    assert _combed_seeded_words(c, 5, 20, 12) == expected
-    assert c.missed > _stored_pairs(c) == c._pair_count == 50
-    # A G_4 list, of an actor's rows or of a row's pairs, has one cell per
-    # code of its level: 3, 7, 11 or 15.  The store counts every cell of
-    # them and stops only where a list would pass 330 cells, so within 15.
-    monkeypatch.setattr(combing, "_PAIR_ENTRIES", entries)
-    monkeypatch.setattr(combing, "_PAIR_CELLS", 330)
+    stored = []
+    for w in _seeded_words(G4.tower, 5, 20, 12):
+        assert _outcome(c, w, 12_000) == _outcome(reference, w, 12_000)
+        assert {len(cells) for cells in _lists(c)} <= {3, 7, 11, 15}
+        assert _held_words(c) <= 330 - c._room <= 330
+        stored.append(len(_pair_images(c)))
+    assert c.flushed > 0
+    assert c.missed > max(stored) > 0
+
+
+@pytest.mark.parametrize("cap", [12_000, 400])
+def test_a_store_emptied_inside_a_conjugation_changes_no_outcome(monkeypatch, cap):
+    # A budget of 300 words, 20 lists of G_4's widest level, is emptied
+    # inside conjugations of long level words.  The list of rows being read
+    # then lives on outside the store until the conjugation returns; the
+    # outcomes are still the per-letter engine's, and after each comb the
+    # store holds no more than its budget.
+    monkeypatch.setattr(combing, "_PAIR_WORDS", 300)
     c = _PairCountingComber(G4.tower)
-    assert _combed_seeded_words(c, 5, 20, 12) == expected
-    lists = [rows for level_pairs in c._pairs for rows in level_pairs.values()]
-    lists += [row for rows in lists for row in rows if row is not None]
-    assert {len(cells) for cells in lists} <= {3, 7, 11, 15}
-    assert 330 - 15 < c._cells == sum(map(len, lists)) <= 330
-    assert c.missed > _stored_pairs(c) == c._pair_count > 0
+    reference = _per_letter_comber(G4.tower)
+    outcomes = []
+    for w in _seeded_words(G4.tower, 26, 60, 16):
+        outcomes.append(_outcome(c, w, cap))
+        assert outcomes[-1] == _outcome(reference, w, cap)
+        assert _held_words(c) <= 300
+    assert c.orphaned > 0
+    assert any(isinstance(o, NormalForm) for o in outcomes)
 
 
-def test_the_pair_store_at_its_bound_is_small_in_g20():
-    # A level-20 row of G_20 is 79 cells, 632 bytes.  Stored for every
-    # letter that 40 actors meet in 300 conjugations of 40-letter level-20
-    # words, the rows and pairs would take about 3 MB (18 MB when a row
-    # had a cell per code of the tower, 801); under the cell bound the
-    # store, pairs included, takes about 1 MB.
-    c = combing._Comber(TowerSpec(GenFamily.ORBIT, 20))
-    rng = random.Random(20)
-    first, last = c.bounds[20]
-    actors = [c.code(v) for v in range(1, 41)]
-    for x in actors:
-        c.table(x, 20)
-    tracemalloc.start()
-    try:
-        for _ in range(300):
-            word = _reduced_part(rng, c, 20, 40)
-            part = [c.local[c.code(v)] for v in word]
-            c._conjugate_rev(rng.choice(actors), part, 20, DEFAULT_WORD_CAP, 0)
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert combing._PAIR_CELLS - 79 < c._cells <= combing._PAIR_CELLS
-    assert size <= 2_000_000
-
-
-def test_the_pair_store_filled_to_both_bounds_is_small_in_g50():
-    # Level 50 of G_50 has rank 99, the largest a tower may have, so its
-    # rows, of 199 cells, are the longest.  40 actors conjugate seeded
-    # level-50 letters until the cell bound binds, at 329 lists and rows;
-    # seeded pairs then fill those rows until the pair bound binds too.
-    # The store, lists, rows and pair images, takes about 5.6 MB.
-    c = combing._Comber(TowerSpec(GenFamily.ORBIT, 50))
-    m = c.ranks[50]
+@pytest.mark.parametrize("n", [20, 50], ids=["G20", "G50"])
+def test_the_pair_store_filled_to_its_budget_is_small(n):
+    # Level n of G_n has rank 2n - 1, so level 50 of G_50 has the longest
+    # rows a tower may have, 199 cells.  40 actors conjugate seeded pairs of
+    # level-n letters, each step filling at most one list, one row and one
+    # pair image, until the next step could pass the budget.  The store,
+    # never emptied, then holds every word it was charged: by tracemalloc
+    # 4.36 MB at G_20 and 4.14 MB at G_50.
+    c = combing._Comber(TowerSpec(GenFamily.ORBIT, n))
+    m = c.ranks[n]
     codes = [a for a in range(2 * m + 1) if a != m]
-    rng = random.Random(50)
+    rng = random.Random(n)
     actors = [c.code(v) for v in range(1, 41)]
     for x in actors:
-        c.table(x, 50)
+        c.table(x, n)
+    step = 2 * (2 * m + 1) + 2 * c.longest + 5
     tracemalloc.start()
     try:
-        while c._cells + 2 * m + 1 <= combing._PAIR_CELLS:
-            c._conjugate_rev(rng.choice(actors), [rng.choice(codes)], 50, DEFAULT_WORD_CAP, 0)
-        rows = [(x, a, row) for x, lists in c._pairs[50].items() for a, row in enumerate(lists) if row]
-        while c._pair_count < combing._PAIR_ENTRIES:
-            x, a, row = rng.choice(rows)
-            b = rng.choice(codes)
-            if b != 2 * m - a and row[b] is None:
-                c._pair_image(x, 50, a, b)
-        del rows
+        # About 12,100 draws reach the step at G_20 and 2,500 at G_50; a
+        # store that never does fails the assertion below after 50,000.
+        for _ in range(50_000):
+            if c._room < step:
+                break
+            a, b = rng.choice(codes), rng.choice(codes)
+            if b != 2 * m - a:
+                c._conjugate_rev(rng.choice(actors), [b, a], n, DEFAULT_WORD_CAP, 0)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert combing._PAIR_CELLS - 2 * m - 1 < c._cells <= combing._PAIR_CELLS
-    assert c._pair_count == combing._PAIR_ENTRIES
-    assert size <= 6_000_000
+    assert _held_words(c) == combing._PAIR_WORDS - c._room > combing._PAIR_WORDS - step
+    assert size <= 5_000_000
 
 
 def test_seeded_words_take_the_pair_path():
@@ -1230,7 +1258,8 @@ def test_seeded_words_take_the_pair_path():
     # at a time would miss no pair.
     c = _PairCountingComber(G4.tower)
     _combed_seeded_words(c, 4, 40, 10)
-    assert c.missed == c._pair_count >= 500
+    assert c.missed == len(_pair_images(c)) >= 500
+    assert c.flushed == 0
 
 
 def test_integer_output_check_is_live(monkeypatch):

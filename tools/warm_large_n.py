@@ -3,9 +3,9 @@
 Each tower gets 200 seeded words, each 4 random lower letters followed by
 60 random top-level letters, freely reduced, combed under a cap of 200,000
 through the public ``comb``.  One pass fills the action tables; the best of
-3 further passes is reported, with the pairs and cells the tower's pair
-store holds afterwards.  ``--unbounded`` lifts the store's bounds, to show
-what every pair the passes read would take.
+3 further passes is reported, with the words charged to the tower's pair
+store since it was last emptied.  ``--unbounded`` lifts the store's
+budget, to show what every pair the passes read would take.
 
 Run from the repository root:
 
@@ -48,11 +48,11 @@ def words(tower: TowerSpec) -> list:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--unbounded", action="store_true", help="lift the pair store's bounds")
+    parser.add_argument("--unbounded", action="store_true", help="lift the pair store's budget")
     args = parser.parse_args()
     if args.unbounded:
-        combing._PAIR_ENTRIES = combing._PAIR_CELLS = 10**12
-    print(f"{'tower':<6} {'seconds':>8} {'pairs':>10} {'cells':>12}")
+        combing._PAIR_WORDS = 10**12
+    print(f"{'tower':<6} {'seconds':>8} {'words':>12}")
     for tower in TOWERS:
         combing._comber_for.cache_clear()
         batch = words(tower)
@@ -66,7 +66,7 @@ def main() -> None:
             best = min(best, time.perf_counter() - start)
         engine = combing._comber_for(tower)
         name = f"{'G' if tower.family is GenFamily.ORBIT else 'P'}_{tower.n}"
-        print(f"{name:<6} {best:8.3f} {engine._pair_count:>10,} {engine._cells:>12,}")
+        print(f"{name:<6} {best:8.3f} {combing._PAIR_WORDS - engine._room:>12,}")
 
 
 if __name__ == "__main__":

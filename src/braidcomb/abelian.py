@@ -23,9 +23,10 @@ IntMatrix values only when a caller first reads them.
 cokernel drops zero and repeated columns, which span nothing new, and
 hands the rest to Smith reduction as the rows of the transpose, which has
 the same invariant factors.  Words become exponent vectors in one pass
-each, every letter read once against a generator index built once per
-generator tuple and shared by later calls with that tuple.  Every matrix
-is checked against MAX_MATRIX_CELLS before its entries are built.  h1
+each, every letter read once against the {generator: column} map that a
+Presentation carries; any other object with generators gets a map built
+for the call.  Every matrix is checked against MAX_MATRIX_CELLS before
+its entries are built, and the cokernel checks each column it keeps.  h1
 skips the conjugation relators of a tower that presentations marks, whose
 exponent vectors are zero, and hands the other vectors straight to the
 cokernel.
@@ -476,42 +477,20 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 # --- presentations to matrices ------------------------------------------------
 
 
-# How many generator tuples keep their shared column map.  A presentation
-# and every quotient_by of it share one generators tuple, so the entries
-# are few: one per presentation or fibre tower in use.  An entry for the
-# tallest tower (2,500 generators) holds about 94 KB of dict and tuple.
-_SHARED_COLUMN_MAPS = 64
-_column_maps: dict[int, tuple[tuple[GeneratorSymbol, ...], dict[GeneratorSymbol, int]]] = {}
-
-
-def _columns(generators: Sequence[GeneratorSymbol]) -> dict[GeneratorSymbol, int]:
-    """The {generator: column} map of the ordered generators.
-
-    A tuple cannot change, so its map is built once and shared by every
-    later call with the same tuple object.  It is looked up by identity:
-    hashing the tuple would call every symbol's __hash__, as building the
-    map does.  The entry keeps the tuple alive, so its id is not reused
-    while the entry is held; past _SHARED_COLUMN_MAPS the oldest goes.
-    """
-    if type(generators) is not tuple:
-        return {g: c for c, g in enumerate(generators)}
-    held = _column_maps.get(id(generators))
-    if held is not None and held[0] is generators:
-        return held[1]
-    column = {g: c for c, g in enumerate(generators)}
-    if len(_column_maps) >= _SHARED_COLUMN_MAPS:
-        del _column_maps[next(iter(_column_maps))]
-    _column_maps[id(generators)] = (generators, column)
-    return column
+def _columns(p) -> dict[GeneratorSymbol, int]:
+    """The {generator: column} map of p's generators: the one a
+    Presentation carries, or, for any other object with generators, one
+    built for this call."""
+    column = getattr(p, "_columns", None)
+    return {g: c for c, g in enumerate(p.generators)} if column is None else column
 
 
 def _exponent_vectors(
-    words: Iterable[Word], generators: Sequence[GeneratorSymbol]
+    words: Iterable[Word], column: dict[GeneratorSymbol, int]
 ) -> Iterator[tuple[int, ...]]:
-    """The exponent vector of each word over the ordered generators, read
-    in one pass per word.  A letter outside generators raises
+    """The exponent vector of each word over the generators that column
+    numbers, read in one pass per word.  A letter outside them raises
     MissingImageError naming its symbol."""
-    column = _columns(generators)
     for word in words:
         vector = [0] * len(column)
         for letter in word.letters:
@@ -526,7 +505,7 @@ def relation_matrix(p) -> IntMatrix:
     """Abelianized relator matrix: one row per relator, one column per
     generator (in the presentation's generator order)."""
     _check_cells(len(p.relators), len(p.generators))
-    rows = _exponent_vectors(p.relators, p.generators)
+    rows = _exponent_vectors(p.relators, _columns(p))
     entries = tuple([x for row in rows for x in row])
     return IntMatrix(len(p.relators), len(p.generators), entries)
 
@@ -537,12 +516,17 @@ def _cokernel_of_columns(rows: int, columns: Iterable[tuple[int, ...]]) -> FGAbe
     Zero columns and repeats of an earlier column add nothing to the span,
     so they are dropped before any matrix is built.  The columns that are
     left become the rows of the transpose, whose invariant factors are the
-    same; Smith reduction and its multiply-back check run on that.
+    same; Smith reduction and its multiply-back check run on that.  Each
+    column kept is checked against MAX_MATRIX_CELLS as it is kept, so no
+    column is read past the one that passes the bound.
     """
-    kept = [col for col in dict.fromkeys(columns) if any(col)]
+    kept: dict[tuple[int, ...], None] = {}
+    for col in columns:
+        if col not in kept and any(col):
+            _check_cells(len(kept) + 1, rows)
+            kept[col] = None
     if not kept:
         return FGAbelianGroup(rows)
-    _check_cells(len(kept), rows)
     form = smith_normal_form(IntMatrix(len(kept), rows, tuple([x for col in kept for x in col])))
     torsion = tuple([d for d in form.d if d > 1])
     return FGAbelianGroup(rows - form.rank, torsion)
@@ -565,4 +549,4 @@ def h1(p) -> FGAbelianGroup:
     """
     marked = getattr(p, "_marked", None)
     relators = p.relators if marked is None else marked[1]
-    return _cokernel_of_columns(len(p.generators), _exponent_vectors(relators, p.generators))
+    return _cokernel_of_columns(len(p.generators), _exponent_vectors(relators, _columns(p)))

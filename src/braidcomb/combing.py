@@ -693,9 +693,12 @@ def conjugation_action(tower: TowerSpec, actor: Letter, target: Letter) -> Word:
     return c.word(k, c.table(x, k)[c.local[y]][::-1])
 
 
-def _combed(p: Presentation | TowerSpec, w: Word, word_cap: int) -> NormalForm:
-    """w's normal form along p's tower, each part decoded by the checked
-    decode."""
+def comb(
+    p: Presentation | TowerSpec, w: Word, word_cap: int = DEFAULT_WORD_CAP
+) -> NormalForm:
+    """Comb w into its kernel-first normal form along the tower p, or the
+    tower the presentation p carries; no relator is read.  Each part is
+    decoded by the checked decode."""
     c = _comber_for(_require_tower(p))
     ints = c.encode(w)
     if len(ints) > word_cap:
@@ -703,14 +706,6 @@ def _combed(p: Presentation | TowerSpec, w: Word, word_cap: int) -> NormalForm:
     parts = c.comb(ints, word_cap)
     words = [c.word(k, part) for k, part in zip(range(c.tower.n, 0, -1), parts)]
     return _trusted(NormalForm, levels=tuple(words))
-
-
-def comb(
-    p: Presentation | TowerSpec, w: Word, word_cap: int = DEFAULT_WORD_CAP
-) -> NormalForm:
-    """Comb w into its kernel-first normal form along the tower p, or the
-    tower the presentation p carries; no relator is read."""
-    return _combed(p, w, word_cap)
 
 
 def words_equal(
@@ -725,7 +720,7 @@ def words_equal(
 def is_identity(
     p: Presentation | TowerSpec, w: Word, word_cap: int = DEFAULT_WORD_CAP
 ) -> bool:
-    return not any(_combed(p, w, word_cap).levels)
+    return not any(comb(p, w, word_cap).levels)
 
 
 def project_qn(w: Word, n: int) -> Word:

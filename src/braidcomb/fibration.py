@@ -17,8 +17,8 @@ Z^{n-1} factor is handled exactly as integer vectors.
 
 The boundary map's tower constants are built once per (surface, n):
 tau_hat squared, the image of every pi_2 basis label and the fibre
-factor's generators, held for the _BOUNDARY_ENTRIES most recently
-used (surface, n).  They are immutable words and fibre elements, so every
+factor's {generator: column} map, held for the _BOUNDARY_ENTRIES most
+recently used (surface, n).  No caller changes them, so every
 caller shares them.  Nothing that answers a question is cached: every
 call of the checks below builds its matrix and quotient presentation
 again, runs Smith reduction with its multiply-back check, and combs
@@ -246,7 +246,8 @@ _BOUNDARY_ENTRIES = 16
 class _Boundary(NamedTuple):
     """The tower constants of the boundary map at one (surface, n)."""
 
-    generators: tuple[GeneratorSymbol, ...]  # R_{n-1}'s, in presentation order
+    # R_{n-1}'s {generator: column} map, in presentation order; only read.
+    columns: dict[GeneratorSymbol, int]
     labels: tuple[str, ...]  # pi2_basis(surface, n)
     tau_hat_squared: FibreElement
     images: tuple[FibreElement, ...]  # one per label, in label order
@@ -257,7 +258,7 @@ def _boundary_images(surface: Surface, n: int) -> _Boundary:
     """tau_hat squared, built once, and the image of every pi_2 basis
     label (see boundary_image) at one (surface, n): the first n-1 labels
     map to the delta generators in slot order, the final label to the
-    image that carries tau_hat squared.  The values are immutable, so
+    image that carries tau_hat squared.  No caller changes the values, so
     every caller shares them."""
     labels = pi2_basis(surface, n)
     half = tau_hat(surface, n)
@@ -265,8 +266,8 @@ def _boundary_images(surface: Surface, n: int) -> _Boundary:
     ones = FibreElement(surface, n, IDENTITY, (1,) * (n - 1))  # the sum of all deltas
     final = squared * ones.inverse() if surface is Surface.RP2 else ones * squared.inverse()
     deltas = [delta_generator(surface, n, i) for i in range(n - 1)]
-    generators = _fibre_tower(surface, n).all_generators()
-    return _Boundary(generators, labels, squared, (*deltas, final))
+    columns = {g: c for c, g in enumerate(_fibre_tower(surface, n).all_generators())}
+    return _Boundary(columns, labels, squared, (*deltas, final))
 
 
 def boundary_image(surface: Surface, n: int, basis_label: str) -> FibreElement:
@@ -325,9 +326,9 @@ def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     only Smith-form invariants and cokernels are contractual.
     """
     data = _boundary_images(surface, n)
-    braid_parts = _exponent_vectors((img.r_part for img in data.images), data.generators)
+    braid_parts = _exponent_vectors((img.r_part for img in data.images), data.columns)
     columns = [img.z_part + part for img, part in zip(data.images, braid_parts)]
-    return IntMatrix.from_columns(n - 1 + len(data.generators), columns)
+    return IntMatrix.from_columns(n - 1 + len(data.columns), columns)
 
 
 @_frozen

@@ -29,6 +29,10 @@ in equality, hashing or repr.  A presentation built by hand or imported
 (parse_presentation) is never marked, even when it names a tower: its
 relators are whatever the text says, so all of them are read.
 
+Every presentation carries the {generator: column} map that its relators
+are checked against and that abelian reads words through; quotients of a
+presentation share its map.
+
 Two sizes are bounded before anything is allocated: a tower holds at most
 MAX_TOWER_GENERATORS generators, so no builder returns a taller one, and
 at most MAX_RELATORS relators are derived from a tower or imported.  The
@@ -48,6 +52,7 @@ from .words import (
     Letter,
     Word,
     _frozen,
+    _set,
     _trusted,
     band_gen,
     format_word,
@@ -156,6 +161,9 @@ class Presentation:
     a quotient_by of one, is marked: its relators are its tower's
     conjugation relators followed by the extras, and they are derived on
     the first read of ``relators``, once their count is within MAX_RELATORS.
+
+    A presentation carries the {generator: column} map of its generators,
+    built once, and every quotient_by of it shares that map.
     """
 
     generators: tuple[GeneratorSymbol, ...]
@@ -163,15 +171,16 @@ class Presentation:
     tower: TowerSpec | None = None
     # (tower, extras) for a marked presentation; only the builders here set
     # it.  Unannotated, so it is no field: not an __init__ argument, and no
-    # part of ==, hash or repr.
+    # part of ==, hash or repr; nor is _columns, which every build sets.
     _marked = None
 
     def __post_init__(self) -> None:
-        known = set(self.generators)
-        if len(known) != len(self.generators):
+        columns = {g: c for c, g in enumerate(self.generators)}
+        if len(columns) != len(self.generators):
             twice = next(g for i, g in enumerate(self.generators) if g in self.generators[:i])
             raise InvalidArgumentError(f"duplicate generator {twice}")
-        _check_symbols(self.relators, known)
+        _check_symbols(self.relators, columns)
+        _set(self, "_columns", columns)
         if self.tower is not None and self.tower.all_generators() != self.generators:
             raise InvalidArgumentError("tower alphabets must exhaust the generators in order")
 
@@ -200,8 +209,10 @@ def artin_presentation(n: int) -> Presentation:
 
 def _tower_presentation(tower: TowerSpec) -> Presentation:
     """The marked presentation of the tower; no relator is built yet."""
+    generators = tower.all_generators()
+    columns = {g: c for c, g in enumerate(generators)}
     return _trusted(
-        Presentation, generators=tower.all_generators(), tower=tower, _marked=(tower, ())
+        Presentation, generators=generators, tower=tower, _marked=(tower, ()), _columns=columns
     )
 
 
@@ -228,7 +239,7 @@ def _tower_relators(tower: TowerSpec) -> tuple[Word, ...]:
     ])
 
 
-def _check_symbols(relators: Iterable[Word], known: set[GeneratorSymbol]) -> None:
+def _check_symbols(relators: Iterable[Word], known: dict[GeneratorSymbol, int]) -> None:
     for relator in relators:
         for sym in relator.symbols():
             if sym not in known:
@@ -246,20 +257,18 @@ def quotient_by(p: Presentation, extra: Iterable[Word]) -> Presentation:
     """p with extra relators imposed; the tower is dropped (quotients are
     presentations only, not combable groups).
 
-    p was validated when it was built, so only the extras are checked.  A
-    quotient of a marked presentation stays marked, with the extras
-    appended to its extras, and builds no relator of the tower.
+    p was validated when it was built, so only the extras are checked,
+    against p's column map, which the quotient shares.  A quotient of a
+    marked presentation stays marked, with the extras appended to its
+    extras, and builds no relator of the tower.
     """
     extra = tuple(extra)
-    _check_symbols(extra, set(p.generators))
+    _check_symbols(extra, p._columns)
+    shared = dict(generators=p.generators, tower=None, _columns=p._columns)
     if p._marked is None:
-        return _trusted(
-            Presentation, generators=p.generators, relators=p.relators + extra, tower=None
-        )
+        return _trusted(Presentation, relators=p.relators + extra, **shared)
     tower, extras = p._marked
-    return _trusted(
-        Presentation, generators=p.generators, tower=None, _marked=(tower, extras + extra)
-    )
+    return _trusted(Presentation, _marked=(tower, extras + extra), **shared)
 
 
 def _conjugation_relator(actor: GeneratorSymbol, target: GeneratorSymbol) -> Word:

@@ -34,7 +34,7 @@ from braidcomb.presentations import (
     parse_presentation,
     quotient_by,
 )
-from braidcomb.words import IDENTITY, GenFamily, Letter, exponent_sum, reduce
+from braidcomb.words import IDENTITY, GenFamily, Letter, Word, exponent_sum, reduce
 
 
 def M(rows):
@@ -207,17 +207,42 @@ def test_the_cell_bound_covers_the_matrices_built_from_the_tallest_towers():
         assert tower.relator_count() * tower.generator_count() <= MAX_MATRIX_CELLS
 
 
-def test_a_generator_tuple_shares_one_column_map():
-    gens = TowerSpec(GenFamily.ORBIT, 3).all_generators()
-    column = abelian._columns(gens)
-    assert column == {g: c for c, g in enumerate(gens)}
-    assert abelian._columns(gens) is column
-    # An equal tuple gets an equal map; a list, which can change, a fresh one.
-    assert abelian._columns(tuple(list(gens))) == column
-    assert abelian._columns(list(gens)) is not abelian._columns(list(gens))
-    for n in range(1, abelian._SHARED_COLUMN_MAPS + 6):
-        abelian._columns(TowerSpec(GenFamily.BAND, n + 1).all_generators())
-    assert len(abelian._column_maps) <= abelian._SHARED_COLUMN_MAPS
+def test_h1_reads_no_relator_past_the_column_that_passes_the_cell_bound():
+    gens = TowerSpec(GenFamily.ORBIT, 50).all_generators()
+    width = len(gens)  # 2,500: 3,200 distinct columns fill MAX_MATRIX_CELLS
+    last = MAX_MATRIX_CELLS // width + 1
+
+    def relators():
+        # Distinct two-letter words: r_i r_(i+1), then r_i r_(i+2).
+        for i in range(last):
+            yield Word((Letter(gens[i % width]), Letter(gens[(i + 1 + i // width) % width])))
+        raise AssertionError(f"a relator was read past the {last}th")
+
+    with pytest.raises(InvalidArgumentError, match=f"a {last} x {width} matrix"):
+        h1(SimpleNamespace(generators=gens, relators=relators()))
+
+
+def test_a_presentation_and_its_quotients_share_one_column_map():
+    for p in (orbit_presentation(3), artin_presentation(4)):
+        assert p._columns == {g: c for c, g in enumerate(p.generators)}
+        w = Word((Letter(p.generators[0]),) * 2)
+        q = quotient_by(p, [w])
+        plain = Presentation(p.generators, p.relators)
+        for quotient in (q, quotient_by(q, [w]), quotient_by(p, [])):
+            assert quotient._columns is p._columns
+        assert quotient_by(plain, [w])._columns is plain._columns == p._columns
+        assert h1(q) == h1(Presentation(q.generators, q.relators))
+    r10, r20 = orbit_gen(1, 0), orbit_gen(2, 0)
+    with pytest.raises(InvalidArgumentError, match=r"^duplicate generator r\(1,0\)$"):
+        Presentation((r10, r20, r10), ())
+    foreign = Word((Letter(r20),))
+    for build in (
+        lambda: Presentation((r10,), (foreign,)),
+        lambda: quotient_by(orbit_presentation(1), [foreign]),
+    ):
+        with pytest.raises(MissingImageError) as info:
+            build()
+        assert info.value.symbol == r20
 
 
 # --- Smith normal form ---------------------------------------------------------

@@ -18,6 +18,18 @@ the run then costs nothing at level k.  The form acts whole or not at all:
 if its comb or its action passes the word cap, or it is not shorter, the
 run's own letters act, so a refusal always names a letter the scan read.
 
+The towers' relators have the shape x Y x^-1 Z^-1, x below the level of Y
+and Z, so a run of lower letters often begins with S^-1 where S ends the
+run before the level-k block Y to its left.  S Y S^-1 acts on the level word
+as Y conjugated by S alone, so the scan skips S^-1, conjugates the block by
+S's letters, right to left, and pushes the result onto the level word: |S|
+conjugations of the block instead of 2|S| of the whole level word, the
+longest S taken.  S^-1 and S cancel in the lower word too, so neither is
+held.  Each of S's letters acts on the block beside the letters before it,
+the level word and the lower letters held, and a refusal there names it.
+The rest of the run, after S^-1, acts as any run does, and the scan goes on
+at the letters before S as at any run, so one block is mirrored at a time.
+
 Each signed actor letter has one action table per level, the image of
 both signs of every target there, kept per tower and filled whole on its
 first miss.  A positive actor reads its images straight off the defining
@@ -600,9 +612,12 @@ class _Comber:
             twice_k = 2 * self.ranks[k]
             rev_k: list[int] = []
             rev_rest: list[int] = []
-            # rest[start : pos + 1] is the run of lower letters being
-            # scanned, once it has been looked up; tried says whether it has
-            # been combed.
+            # Once the scan enters a run of lower letters, rest[start : pos
+            # + 1] is what is left of it to act, and tried says whether that
+            # has been combed.  The run begins with S^-1, its mirrored
+            # letters rest[start - mirrored : start], where S is the letters
+            # rest[block - mirrored : block] that end the run before the
+            # level-k block rest[block : start - mirrored]; S may be empty.
             start, tried = None, False
             pos = len(rest) - 1
             try:
@@ -613,32 +628,66 @@ class _Comber:
                         start, tried = None, False
                         pos -= 1
                         continue
-                    if not tried and len(rev_k) >= _RUN_COMB_LEVEL_LETTERS:
-                        if start is None:
-                            start = pos
-                            while start and level_of[rest[start - 1]] < k:
-                                start -= 1
-                        # The run acts on the level word only through the
-                        # element it is, so a shorter word for that element,
-                        # its normal form, may act in its place.  Acting costs
-                        # at least the level word's length per letter, so
-                        # what is left of the run is combed once it is no
-                        # longer than the level word, and only that once: a
-                        # form that is not shorter, or does not fit under the
-                        # cap, leaves the rest of the run to act letter by
-                        # letter, as it would without run combing.
-                        if _RUN_COMB_MIN_LETTERS <= pos + 1 - start <= len(rev_k):
-                            tried = True
-                            # What the cap leaves beside the letters before
-                            # the run and the lower letters held after it.
-                            room = cap - start - len(rev_rest)
-                            acted = self._form_acted(rest[start : pos + 1], rev_k, k, room)
-                            if acted is not None:
-                                rev_k, form = acted
-                                for c in reversed(form):
-                                    _push(rev_rest, c, twice)
-                                pos = start - 1
-                                continue
+                    if start is None:
+                        start = pos
+                        while start and level_of[rest[start - 1]] < k:
+                            start -= 1
+                        block = start
+                        while block and level_of[rest[block - 1]] == k:
+                            block -= 1
+                        # A letter that is the inverse of a lower letter is
+                        # lower itself, so the match stays in both runs.
+                        mirrored = 0
+                        while (
+                            mirrored < block
+                            and start + mirrored <= pos
+                            and rest[block - 1 - mirrored] + rest[start + mirrored] == twice
+                        ):
+                            mirrored += 1
+                        start += mirrored
+                    if pos < start:
+                        # The scan has reached the mirrored letters: S Y S^-1
+                        # acts on the level word as the block Y conjugated by
+                        # S alone, so S^-1 and S act on nothing else, and
+                        # cancel in the lower word.  S's letters act on Y
+                        # right to left, each beside the letters before it,
+                        # the level word and the lower letters held.
+                        image: list[int] = []
+                        for c in reversed(rest[block : start - mirrored]):
+                            _push(image, local[c], twice_k)
+                        if image:
+                            for pos in range(block - 1, block - 1 - mirrored, -1):
+                                held = pos + 1 + len(rev_k) + len(rev_rest)
+                                image = self._conjugate_rev(rest[pos], image, k, cap, held)
+                        for c in image:
+                            _push(rev_k, c, twice_k)
+                        start, tried = None, False
+                        pos = block - 1 - mirrored
+                        continue
+                    # The run acts on the level word only through the element
+                    # it is, so a shorter word for that element, its normal
+                    # form, may act in its place.  Acting costs at least the
+                    # level word's length per letter, so what is left of the
+                    # run is combed once it is no longer than the level word,
+                    # and only that once: a form that is not shorter, or does
+                    # not fit under the cap, leaves the rest of the run to act
+                    # letter by letter, as it would without run combing.
+                    if (
+                        not tried
+                        and len(rev_k) >= _RUN_COMB_LEVEL_LETTERS
+                        and _RUN_COMB_MIN_LETTERS <= pos + 1 - start <= len(rev_k)
+                    ):
+                        tried = True
+                        # What the cap leaves beside the letters before the
+                        # run and the lower letters held after it.
+                        room = cap - start - len(rev_rest)
+                        acted = self._form_acted(rest[start : pos + 1], rev_k, k, room)
+                        if acted is not None:
+                            rev_k, form = acted
+                            for c in reversed(form):
+                                _push(rev_rest, c, twice)
+                            pos = start - 1
+                            continue
                     if rev_k:
                         rev_k = self._conjugate_rev(x, rev_k, k, cap, pos + len(rev_rest) + 1)
                     _push(rev_rest, x, twice)

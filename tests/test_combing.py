@@ -417,9 +417,19 @@ def test_word_cap_names_the_level_whose_scan_hit_it(text, cap, level):
     "text, cap, level, position",
     [
         ("r(3,0) r(1,0) r(3,4) r(3,2) r(3,4) r(1,0)^-1", 8, 3, 1),
-        # Level 2 scans the word with its level-3 letters taken out.
-        ("r(3,0) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1", 6, 2, 0),
-        ("r(2,1) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1 r(3,0)", 7, 2, 1),
+        # Level 2 scans the word with its level-3 letters taken out.  The
+        # r(1,0) ... r(1,0)^-1 around each level-2 block mirror each other,
+        # so r(1,0) acts on the block alone, and these two words comb under
+        # a cap of their normal forms' 6 and 7 letters; the plain scan,
+        # which acts r(1,0)^-1 first and holds it, refuses both.
+        ("r(3,0) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1", 6, None, None),
+        ("r(2,1) r(1,0) r(2,2) r(2,1) r(2,2) r(1,0)^-1 r(3,0)", 7, None, None),
+        # The block r(2,1) passes the cap under the mirrored r(1,0)^-1 at 3.
+        ("r(2,1) r(1,0) r(2,2) r(1,0)^-1 r(2,1) r(1,0)", 6, 2, 3),
+        # The r(1,0) at 1 mirrors the r(1,0)^-1 at 4 and its block fits; the
+        # r(1,0) at 0 then acts on the whole level word and passes the cap.
+        ("r(1,0) r(1,0) r(2,2) r(2,1) r(1,0)^-1", 6, 2, 0),
+        ("r(1,0) r(1,0) r(2,2) r(2,1) r(1,0)^-1", 5, 2, 1),
         # With 64 level-3 letters built, the run r(1,0) r(2,0) r(1,0)^-1 at
         # 1..3 combs to r(2,0), whose action passes the cap, so the run's own
         # letters act and the refusal names the letter at 3, as the plain
@@ -428,8 +438,13 @@ def test_word_cap_names_the_level_whose_scan_hit_it(text, cap, level):
     ],
 )
 def test_word_cap_position_indexes_the_scanned_word(text, cap, level, position):
+    w = parse_word(text)
+    assert not isinstance(_outcome(_plain_scan_comber(G3.tower), w, cap), NormalForm)
+    if level is None:
+        assert sum(map(len, comb(G3, w, word_cap=cap).levels)) == cap
+        return
     with pytest.raises(WordSizeExceededError) as err:
-        comb(G3, parse_word(text), word_cap=cap)
+        comb(G3, w, word_cap=cap)
     assert (err.value.level, err.value.position) == (level, position)
 
 
@@ -632,16 +647,17 @@ def test_word_cap_boundary_is_exact(p):
 
 
 # sha256 over the outcomes of test_seeded_answers_and_refusals_are_pinned,
-# recorded from the engine that carried letters as signed ids.  Normal forms
-# are unique, so an answer can move only if the engine is wrong; a refusal's
-# (length, cap, level, position) moves whenever the words built along the
-# way do.
-PINNED_ANSWERS_SHA256 = "8532eba2b9cded0de55aa3abbec9fa97a8d294b3c174f365d635731440c1a926"
+# recorded once mirrored lower letters cancelled across a level block: against
+# the engine before, 4 refusals under the cap of 400 decide, 14 move their
+# (length, position), and no answer changes.  Normal forms are unique, so an
+# answer can move only if the engine is wrong; a refusal's (length, cap,
+# level, position) moves whenever the words built along the way do.
+PINNED_ANSWERS_SHA256 = "307559a440c026f749293c59d21d5368cd248b6fb9edbc1a7ec2d798a54b4b71"
 
 
 def test_seeded_answers_and_refusals_are_pinned():
     # 150 seeded words u r v per tower, r a relator, each combed under the
-    # acceptance sweep's cap and under a cap of 400 that refuses 165 of the
+    # acceptance sweep's cap and under a cap of 400 that refuses 161 of the
     # 1,200 combs.
     rng = random.Random(25)
     digest = hashlib.sha256()
@@ -840,27 +856,27 @@ def _plain_scan_comber(tower):
     return _PlainScanComber(tower)
 
 
-def _lower_relator_pair(p, seed, len_u, len_v):
-    """Seeded words u and v of p, and a relator of p whose letters all lie
-    below p's top level."""
+def _relator_pair(p, seed, len_u, len_v, block_on_top=False, generators=None):
+    """Seeded words u and v of p, over generators (p's unless given), and a
+    relator x Y x^-1 Z^-1 of p whose block Y lies on p's top level when
+    block_on_top, and whose letters all lie below it otherwise."""
     rng = random.Random(seed)
     top = p.tower.n
-    lower = [r for r in p.relators if all(letter.symbol.level < top for letter in r.letters)]
+    relators = [r for r in p.relators if (r.letters[1].symbol.level == top) == block_on_top]
+    generators = generators or p.generators
 
     def word(length):
-        return reduce(
-            Letter(rng.choice(p.generators), rng.choice((1, -1))) for _ in range(length)
-        )
+        return reduce(Letter(rng.choice(generators), rng.choice((1, -1))) for _ in range(length))
 
     u, v = word(len_u), word(len_v)
-    return u, rng.choice(lower), v
+    return u, rng.choice(relators), v
 
 
 def test_a_relator_below_the_firing_level_no_longer_stops_the_scan():
     # The plain scan lets every letter of r act on the level-3 word built
     # from v, and r's letters cancel only below level 3; the run holding r
     # combs to a shorter form that acts in its place.
-    u, r, v = _lower_relator_pair(G3, 97, 10, 10)
+    u, r, v = _relator_pair(G3, 97, 10, 10)
     assert all(letter.symbol.level < 3 for letter in r.letters)
     refused = _outcome(_plain_scan_comber(G3.tower), u * r * v, 12_000)
     assert refused == (12_004, 12_000, 3, 9)
@@ -889,7 +905,7 @@ def _forms_acting_on_a_lower_relator_word(p, seed, len_u, len_v):
     the top level's word is long where the scan reaches r.  Raises unless
     the form agrees with the plain scan's wherever that one decides, and
     with the form of u v t."""
-    u, r, v = _lower_relator_pair(p, seed, len_u, len_v)
+    u, r, v = _relator_pair(p, seed, len_u, len_v)
     top = random.Random(seed).choice([s for s in p.generators if s.level == p.tower.n])
     t = word_power(gen_word(top), 64)
     engine, reference = _form_counting_comber(p.tower), _plain_scan_comber(p.tower)
@@ -984,6 +1000,74 @@ def test_a_run_that_never_combs_shorter_is_combed_once(monkeypatch):
         _plain_scan_comber(G3.tower), w, DEFAULT_WORD_CAP
     )
     assert runs == [2 * m]
+
+
+@pytest.mark.parametrize("p", [G3, G4, artin_presentation(5)], ids=["G3", "G4", "P5"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    len_u=st.integers(0, 8),
+    len_v=st.integers(0, 8),
+    cap=st.sampled_from([400, 12_000]),
+)
+def test_mirrored_letters_agree_with_the_plain_scan(p, seed, len_u, len_v, cap):
+    # The top level, where the scan starts, holds r's block Y, so r's x and
+    # x^-1 mirror each other across it and x acts on Y alone.  Wherever the
+    # plain scan decides u r v, the engine gives its form, and that is the
+    # form of u v.
+    u, r, v = _relator_pair(p, seed, len_u, len_v, block_on_top=True)
+    engine, reference = combing._comber_for(p.tower), _plain_scan_comber(p.tower)
+    got, expected = _outcome(engine, u * r * v, cap), _outcome(reference, u * r * v, cap)
+    if isinstance(expected, NormalForm):
+        assert got == expected
+    base = _outcome(reference, u * v, 12_000)
+    if isinstance(got, NormalForm) and isinstance(base, NormalForm):
+        assert got == base
+
+
+class _ConjugationLoggingComber(combing._Comber):
+    """The engine, logging each conjugation as (actor, level, reversed
+    level word it reads)."""
+
+    def __init__(self, tower):
+        super().__init__(tower)
+        self.conjugations = []
+
+    def _conjugate_rev(self, x, rev_k, k, cap, held):
+        self.conjugations.append((x, k, tuple(rev_k)))
+        return super()._conjugate_rev(x, rev_k, k, cap, held)
+
+
+@pytest.mark.parametrize("p", [G3, G4, artin_presentation(5)], ids=["G3", "G4", "P5"])
+def test_mirrored_letters_act_on_no_level_word(p):
+    # u and v hold only top-level letters, so r's x and x^-1 are the only
+    # lower letters of u r v.  On each of 40 seeded words the one
+    # conjugation is x's, of r's block Y alone: x^-1 acts nowhere, x on no
+    # level word, and no lower level is left anything to act on.
+    top = p.tower.n
+    engine = _ConjugationLoggingComber(p.tower)
+    generators = [s for s in p.generators if s.level == top]
+    for seed in range(40):
+        u, r, v = _relator_pair(p, seed, seed % 9, (seed * 5) % 9, True, generators)
+        x, *rest = engine.encode(r)
+        block = rest[: next(i for i, c in enumerate(rest) if engine.level_of[c] < top)]
+        engine.conjugations.clear()
+        assert _outcome(engine, u * r * v, 12_000) == _outcome(engine, u * v, 12_000)
+        assert engine.conjugations == [(x, top, tuple(engine.local[c] for c in reversed(block)))]
+
+
+def test_a_mirrored_relator_no_longer_stops_the_scan():
+    # The plain scan acts r(3,1)^-1 on the level-4 word v builds, and that
+    # passes the cap; r(3,1) then acts back on the whole word.  Here r(3,1)
+    # acts on r(4,1) alone, and r v combs to the form of v.
+    r = parse_word("r(3,1) r(4,1) r(3,1)^-1 r(4,3)^-1 r(4,1)^-1 r(4,3)")
+    v = parse_word(
+        "r(3,4) r(3,1) r(2,2)^-1 r(3,1)^-1 r(3,1)^-1 r(3,4)^-1 r(4,6)^-1 "
+        "r(4,5)^-1 r(2,2)^-1 r(1,0) r(4,2)"
+    )
+    assert r in G4.relators
+    assert _outcome(_plain_scan_comber(G4.tower), r * v, 12_000) == (12_003, 12_000, 4, 2)
+    assert comb(G4, r * v, word_cap=12_000) == comb(G4, v, word_cap=12_000)
 
 
 @pytest.mark.parametrize(

@@ -17,25 +17,12 @@ import sys
 from collections.abc import Sequence
 from typing import TextIO
 
-from .abelian import FGAbelianGroup, h1, smith_normal_form
+from . import abelian, fibration
 from .combing import NormalForm, center_check, comb, theta_decompose, words_equal
 from .errors import (
     InvalidArgumentError,
     NoUnitCoordinateError,
     WordSizeExceededError,
-)
-from .fibration import (
-    FibreElement,
-    Surface,
-    boundary_image,
-    boundary_matrix_ab,
-    exactness_report,
-    iota_sharp_vector,
-    pi2_basis,
-    quotient_check,
-    split_ses_check,
-    strict_corollary_discrepancy,
-    strict_corollary_image,
 )
 from .presentations import (
     Presentation,
@@ -197,7 +184,7 @@ def cmd_comb(ns: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_abelianize(ns: argparse.Namespace, out: TextIO) -> int:
-    group = h1(_presentation_for(ns.group, ns.n))
+    group = abelian.h1(_presentation_for(ns.group, ns.n))
     payload = {
         "group": ns.group,
         "n": ns.n,
@@ -208,14 +195,14 @@ def cmd_abelianize(ns: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _element_json(e: FibreElement) -> dict:
+def _element_json(e: fibration.FibreElement) -> dict:
     return {"r_part": format_word(e.r_part), "z_part": list(e.z_part)}
 
 
 def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
-    surface = Surface(ns.surface)
-    basis = pi2_basis(surface, ns.n)
-    images = {label: boundary_image(surface, ns.n, label) for label in basis}
+    surface = fibration.Surface(ns.surface)
+    basis = fibration.pi2_basis(surface, ns.n)
+    images = {label: fibration.boundary_image(surface, ns.n, label) for label in basis}
 
     payload: dict = {
         "surface": surface.value,
@@ -226,8 +213,8 @@ def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
     lines = [f"{label} -> {img}" for label, img in images.items()]
 
     if ns.abelianized:
-        matrix = boundary_matrix_ab(surface, ns.n)
-        factors = smith_normal_form(matrix).d
+        matrix = fibration.boundary_matrix_ab(surface, ns.n)
+        factors = abelian.smith_normal_form(matrix).d
         payload["matrix"] = matrix.to_rows()
         payload["snf"] = list(factors)
         lines.append("matrix (rows: loop slots, then generator classes; columns: basis):")
@@ -236,8 +223,8 @@ def cmd_boundary(ns: argparse.Namespace, out: TextIO) -> int:
 
     if ns.strict_corollary:
         final = basis[-1]
-        terse = strict_corollary_image(surface, ns.n)
-        gap = strict_corollary_discrepancy(surface, ns.n)
+        terse = fibration.strict_corollary_image(surface, ns.n)
+        gap = fibration.strict_corollary_discrepancy(surface, ns.n)
         payload["strict_corollary"] = {
             "final_label": final,
             "terse_image": _element_json(terse),
@@ -302,16 +289,16 @@ def _suite_center(ns: argparse.Namespace) -> _SuiteResult:
     return checks, False
 
 
-def _surfaces_for(ns: argparse.Namespace) -> list[Surface]:
+def _surfaces_for(ns: argparse.Namespace) -> list[fibration.Surface]:
     if ns.surface is not None:
-        return [Surface(ns.surface)]
-    return [Surface.S2, Surface.RP2]
+        return [fibration.Surface(ns.surface)]
+    return [fibration.Surface.S2, fibration.Surface.RP2]
 
 
 def _suite_exactness(ns: argparse.Namespace) -> _SuiteResult:
     checks = []
     for surface in _surfaces_for(ns):
-        report = exactness_report(surface, ns.n)
+        report = fibration.exactness_report(surface, ns.n)
         tag = surface.value
         checks.append(
             (
@@ -333,7 +320,7 @@ def _suite_exactness(ns: argparse.Namespace) -> _SuiteResult:
 def _suite_quotient(ns: argparse.Namespace) -> _SuiteResult:
     checks = []
     for surface in _surfaces_for(ns):
-        report = quotient_check(surface, ns.n)
+        report = fibration.quotient_check(surface, ns.n)
         checks.append(
             (
                 f"{surface.value} n={ns.n}: cokernel {report.from_cokernel} "
@@ -345,26 +332,24 @@ def _suite_quotient(ns: argparse.Namespace) -> _SuiteResult:
     return checks, False
 
 
-_SPLIT_COEFFS = (
-    ("Z", FGAbelianGroup(1)),
-    ("Z/2", FGAbelianGroup(0, (2,))),
-    ("Z x Z/2", FGAbelianGroup(1, (2,))),
-    ("Z/3", FGAbelianGroup(0, (3,))),
-)
-
-
 def _suite_split(ns: argparse.Namespace) -> _SuiteResult:
     if ns.n < 2:
         raise _UsageError("--suite split needs --n of at least 2")
     # iota_sharp on pi_2: diagonal over RP^2 for every n, anti-diagonal over
     # S^2 at n = 2.
-    vectors = [("diagonal", iota_sharp_vector(Surface.RP2, ns.n, 2))]
+    vectors = [("diagonal", fibration.iota_sharp_vector(fibration.Surface.RP2, ns.n, 2))]
     if ns.n == 2:
-        vectors.append(("anti-diagonal", iota_sharp_vector(Surface.S2, 2, 2)))
+        vectors.append(("anti-diagonal", fibration.iota_sharp_vector(fibration.Surface.S2, 2, 2)))
+    coefficients = (
+        ("Z", abelian.FGAbelianGroup(1)),
+        ("Z/2", abelian.FGAbelianGroup(0, (2,))),
+        ("Z x Z/2", abelian.FGAbelianGroup(1, (2,))),
+        ("Z/3", abelian.FGAbelianGroup(0, (3,))),
+    )
     checks = []
-    for coeff_name, coeff in _SPLIT_COEFFS:
+    for coeff_name, coeff in coefficients:
         for vec_name, vector in vectors:
-            report = split_ses_check(coeff, ns.n, vector)
+            report = fibration.split_ses_check(coeff, ns.n, vector)
             checks.append(
                 (
                     f"coeff {coeff_name}, {vec_name} n={ns.n}: "

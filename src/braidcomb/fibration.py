@@ -58,6 +58,31 @@ from .presentations import (
 )
 from .words import IDENTITY, GeneratorSymbol, GenFamily, Word, _frozen, _trusted
 
+__all__ = [
+    "Surface",
+    "FibreElement",
+    "ExactnessReport",
+    "QuotientReport",
+    "SplitReport",
+    "NonSplitReport",
+    "BoundarySumReport",
+    "fibre_presentation",
+    "fibre_elements_equal",
+    "pi2_basis",
+    "delta_generator",
+    "tau_hat",
+    "boundary_image",
+    "strict_corollary_image",
+    "strict_corollary_discrepancy",
+    "boundary_matrix_ab",
+    "exactness_report",
+    "quotient_check",
+    "iota_sharp_vector",
+    "split_ses_check",
+    "nonsplit_witness_s2",
+    "boundary_sum_identity",
+]
+
 
 class Surface(enum.Enum):
     """Which closed surface the configuration points live on.

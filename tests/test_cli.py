@@ -807,7 +807,7 @@ def test_boundary_past_the_fibre_tower_bound_is_refused_before_any_image(
     def refuse(*args):
         raise AssertionError("a boundary image was built")
 
-    monkeypatch.setattr(cli, "boundary_image", refuse)
+    monkeypatch.setattr(cli.fibration, "boundary_image", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert "MAX_TOWER_GENERATORS=2500" in err

@@ -1,15 +1,19 @@
 """Package surface: every name a module exports is importable from braidcomb
-and read somewhere in the package or the acceptance suite, every name a
-module imports is used, every private function, method or class a module
-defines is read somewhere in the package, every generator symbol is
-built by the one constructor that shares them, no tuple is built from a
-lazy iterator, and the CLI writes JSON in one place."""
+and read somewhere in the package or the acceptance suite, the abelian and
+fibration layers load on first use (a comb or a group suite never loads
+them), every name a module imports is used, every private function, method
+or class a module defines is read somewhere in the package, every
+generator symbol is built by the one constructor that shares them, no tuple
+is built from a lazy iterator, and the CLI writes JSON in one place."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,115 @@ def test_module_exports_are_reexported(name):
     module = importlib.import_module(f"braidcomb.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(braidcomb, attr)]
     assert missing == []
+
+
+def test_the_lazy_layers_export_exactly_their_public_names():
+    for layer, names in braidcomb._LAZY_EXPORTS.items():
+        module = importlib.import_module(f"braidcomb.{layer}")
+        assert sorted(names) == sorted(module.__all__), layer
+    assert sorted(braidcomb._LAZY_NAMES) == sorted(
+        braidcomb.abelian.__all__ + braidcomb.fibration.__all__
+    )
+
+
+LAYERS = ("braidcomb.abelian", "braidcomb.fibration")
+SRC = str(Path(braidcomb.__file__).parents[1])
+
+# Runs `python -m braidcomb <argv>` through runpy, as -m does, then prints the
+# exit code and the lazy layers whose source ran.
+_CLI_RUN = """
+import runpy, sys, types
+try:
+    runpy.run_module("braidcomb", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+layers = ("braidcomb.abelian", "braidcomb.fibration")
+print(code, [m for m in layers if type(sys.modules[m]) is types.ModuleType])
+"""
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("comb", "--group", "gn", "--n", "6", "--word", "r(2,1) r(6,3)^-1 r(4,0)"), []),
+        (("verify", "--suite", "center", "--n", "3"), []),
+        (("abelianize", "--n", "3"), ["braidcomb.abelian"]),
+        (("boundary", "--surface", "rp2", "--n", "3"), list(LAYERS)),
+    ],
+    ids=["comb", "verify-center", "abelianize", "boundary"],
+)
+def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
+    proc = _fresh_python("-X", "importtime", "-c", _CLI_RUN, *argv)
+    *_, last = proc.stdout.splitlines()
+    assert last == f"0 {loaded}"
+    # A lazy layer's load is an attribute read, which -X importtime does not
+    # see; a line for a layer means something imported it eagerly.
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert [m for m in LAYERS if m in imported] == []
+
+
+# What a tracer that patches every braidcomb namespace sees, in a fresh
+# interpreter: the layers are registered but not run, dir() lists their
+# names, and reading vars() of each braidcomb module runs it and binds its
+# names into the package.
+_OBSERVER = """
+import sys, types
+import braidcomb
+layers = ("braidcomb.abelian", "braidcomb.fibration")
+print(all(type(sys.modules[m]) is not types.ModuleType for m in layers))
+print(set(braidcomb._LAZY_NAMES) <= set(dir(braidcomb)))
+print(all(type(sys.modules[m]) is not types.ModuleType for m in layers))
+namespaces = [vars(m) for k, m in list(sys.modules.items()) if k.split(".")[0] == "braidcomb"]
+print(all(type(sys.modules[m]) is types.ModuleType for m in layers))
+print(all(
+    vars(braidcomb)[name] is vars(sys.modules[f"braidcomb.{layer}"])[name]
+    for name, layer in braidcomb._LAZY_NAMES.items()
+))
+"""
+
+
+def test_the_layers_load_when_their_namespace_is_read():
+    proc = _fresh_python("-c", _OBSERVER)
+    assert proc.stdout.split() == ["True"] * 5
+
+
+_FROM_IMPORT = """
+import sys, types
+from braidcomb import h1
+from braidcomb.abelian import h1 as layer_h1
+print(h1 is layer_h1, type(sys.modules["braidcomb.fibration"]) is types.ModuleType)
+"""
+
+
+def test_a_name_imported_from_the_package_loads_only_its_layer():
+    proc = _fresh_python("-c", _FROM_IMPORT)
+    assert proc.stdout.split() == ["True", "False"]
+
+
+_STAR_IMPORT = """
+namespace = {}
+exec("from braidcomb import *", namespace)
+import braidcomb
+public = sorted(name for name in vars(braidcomb) if not name.startswith("_"))
+print(sorted(name for name in namespace if name != "__builtins__") == public, len(public))
+"""
+
+
+def test_a_star_import_binds_every_public_name():
+    # The 83 names an eager import of every layer bound: the exported names
+    # and the six modules the package imports itself.
+    proc = _fresh_python("-c", _STAR_IMPORT)
+    assert proc.stdout.split() == ["True", "83"]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,18 +1,18 @@
 """braidcomb: combing normal forms and boundary calculus for braid towers.
 
-The word problem in P_n and G_n (words, presentations, combing) loads with
-the package.  The boundary calculus that abelianizes those groups, the
-layers abelian and fibration, loads on first use: `comb` and the group
-suites read neither, and compiling them took about a tenth of a cold
-`comb`.  Each lazy layer sits in sys.modules from the start, registered
-through importlib.util.LazyLoader, and its source runs on the module's
-first attribute read.  That load binds the layer's exported names into
-this package, as an eager `from .abelian import (...)` would; until then
-the package's __getattr__ resolves them, and __dir__ and __all__ list
-them.  The layers are in sys.modules, not behind __getattr__ alone, so
-that code walking the loaded braidcomb modules (a tracer that patches
-every namespace holding a function, say) reads their namespaces, which
-loads them before it patches anything.
+Each module's __all__ is the one list of its public names; the package
+exports those names and its six modules, and lists none itself.
+
+The word problem in P_n and G_n (errors, words, presentations, combing)
+loads with the package.  The boundary calculus, the layers abelian and
+fibration, loads on first use: `comb` and the group suites read neither,
+and compiling them took about a tenth of a cold `comb`.
+Each layer sits in sys.modules from the start, through LazyLoader, so code
+walking the braidcomb modules (a tracer, say) loads it before patching it.
+Its source runs on the first attribute read or vars() of it, and binds its
+__all__ into the package.  Until then the package's __getattr__ reads the
+layers' __all__ in turn, which loads them: an abelian name loads abelian
+alone, while a star import, dir() or a name the package lacks loads both.
 
 Before CPython 3.12.3 (gh-114763), LazyLoader does not guard a layer's
 first load against a concurrent first read from another thread, which
@@ -20,109 +20,18 @@ can then see the layer half run.  On those versions, read any attribute
 of a layer before sharing it between threads.
 """
 
-from .errors import (
-    BraidCombError,
-    InvalidArgumentError,
-    MissingImageError,
-    NoUnitCoordinateError,
-    WordSizeExceededError,
-)
-from .words import (
-    DEFAULT_WORD_CAP,
-    GenFamily,
-    GeneratorSymbol,
-    Letter,
-    Word,
-    IDENTITY,
-    orbit_gen,
-    band_gen,
-    reduce,
-    concat,
-    invert,
-    exponent_sum,
-    word_power,
-    apply_homomorphism,
-    parse_word,
-    format_word,
-)
-from .presentations import (
-    MAX_TOWER_GENERATORS,
-    MAX_RELATORS,
-    Presentation,
-    TowerSpec,
-    orbit_presentation,
-    artin_presentation,
-    quotient_by,
-    element_D,
-    element_C,
-    element_E,
-    element_Theta,
-    element_full_twist,
-    action_conjugator,
-    export_presentation,
-    parse_presentation,
-)
-from .combing import (
-    NormalForm,
-    CenterReport,
-    conjugation_action,
-    comb,
-    words_equal,
-    is_identity,
-    project_qn,
-    section_sprime,
-    theta_decompose,
-    center_check,
-)
-# The names each lazy layer exports through the package, as an eager
-# `from .<layer> import (...)` would bind them.
-_LAZY_EXPORTS = {
-    "abelian": (
-        "MAX_MATRIX_CELLS",
-        "IntMatrix",
-        "SmithForm",
-        "FGAbelianGroup",
-        "has_torsion",
-        "smith_normal_form",
-        "relation_matrix",
-        "cokernel",
-        "h1",
-    ),
-    "fibration": (
-        "Surface",
-        "FibreElement",
-        "ExactnessReport",
-        "QuotientReport",
-        "SplitReport",
-        "NonSplitReport",
-        "BoundarySumReport",
-        "fibre_presentation",
-        "fibre_elements_equal",
-        "pi2_basis",
-        "delta_generator",
-        "tau_hat",
-        "boundary_image",
-        "strict_corollary_image",
-        "strict_corollary_discrepancy",
-        "boundary_matrix_ab",
-        "exactness_report",
-        "quotient_check",
-        "iota_sharp_vector",
-        "split_ses_check",
-        "nonsplit_witness_s2",
-        "boundary_sum_identity",
-    ),
-}
-_LAZY_NAMES = {name: layer for layer, names in _LAZY_EXPORTS.items() for name in names}
+from .errors import *
+from .words import *
+from .presentations import *
+from .combing import *
 
 
 class _BindingLoader:
     """A layer's own loader that, once the layer's source has run, binds
-    the layer's exported names into the package."""
+    the layer's __all__ into the package."""
 
-    def __init__(self, loader, names: tuple[str, ...]) -> None:
+    def __init__(self, loader) -> None:
         self.loader = loader
-        self.names = names
 
     # The loaded layer's __loader__ is this object, so get_source and the
     # loader's other readers must still answer.
@@ -132,7 +41,7 @@ class _BindingLoader:
     def exec_module(self, module) -> None:
         self.loader.exec_module(module)
         namespace = module.__dict__
-        globals().update({name: namespace[name] for name in self.names})
+        globals().update({name: namespace[name] for name in namespace["__all__"]})
 
 
 def _lazy_layer(layer: str):
@@ -142,7 +51,7 @@ def _lazy_layer(layer: str):
     import sys
 
     spec = importlib.util.find_spec(f"{__name__}.{layer}")
-    spec.loader = importlib.util.LazyLoader(_BindingLoader(spec.loader, _LAZY_EXPORTS[layer]))
+    spec.loader = importlib.util.LazyLoader(_BindingLoader(spec.loader))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -152,20 +61,23 @@ def _lazy_layer(layer: str):
 abelian = _lazy_layer("abelian")
 fibration = _lazy_layer("fibration")
 
+# The eager modules' names and the six modules, read before any layer loads.
+_EAGER_NAMES = [name for name in globals() if not name.startswith("_")]
+
 
 def __getattr__(name: str):
-    # Reached only before the name's layer has loaded: the load binds it.
-    layer = _LAZY_NAMES.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[layer], name)
+    # Reached only for a name the package does not hold: a layer's load
+    # binds its names, and __all__ is never bound.
+    if name == "__all__":
+        return _EAGER_NAMES + abelian.__all__ + fibration.__all__
+    for layer in (abelian, fibration):
+        if name in layer.__all__:
+            return getattr(layer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY_NAMES})
+    return sorted({*globals(), *__getattr__("__all__")})
 
-
-# A star import binds what it bound when every layer loaded eagerly.
-__all__ = [*(name for name in globals() if not name.startswith("_")), *_LAZY_NAMES]
 
 __version__ = "0.1.0"

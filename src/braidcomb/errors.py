@@ -4,6 +4,14 @@ Everything raised on purpose derives from BraidCombError, so callers can
 catch the package's failures without also swallowing genuine bugs.
 """
 
+__all__ = [
+    "BraidCombError",
+    "InvalidArgumentError",
+    "MissingImageError",
+    "NoUnitCoordinateError",
+    "WordSizeExceededError",
+]
+
 
 class BraidCombError(Exception):
     """Base class for all errors raised deliberately by this package."""

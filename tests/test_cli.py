@@ -739,7 +739,9 @@ PINNED_CLI_SHA256.update(
 )
 
 
-def test_every_command_and_format_is_pinned(capsys):
+def test_every_command_and_format_is_pinned(capsys, monkeypatch):
+    # argparse wraps its usage text to COLUMNS, which the digests fix at 80.
+    monkeypatch.setenv("COLUMNS", "80")
     seen = {}
     for argv in _pinned_cli_argvs():
         code = main(list(argv))

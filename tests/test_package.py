@@ -32,13 +32,21 @@ def test_module_exports_are_reexported(name):
     assert missing == []
 
 
-def test_the_lazy_layers_export_exactly_their_public_names():
-    for layer, names in braidcomb._LAZY_EXPORTS.items():
-        module = importlib.import_module(f"braidcomb.{layer}")
-        assert sorted(names) == sorted(module.__all__), layer
-    assert sorted(braidcomb._LAZY_NAMES) == sorted(
-        braidcomb.abelian.__all__ + braidcomb.fibration.__all__
-    )
+PACKAGE_MODULES = ("errors", "words", "presentations", "combing", "abelian", "fibration")
+
+
+def test_the_package_exports_exactly_its_modules_public_names():
+    # Reading __all__ loads both layers, so every name below is bound.
+    modules = [importlib.import_module(f"braidcomb.{name}") for name in MODULES]
+    exported = [(name, m) for m in modules for name in getattr(m, "__all__", ())]
+    # combing re-exports words' DEFAULT_WORD_CAP: the package lists it once.
+    expected = {name for name, _ in exported} | set(PACKAGE_MODULES)
+    assert sorted(braidcomb.__all__) == sorted(expected)
+    assert [name for name, m in exported if getattr(braidcomb, name) is not vars(m)[name]] == []
+    for name in PACKAGE_MODULES:
+        assert getattr(braidcomb, name) is sys.modules[f"braidcomb.{name}"]
+    with pytest.raises(AttributeError, match="'nosuch'"):
+        braidcomb.nosuch
 
 
 LAYERS = ("braidcomb.abelian", "braidcomb.fibration")
@@ -88,22 +96,20 @@ def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
 
 
 # What a tracer that patches every braidcomb namespace sees, in a fresh
-# interpreter: the layers are registered but not run, dir() lists their
-# names, and reading vars() of each braidcomb module runs it and binds its
-# names into the package.
+# interpreter: the layers are registered but not run, reading vars() of each
+# braidcomb module runs them and binds their names into the package, and
+# dir() then lists every public name.
 _OBSERVER = """
 import sys, types
 import braidcomb
 layers = ("braidcomb.abelian", "braidcomb.fibration")
 print(all(type(sys.modules[m]) is not types.ModuleType for m in layers))
-print(set(braidcomb._LAZY_NAMES) <= set(dir(braidcomb)))
-print(all(type(sys.modules[m]) is not types.ModuleType for m in layers))
 namespaces = [vars(m) for k, m in list(sys.modules.items()) if k.split(".")[0] == "braidcomb"]
 print(all(type(sys.modules[m]) is types.ModuleType for m in layers))
-print(all(
-    vars(braidcomb)[name] is vars(sys.modules[f"braidcomb.{layer}"])[name]
-    for name, layer in braidcomb._LAZY_NAMES.items()
-))
+names = {name: layer for layer in layers for name in sys.modules[layer].__all__}
+print(all(vars(braidcomb)[name] is vars(sys.modules[layer])[name] for name, layer in names.items()))
+print(set(names) <= set(dir(braidcomb)))
+print(set(braidcomb.__all__) <= set(dir(braidcomb)))
 """
 
 

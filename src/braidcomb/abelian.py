@@ -5,37 +5,47 @@ Everything here runs on Python's arbitrary-precision integers by design —
 Smith reduction can blow up intermediate entries far past machine range even
 for modest matrices (Kannan–Bachem, SIAM J. Comput. 8(4), 1979).  The
 benchmark's homology workload times this layer, but exactness comes first:
-smith_normal_form re-multiplies its transforms against the input before
-returning, so a wrong answer cannot escape silently.
+every Smith reduction re-multiplies its transforms against its input
+before returning, so a wrong answer cannot escape silently.
 
-Costs follow the non-zero entries.  Smith reduction keeps the working
-matrix and U as sparse rows and V as sparse columns ({index: value} dicts
-of the non-zeros), pivots on the smallest non-zero entry (a unit ends the
-search), and leaves the divisibility of the diagonal to one final pass of
-2x2 gcd moves between diagonal entries (Kannan-Bachem; on sparse integer
-Smith forms see Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
-It keeps no column index: the rows that meet a pivot's column are found
-among the rows not yet pivots, the only rows a later move can change, by
-a scan that costs less than the fill-in of the moves it precedes.
-The multiply-back check runs on the same sparse lines, and U and V become
-IntMatrix values only when a caller first reads them.
+Sparse lines are the currency: a line is one row or column of a matrix as
+a {index: non-zero int} dict, and costs follow the non-zero entries.  A
+word becomes its exponent line in one pass, every letter read once against
+the {generator: column} map that a Presentation carries; any other object
+with generators gets a map built for the call.  h1 and the cokernels drop
+zero and repeated lines and hand the rest, the rows of the transpose,
+which has the same invariant factors, to _smith, the one entry to Smith
+reduction; the fibration reports hand it the boundary columns the same
+way.  Dense IntMatrix values exist only at the API edge: relation_matrix
+and boundary_matrix_ab build one, smith_normal_form and cokernel read one,
+and a SmithForm builds U and V when a caller first reads them.
 
-cokernel drops zero and repeated columns, which span nothing new, and
-hands the rest to Smith reduction as the rows of the transpose, which has
-the same invariant factors.  Words become exponent vectors in one pass
-each, every letter read once against the {generator: column} map that a
-Presentation carries; any other object with generators gets a map built
-for the call.  Every matrix is checked against MAX_MATRIX_CELLS before
-its entries are built, and the cokernel checks each column it keeps.  h1
-skips the conjugation relators of a tower that presentations marks, whose
-exponent vectors are zero, and hands the other vectors straight to the
-cokernel.
+Smith reduction keeps the working matrix and U as sparse rows, pivots on
+the smallest non-zero entry (a unit ends the search), and leaves the
+divisibility of the diagonal to one final pass of 2x2 gcd moves between
+diagonal entries (Kannan-Bachem; on sparse integer Smith forms see Dumas,
+Saunders and Villard, J. Symbolic Comput. 32, 2001).  V starts as an
+implicit identity: it holds a column only once a column move or a gcd move
+touches it, and every other column k is e_k.  There is no column index:
+the rows that meet a pivot's column are found among the rows not yet
+pivots, the only rows a later move can change, by a scan that costs less
+than the fill-in of the moves it precedes.  The multiply-back check
+U A V = diag(d) runs on the same sparse lines, with V's implicit columns
+at their post-pivot positions, so it costs the entries the reduction
+touched, not the width.
+
+Every dense matrix is checked against MAX_MATRIX_CELLS before its entries
+are built, and a cokernel checks each line it keeps as the row of a dense
+transpose, so it refuses at the same line a dense matrix would.  h1 skips
+the conjugation relators of a tower that presentations marks, whose
+exponent lines are zero.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidArgumentError, MissingImageError
 from .words import GeneratorSymbol, Word, _frozen, _set
@@ -54,11 +64,13 @@ __all__ = [
 
 
 # The most cells (rows * cols) of a matrix this module builds, checked
-# before its entries are allocated.  The largest the library builds from a
-# tower within its bounds is the dense 2,556 x 2,556 U of the Smith form of
-# boundary_matrix_ab(S2, 72) (6.5 million cells, built only when read);
-# the relation matrix of G_14, the tallest orbit tower within MAX_RELATORS,
-# has 17,381 x 196 = 3.4 million.  8 million cells hold 64 MB of pointers.
+# before its entries are allocated, and of the transpose whose rows a
+# cokernel keeps.  No report builds a dense matrix; the largest a caller
+# can have built from a tower within its bounds is the 2,556 x 2,556 U of
+# smith_normal_form(boundary_matrix_ab(S2, 72)), 6.5 million cells, built
+# only when read.  The relation matrix of G_14, the tallest orbit tower
+# within MAX_RELATORS, has 17,381 x 196 = 3.4 million.  8 million cells
+# hold 64 MB of pointers.
 MAX_MATRIX_CELLS = 8_000_000
 
 
@@ -77,8 +89,9 @@ def _require_integers(what: str, values: Sequence) -> None:
     A sum of ints is an int.  A float, Fraction, Decimal or foreign number
     anywhere makes the sum another type, and a string or None makes it
     raise TypeError, so one pass in C decides: on a 2-core Xeon VM a
-    28-entry row costs about 0.3 us, the 184k entries of
-    boundary_matrix_ab(S2, 72) about 1 ms.
+    28-entry z_part costs about 0.5 us.  Only a dense IntMatrix pays it
+    per cell: the 3.4 million entries of relation_matrix of G_14, the
+    largest a caller can build from a tower, take about 18 ms.
     """
     try:
         ok = type(sum(values)) is int
@@ -187,8 +200,9 @@ class SmithForm:
     unimodular transforms U, V satisfying U @ M @ V = diag(d).
 
     U and V are IntMatrix values, or zero-argument functions that build one.
-    smith_normal_form passes functions, so the rows x rows cells of U are
-    only built for a caller that reads U; the first read keeps the matrix.
+    Smith reduction passes functions, so the rows x rows cells of U, and
+    V's implicit columns, are only built for a caller that reads them; the
+    first read keeps the matrix.
     """
 
     __slots__ = ("d", "rank", "_U", "_V")
@@ -257,8 +271,7 @@ class FGAbelianGroup:
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         """Direct sum, re-canonicalized into a single divisibility chain."""
         merged = self.torsion + other.torsion
-        k = len(merged)
-        chain = cokernel(IntMatrix.diagonal(merged, k, k)).torsion
+        chain = _cokernel_of_lines(len(merged), [{i: d} for i, d in enumerate(merged)]).torsion
         return FGAbelianGroup(self.free_rank + other.free_rank, chain)
 
     def __str__(self) -> str:
@@ -280,7 +293,7 @@ def has_torsion(g: FGAbelianGroup) -> bool:
 
 
 def _unit_lines(n: int) -> list[dict[int, int]]:
-    """The rows, equally the columns, of the n x n identity."""
+    """The rows of the n x n identity."""
     return [{i: 1} for i in range(n)]
 
 
@@ -313,24 +326,37 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _dense(n: int, lines: list[dict[int, int]], by_rows: bool) -> IntMatrix:
-    """The n x n matrix whose rows (by_rows) or columns are the lines."""
-    _check_cells(n, n)
-    entries = [0] * (n * n)
+def _dense(rows: int, cols: int, lines: Iterable[dict[int, int]], by_rows: bool) -> IntMatrix:
+    """The rows x cols matrix whose rows (by_rows) or columns are the
+    sparse lines, checked against MAX_MATRIX_CELLS before a line is read."""
+    _check_cells(rows, cols)
+    entries = [0] * (rows * cols)
     for t, line in enumerate(lines):
         for k, x in line.items():
-            entries[t * n + k if by_rows else k * n + t] = x
-    return IntMatrix(n, n, tuple(entries))
+            entries[t * cols + k if by_rows else k * cols + t] = x
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+def _dense_v(width: int, pivot_cols: list[int], v: dict[int, dict[int, int]]) -> IntMatrix:
+    """V from the columns the reduction touched, as _reduce returns them:
+    pivot columns first, in chain order, then the rest in index order,
+    every column k that v does not hold being e_k."""
+    taken = set(pivot_cols)
+    order = pivot_cols + [k for k in range(width) if k not in taken]
+    return _dense(width, width, (v.get(k, {k: 1}) for k in order), False)
 
 
 def _reduce(
     lines: list[dict[int, int]], width: int
-) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, dict[int, int]]]:
     """Smith reduction of the len(lines) x width matrix A with these rows.
 
-    Returns (d, rows of U, columns of V) with U @ A @ V = diag(d) and d a
-    positive divisibility chain.  Only non-zero entries are stored or
-    visited, and lines is left as it was.
+    Returns (d, rows of U, pivot columns, columns of V) with U @ A @ V =
+    diag(d) and d a positive divisibility chain.  V starts as an implicit
+    identity: it holds a column only once a move touches it, and every
+    column k it does not hold is e_k.  V's columns sit pivots first, in
+    chain order, then the rest in index order.  Only non-zero entries are
+    stored or visited, and lines is left as it was.
 
     There is no column index: the rows that meet the pivot column are
     found among the active rows, those neither pivots nor empty.  That is
@@ -340,7 +366,7 @@ def _reduce(
     height = len(lines)
     a = [dict(line) for line in lines]
     u = _unit_lines(height)
-    v = _unit_lines(width)
+    v: dict[int, dict[int, int]] = {}
     # Rows not yet pivots, in order; a row leaves as soon as it empties.
     active = dict.fromkeys(i for i, row in enumerate(a) if row)
     pivots: list[tuple[int, int]] = []
@@ -382,7 +408,7 @@ def _reduce(
                         pivot_row[k] = x
                     else:
                         del pivot_row[k]
-                    _add_multiple(v[k], v[c], -q)
+                    _add_multiple(v.setdefault(k, {k: 1}), v.get(c, {c: 1}), -q)
             rest = [k for k in pivot_row if k != c]
             if rest:
                 c = min(rest, key=lambda k: abs(pivot_row[k]))
@@ -411,67 +437,103 @@ def _reduce(
                     _combine(s, u[ri], t, u[rj]),
                     _combine(-y // g, u[ri], x // g, u[rj]),
                 )
+                vi, vj = v.get(ci, {ci: 1}), v.get(cj, {cj: 1})
                 v[ci], v[cj] = (
-                    _combine(1, v[ci], 1, v[cj]),
-                    _combine(-t * y // g, v[ci], s * x // g, v[cj]),
+                    _combine(1, vi, 1, vj),
+                    _combine(-t * y // g, vi, s * x // g, vj),
                 )
                 d[i], d[j] = g, x // g * y
 
-    # Pivots move to the front, in chain order, followed by the rest.
+    # Pivot rows move to the front, in chain order, followed by the rest.
     pivot_rows = [r for r, _ in pivots]
-    pivot_cols = [c for _, c in pivots]
-    taken_rows, taken_cols = set(pivot_rows), set(pivot_cols)
-    u_rows = [u[r] for r in pivot_rows] + [u[i] for i in range(height) if i not in taken_rows]
-    v_cols = [v[c] for c in pivot_cols] + [v[k] for k in range(width) if k not in taken_cols]
-    return d, u_rows, v_cols
+    taken = set(pivot_rows)
+    u_rows = [u[r] for r in pivot_rows] + [u[i] for i in range(height) if i not in taken]
+    return d, u_rows, [c for _, c in pivots], v
 
 
 def _multiplies_back(
     lines: list[dict[int, int]],
-    width: int,
     u_rows: list[dict[int, int]],
-    v_cols: list[dict[int, int]],
+    pivot_cols: list[int],
+    v: dict[int, dict[int, int]],
     d: list[int],
 ) -> bool:
-    """Whether U @ A @ V = diag(d) for A with the given rows, computed on
-    the non-zero entries alone."""
-    v_rows: list[dict[int, int]] = [{} for _ in range(width)]
-    for t, col in enumerate(v_cols):
-        for k, x in col.items():
-            v_rows[k][t] = x
+    """Whether U @ A @ V = diag(d) for A with the given rows, U with the
+    given rows and V as _reduce returns it.
+
+    Computed on the non-zero entries alone.  V's rows are built from the
+    columns v holds, and the 1 of an implicit column k joins row k of V
+    only where the product meets that row; the position of a column that
+    is not a pivot, rank plus the number of non-pivot columns before it,
+    comes from a bisect over the sorted pivot columns.  So the check costs
+    the entries of U, of the rows of A that U reads and of the touched
+    columns, never the width.
+    """
+    rank = len(pivot_cols)
+    seat = {c: t for t, c in enumerate(pivot_cols)}
+    order = sorted(pivot_cols)
+
+    def place(k: int) -> int:
+        t = seat.get(k)
+        return rank + k - bisect_left(order, k) if t is None else t
+
+    v_rows: dict[int, dict[int, int]] = {}
+    for k, col in v.items():
+        t = place(k)
+        for j, x in col.items():
+            row = v_rows.get(j)
+            if row is None:
+                v_rows[j] = {t: x}
+            else:
+                row[t] = x
+    for j, row in v_rows.items():
+        if j not in v:
+            row[place(j)] = 1
     for t, u_row in enumerate(u_rows):
         ua: dict[int, int] = {}
         for k, x in u_row.items():
             _add_multiple(ua, lines[k], x)
         uav: dict[int, int] = {}
         for k, x in ua.items():
-            _add_multiple(uav, v_rows[k], x)
-        if uav != ({t: d[t]} if t < len(d) else {}):
+            row = v_rows.get(k)
+            if row is None:  # no touched column meets row k of V
+                row = v_rows[k] = {} if k in v else {place(k): 1}
+            _add_multiple(uav, row, x)
+        if uav != ({t: d[t]} if t < rank else {}):
             return False
     return True
+
+
+def _smith(lines: list[dict[int, int]], width: int) -> SmithForm:
+    """The Smith form of the len(lines) x width matrix with these sparse
+    rows: the one entry to Smith reduction, for smith_normal_form and for
+    every cokernel, H1 and report alike.  The multiply-back check runs
+    before it returns; U and V become IntMatrix values only when read."""
+    d, u_rows, pivot_cols, v = _reduce(lines, width)
+    if not _multiplies_back(lines, u_rows, pivot_cols, v, d):
+        raise AssertionError("smith reduction failed its multiply-back verification")
+    height = len(lines)
+    U = partial(_dense, height, height, u_rows, True)
+    V = partial(_dense_v, width, pivot_cols, v)
+    return SmithForm(tuple(d), len(d), U, V)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize m over Z with tracked unimodular row/column transforms.
 
-    The rows of the working matrix and of U are sparse lines, V is kept as
-    sparse columns, and each move visits only non-zero entries.  Each pivot
-    is the smallest non-zero entry left, found by a search that stops at
-    the first unit; clearing its row and column by euclidean steps moves
-    the pivot seat to any smaller remainder.  A final pass of 2x2 gcd moves
-    between diagonal entries makes the diagonal a divisibility chain.
+    m's rows become sparse lines once; the working matrix and U are kept
+    as sparse rows, V as the sparse columns a move has touched, and each
+    move visits only non-zero entries.  Each pivot is the smallest
+    non-zero entry left, found by a search that stops at the first unit;
+    clearing its row and column by euclidean steps moves the pivot seat to
+    any smaller remainder.  A final pass of 2x2 gcd moves between
+    diagonal entries makes the diagonal a divisibility chain.
 
     The result is verified by multiplying U @ m @ V back together before
     returning, on exactly the m given and on the non-zero entries alone.
     U and V become IntMatrix values only when first read.
     """
-    lines = [{k: x for k, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
-    d, u_rows, v_cols = _reduce(lines, m.cols)
-    if not _multiplies_back(lines, m.cols, u_rows, v_cols, d):
-        raise AssertionError("smith reduction failed its multiply-back verification")
-    U = partial(_dense, m.rows, u_rows, True)
-    V = partial(_dense, m.cols, v_cols, False)
-    return SmithForm(tuple(d), len(d), U, V)
+    return _smith([{k: x for k, x in enumerate(m.row(i)) if x} for i in range(m.rows)], m.cols)
 
 
 # --- presentations to matrices ------------------------------------------------
@@ -485,68 +547,68 @@ def _columns(p) -> dict[GeneratorSymbol, int]:
     return {g: c for c, g in enumerate(p.generators)} if column is None else column
 
 
-def _exponent_vectors(
-    words: Iterable[Word], column: dict[GeneratorSymbol, int]
-) -> Iterator[tuple[int, ...]]:
-    """The exponent vector of each word over the generators that column
-    numbers, read in one pass per word.  A letter outside them raises
-    MissingImageError naming its symbol."""
-    for word in words:
-        vector = [0] * len(column)
-        for letter in word.letters:
-            try:
-                vector[column[letter.symbol]] += letter.exponent
-            except KeyError:
-                raise MissingImageError(letter.symbol) from None
-        yield tuple(vector)
+def _exponent_line(word: Word, column: dict[GeneratorSymbol, int]) -> dict[int, int]:
+    """The exponent sums of word as a sparse line over the generators that
+    column numbers, read in one pass over its letters.  A letter outside
+    them raises MissingImageError naming its symbol."""
+    line: dict[int, int] = {}
+    for letter in word.letters:
+        try:
+            c = column[letter.symbol]
+        except KeyError:
+            raise MissingImageError(letter.symbol) from None
+        line[c] = line.get(c, 0) + letter.exponent
+    return {c: x for c, x in line.items() if x}
 
 
 def relation_matrix(p) -> IntMatrix:
     """Abelianized relator matrix: one row per relator, one column per
     generator (in the presentation's generator order)."""
-    _check_cells(len(p.relators), len(p.generators))
-    rows = _exponent_vectors(p.relators, _columns(p))
-    entries = tuple([x for row in rows for x in row])
-    return IntMatrix(len(p.relators), len(p.generators), entries)
+    column = _columns(p)
+    lines = (_exponent_line(word, column) for word in p.relators)
+    return _dense(len(p.relators), len(p.generators), lines, True)
 
 
-def _cokernel_of_columns(rows: int, columns: Iterable[tuple[int, ...]]) -> FGAbelianGroup:
-    """Z^rows modulo the span of the given columns.
+def _cokernel_of_lines(rows: int, lines: Iterable[dict[int, int]]) -> FGAbelianGroup:
+    """Z^rows modulo the span of the given sparse lines.
 
-    Zero columns and repeats of an earlier column add nothing to the span,
-    so they are dropped before any matrix is built.  The columns that are
-    left become the rows of the transpose, whose invariant factors are the
-    same; Smith reduction and its multiply-back check run on that.  Each
-    column kept is checked against MAX_MATRIX_CELLS as it is kept, so no
-    column is read past the one that passes the bound.
+    Zero lines and repeats of an earlier line add nothing to the span, so
+    they are dropped, a line being keyed on its items.  The lines kept are
+    the rows of the transpose, whose invariant factors are the same, and
+    go to Smith reduction and its multiply-back check as they are.  Each
+    line kept is checked against MAX_MATRIX_CELLS as it is kept, so no
+    line is read past the one that passes the bound.
     """
-    kept: dict[tuple[int, ...], None] = {}
-    for col in columns:
-        if col not in kept and any(col):
-            _check_cells(len(kept) + 1, rows)
-            kept[col] = None
+    kept: dict[frozenset[tuple[int, int]], dict[int, int]] = {}
+    for line in lines:
+        if line:
+            key = frozenset(line.items())
+            if key not in kept:
+                _check_cells(len(kept) + 1, rows)
+                kept[key] = line
     if not kept:
         return FGAbelianGroup(rows)
-    form = smith_normal_form(IntMatrix(len(kept), rows, tuple([x for col in kept for x in col])))
-    torsion = tuple([d for d in form.d if d > 1])
-    return FGAbelianGroup(rows - form.rank, torsion)
+    form = _smith(list(kept.values()), rows)
+    return FGAbelianGroup(rows - form.rank, tuple([d for d in form.d if d > 1]))
 
 
 def cokernel(m: IntMatrix) -> FGAbelianGroup:
     """Z^rows modulo the column space of m."""
-    return _cokernel_of_columns(m.rows, (m.entries[c :: m.cols] for c in range(m.cols)))
+    columns = (m.entries[c :: m.cols] for c in range(m.cols))
+    return _cokernel_of_lines(m.rows, ({r: x for r, x in enumerate(col) if x} for col in columns))
 
 
 def h1(p) -> FGAbelianGroup:
     """First homology (abelianization) of a presented group: Z^generators
-    modulo the span of the relators' exponent vectors.
+    modulo the span of the relators' exponent lines.
 
     A presentation that presentations marks (a built tower, or a quotient
     of one) is read through its extras alone: its tower's conjugation
-    relators have zero exponent vectors, so they are neither built nor
+    relators have zero exponent lines, so they are neither built nor
     read, and H1 costs the letters of the extras.  Any other presentation,
     an imported one among them, has every relator read.
     """
     marked = getattr(p, "_marked", None)
     relators = p.relators if marked is None else marked[1]
-    return _cokernel_of_columns(len(p.generators), _exponent_vectors(relators, _columns(p)))
+    column = _columns(p)
+    return _cokernel_of_lines(len(p.generators), (_exponent_line(w, column) for w in relators))

@@ -118,7 +118,6 @@ from .words import (
 )
 
 __all__ = [
-    "DEFAULT_WORD_CAP",
     "NormalForm",
     "CenterReport",
     "conjugation_action",

@@ -20,11 +20,11 @@ tau_hat squared, the image of every pi_2 basis label and the fibre
 factor's {generator: column} map, held for the _BOUNDARY_ENTRIES most
 recently used (surface, n).  No caller changes them, so every
 caller shares them.  Nothing that answers a question is cached: every
-call of the checks below builds its matrix and quotient presentation
-again, runs Smith reduction with its multiply-back check, and combs
-again.  Products and inverses of fibre elements skip re-checking their
-letters, which their factors already passed; the constructor checks every
-letter it is given.
+call of the checks below builds its boundary columns (as sparse lines; no
+check builds a dense matrix) and quotient presentation again, runs Smith
+reduction with its multiply-back check, and combs again.  Products and
+inverses of fibre elements skip re-checking their letters, which their
+factors already passed; the constructor checks every letter it is given.
 """
 
 from __future__ import annotations
@@ -38,14 +38,15 @@ from .abelian import (
     FGAbelianGroup,
     IntMatrix,
     _check_cells,
-    _exponent_vectors,
+    _cokernel_of_lines,
+    _dense,
+    _exponent_line,
     _require_integers,
-    cokernel,
+    _smith,
     h1,
     has_torsion,
-    smith_normal_form,
 )
-from .combing import DEFAULT_WORD_CAP, words_equal
+from .combing import words_equal
 from .errors import InvalidArgumentError, NoUnitCoordinateError
 from .presentations import (
     Presentation,
@@ -56,7 +57,7 @@ from .presentations import (
     orbit_presentation,
     quotient_by,
 )
-from .words import IDENTITY, GeneratorSymbol, GenFamily, Word, _frozen, _trusted
+from .words import DEFAULT_WORD_CAP, IDENTITY, GeneratorSymbol, GenFamily, Word, _frozen, _trusted
 
 __all__ = [
     "Surface",
@@ -342,18 +343,31 @@ def strict_corollary_discrepancy(surface: Surface, n: int) -> FibreElement:
 # --- abelianized boundary -----------------------------------------------------
 
 
+def _boundary_lines(surface: Surface, n: int) -> tuple[list[dict[int, int]], int]:
+    """The n columns of boundary_matrix_ab as sparse lines, with its row
+    count: each image's z_part, then the exponent line of its r_part
+    shifted past the n-1 loop slots."""
+    data = _boundary_images(surface, n)
+    lines = []
+    for img in data.images:
+        line = {t: x for t, x in enumerate(img.z_part) if x}
+        for c, x in _exponent_line(img.r_part, data.columns).items():
+            line[n - 1 + c] = x
+        lines.append(line)
+    return lines, n - 1 + len(data.columns)
+
+
 def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     """Matrix of the boundary map on H1.
 
     Columns follow the pi_2 basis order.  Rows list the n-1 loop slots
     first, then the abelianized classes of the braid factor's generators in
     presentation order.  The layout is a fixed convention of this package;
-    only Smith-form invariants and cokernels are contractual.
+    only Smith-form invariants and cokernels are contractual.  The checks
+    below read the same columns as sparse lines and never build this.
     """
-    data = _boundary_images(surface, n)
-    braid_parts = _exponent_vectors((img.r_part for img in data.images), data.columns)
-    columns = [img.z_part + part for img, part in zip(data.images, braid_parts)]
-    return IntMatrix.from_columns(n - 1 + len(data.columns), columns)
+    lines, rows = _boundary_lines(surface, n)
+    return _dense(rows, n, lines, False)
 
 
 @_frozen
@@ -378,13 +392,17 @@ def exactness_report(surface: Surface, n: int) -> ExactnessReport:
     ``z_factor_saturated`` asks that the loop-slot rows of the image span
     Z^{n-1} with trivial cokernel, so the braid factor alone carries the
     quotient.
+
+    Both Smith reductions run on the transpose, whose rows are the n
+    boundary columns as sparse lines and which has the same rank and
+    invariant factors: the whole matrix, then its columns cut to the loop
+    slots.  No dense matrix is built.
     """
-    m = boundary_matrix_ab(surface, n)
-    sf = smith_normal_form(m)
-    z_block = IntMatrix(n - 1, m.cols, m.entries[: (n - 1) * m.cols])
-    z_sf = smith_normal_form(z_block)
+    lines, rows = _boundary_lines(surface, n)
+    rank = _smith(lines, rows).rank
+    z_sf = _smith([{t: x for t, x in line.items() if t < n - 1} for line in lines], n - 1)
     saturated = z_sf.rank == n - 1 and all(d == 1 for d in z_sf.d)
-    return ExactnessReport(surface, n, sf.rank, sf.rank == n, saturated)
+    return ExactnessReport(surface, n, rank, rank == n, saturated)
 
 
 @_frozen
@@ -408,14 +426,16 @@ class QuotientReport:
 def quotient_check(surface: Surface, n: int) -> QuotientReport:
     """Compares H1 of the quotient group two independent ways.
 
-    Route (a): cokernel of :func:`boundary_matrix_ab`.  Route (b): H1 of
+    Route (a): cokernel of :func:`boundary_matrix_ab`, read from its
+    columns as sparse lines.  Route (b): H1 of
     the braid factor's presentation with the braid part of tau_hat squared
     adjoined as a relator — the full twist squared for the sphere, Theta
     to the minus two for the projective plane (a relator and its inverse
     give the same H1).  The two must agree as canonical FGAbelianGroup
     values.
     """
-    side_a = cokernel(boundary_matrix_ab(surface, n))
+    lines, rows = _boundary_lines(surface, n)
+    side_a = _cokernel_of_lines(rows, lines)
     squared = _boundary_images(surface, n).tau_hat_squared
     side_b = h1(quotient_by(fibre_presentation(surface, n), [squared.r_part]))
     return QuotientReport(surface, n, side_a, side_b)
@@ -516,21 +536,12 @@ def split_ses_check(
     # The quotient's relation matrix, before any column of it is built.
     _check_cells(n * gsize, n * len(torsion) + gsize)
 
-    # Present A^n / im Theta: ambient Z^{n*gsize}, relations the torsion
-    # orders in every copy plus one Theta image per generator of A.
-    columns: list[list[int]] = []
-    total = n * gsize
-    for c in range(n):
-        for t, d in enumerate(torsion):
-            col = [0] * total
-            col[c * gsize + free + t] = d
-            columns.append(col)
-    for a in range(gsize):
-        col = [0] * total
-        for c in range(n):
-            col[c * gsize + a] = vec[c]
-        columns.append(col)
-    quotient = cokernel(IntMatrix.from_columns(total, columns))
+    # Present A^n / im Theta: ambient Z^{n*gsize}, relations, as sparse
+    # columns, the torsion orders in every copy plus one Theta image per
+    # generator of A.
+    columns = [{c * gsize + free + t: d} for c in range(n) for t, d in enumerate(torsion)]
+    columns += [{c * gsize + a: x for c, x in enumerate(vec) if x} for a in range(gsize)]
+    quotient = _cokernel_of_lines(n * gsize, columns)
     # n - 1 copies of a divisibility chain, sorted, are again one.
     expected = FGAbelianGroup(free * (n - 1), tuple(sorted(torsion * (n - 1))))
     # g inverts multiplication by the unit u, as u * u = 1, so h(Theta(v)) =
@@ -567,7 +578,8 @@ def nonsplit_witness_s2(n: int) -> NonSplitReport:
             f"the non-splitting witness needs n >= 3, got n = {n}"
         )
     middle = h1(fibre_presentation(Surface.S2, n)).direct_sum(FGAbelianGroup(n - 1))
-    quot = cokernel(boundary_matrix_ab(Surface.S2, n))
+    lines, rows = _boundary_lines(Surface.S2, n)
+    quot = _cokernel_of_lines(rows, lines)
     return NonSplitReport(
         n, middle, quot, not has_torsion(middle), 2 in quot.torsion
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -285,6 +286,88 @@ def test_snf_multiply_back_check_is_live(monkeypatch):
             smith_normal_form(m)
     with pytest.raises(AssertionError, match="multiply-back"):
         cokernel(IntMatrix.from_columns(3, [(2, 0, -4)]))
+
+
+def _touched_column(d, u_rows, pivot_cols, v):
+    k = min(v)
+    v[k][k] = v[k].get(k, 0) + 1
+    return d, u_rows, pivot_cols, v
+
+
+def _implicit_value(d, u_rows, pivot_cols, v):
+    c = next(c for c in pivot_cols if c not in v)
+    v[c] = {c: 2}
+    return d, u_rows, pivot_cols, v
+
+
+def _implicit_position(d, u_rows, pivot_cols, v):
+    assert not set(pivot_cols) & set(v)
+    return d, u_rows, pivot_cols[::-1], v
+
+
+@pytest.mark.parametrize(
+    "corrupt, rows",
+    [
+        (_touched_column, [[1, 1]]),  # a column move touches column 1
+        (_touched_column, [[4, 0], [0, 6]]),  # the gcd move touches both
+        (_implicit_value, [[0, 3]]),  # the pivot column is never touched
+        (_implicit_position, [[1, 0], [0, 2]]),  # nor are both pivot columns
+    ],
+    ids=["column-move", "gcd-move", "implicit-value", "implicit-position"],
+)
+def test_snf_multiply_back_check_sees_every_column_of_v(monkeypatch, corrupt, rows):
+    # V holds only the columns a move touched; any other column k is e_k at
+    # its post-pivot position.  A wrong touched column, a wrong value read
+    # for an implicit one, or implicit pivot columns in the wrong seats must
+    # each fail the check, whichever entry reached Smith reduction.
+    real = abelian._reduce
+    monkeypatch.setattr(abelian, "_reduce", lambda lines, width: corrupt(*real(lines, width)))
+    gens = (orbit_gen(1, 0), orbit_gen(2, 0))
+    relators = tuple(
+        reduce(Letter(g, 1 if x > 0 else -1) for g, x in zip(gens, row) for _ in range(abs(x)))
+        for row in rows
+    )
+    for run in (
+        lambda: smith_normal_form(M(rows)),
+        lambda: cokernel(IntMatrix.from_columns(2, rows)),
+        lambda: h1(Presentation(gens, relators)),
+    ):
+        with pytest.raises(AssertionError, match="multiply-back"):
+            run()
+
+
+def test_h1_of_a_wide_one_relator_quotient_touches_only_the_relators_columns(monkeypatch):
+    # G_50 has 2,500 generators; H1 modulo one relator over three of them
+    # stores V columns for those three alone and builds nothing of width
+    # 2,500: no unit line per generator, no dense vector, no dense matrix.
+    p = orbit_presentation(50)
+    g = p.generators
+    w = reduce([Letter(g[7])] * 2 + [Letter(g[1000], -1)] * 4 + [Letter(g[2499])] * 6)
+    q = quotient_by(p, [w])
+    stored = []
+    real = abelian._reduce
+
+    def recorded(lines, width):
+        out = real(lines, width)
+        stored.append(out[3])
+        return out
+
+    def unread(*args):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(abelian, "_reduce", recorded)
+    monkeypatch.setattr(abelian, "_dense", unread)
+    h1(q)  # the first call may build shared state; measure the second
+    tracemalloc.start()
+    try:
+        assert h1(q) == FGAbelianGroup(2_499, (2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [set(v) for v in stored] == [{1000, 2499}] * 2
+    assert all(set(col) <= {7, 1000, 2499} for v in stored for col in v.values())
+    # A list or tuple of 2,500 slots alone takes 20 kB.
+    assert peak < 16_000
 
 
 def test_smithform_rejects_broken_chain():

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcomb import abelian, combing, fibration
-from braidcomb.abelian import FGAbelianGroup, IntMatrix, smith_normal_form
+from braidcomb.abelian import FGAbelianGroup, IntMatrix, cokernel, smith_normal_form
 from braidcomb.errors import InvalidArgumentError, NoUnitCoordinateError
 from braidcomb.fibration import (
     MAX_SPLIT_N,
+    ExactnessReport,
     FibreElement,
     Surface,
     boundary_image,
@@ -381,9 +382,10 @@ def _counting(monkeypatch, module, name, counts):
 def test_boundary_checks_recompute_their_answers_on_every_call(monkeypatch, call, surface, n):
     # Only tower constants are cached: a second call on the same (surface, n)
     # runs as many Smith reductions and combs as the first, which built them.
-    counts = {"smith_normal_form": 0, "comb": 0}
-    _counting(monkeypatch, abelian, "smith_normal_form", counts)
-    _counting(monkeypatch, fibration, "smith_normal_form", counts)
+    # Every Smith reduction, public or internal, enters through _smith.
+    counts = {"_smith": 0, "comb": 0}
+    _counting(monkeypatch, abelian, "_smith", counts)
+    _counting(monkeypatch, fibration, "_smith", counts)
     _counting(monkeypatch, combing, "comb", counts)
     fibration._boundary_images.cache_clear()
 
@@ -444,6 +446,47 @@ def test_split_ses_check_examples():
         split_ses_check(Z, 2, (2, 2))
     with pytest.raises(InvalidArgumentError):
         split_ses_check(Z, 3, (1, 1))
+
+
+@pytest.mark.parametrize("surface", [S2, RP2], ids=["s2", "rp2"])
+def test_the_sparse_reports_match_the_dense_boundary_matrix(surface):
+    # The reports read the boundary columns as sparse lines; the public
+    # dense matrix, through the public Smith form and cokernel, must agree.
+    for n in range(surface.n0, 13):
+        m = boundary_matrix_ab(surface, n)
+        rank = smith_normal_form(m).rank
+        z_form = smith_normal_form(IntMatrix(n - 1, n, m.entries[: (n - 1) * n]))
+        saturated = z_form.rank == n - 1 and all(d == 1 for d in z_form.d)
+        expected = ExactnessReport(surface, n, rank, rank == n, saturated)
+        assert exactness_report(surface, n) == expected
+        assert quotient_check(surface, n).from_cokernel == cokernel(m)
+        if surface is S2:
+            assert nonsplit_witness_s2(n).quotient_h1 == cokernel(m)
+
+
+def _dense_split_quotient(coeff, n, vec):
+    free, torsion = coeff.free_rank, coeff.torsion
+    gsize = free + len(torsion)
+    columns = []
+    for c in range(n):
+        for t, d in enumerate(torsion):
+            col = [0] * (n * gsize)
+            col[c * gsize + free + t] = d
+            columns.append(col)
+    for a in range(gsize):
+        col = [0] * (n * gsize)
+        for c in range(n):
+            col[c * gsize + a] = vec[c]
+        columns.append(col)
+    return cokernel(IntMatrix.from_columns(n * gsize, columns))
+
+
+@pytest.mark.parametrize("coeff", [Z, Z2, Z_PLUS_Z2, Z3], ids=str)
+def test_the_split_quotient_matches_the_dense_relation_matrix(coeff):
+    # The four coefficient groups of `verify --suite split`.
+    for n in (2, 3, 5, 8):
+        for vec in ((1,) * n, (-1,) + (2,) * (n - 1), (0,) * (n - 1) + (1,)):
+            assert split_ses_check(coeff, n, vec).quotient == _dense_split_quotient(coeff, n, vec)
 
 
 def test_split_ses_check_refuses_a_non_integer_vector():

@@ -39,7 +39,7 @@ def test_the_package_exports_exactly_its_modules_public_names():
     # Reading __all__ loads both layers, so every name below is bound.
     modules = [importlib.import_module(f"braidcomb.{name}") for name in MODULES]
     exported = [(name, m) for m in modules for name in getattr(m, "__all__", ())]
-    # combing re-exports words' DEFAULT_WORD_CAP: the package lists it once.
+    # Every module's public names, each listed once, and the six modules.
     expected = {name for name, _ in exported} | set(PACKAGE_MODULES)
     assert sorted(braidcomb.__all__) == sorted(expected)
     assert [name for name, m in exported if getattr(braidcomb, name) is not vars(m)[name]] == []

@@ -12,13 +12,13 @@ Sparse lines are the currency: a line is one row or column of a matrix as
 a {index: non-zero int} dict, and costs follow the non-zero entries.  A
 word becomes its exponent line in one pass, every letter read once against
 the {generator: column} map that a Presentation carries; any other object
-with generators gets a map built for the call.  h1 and the cokernels drop
-zero and repeated lines and hand the rest, the rows of the transpose,
-which has the same invariant factors, to _smith, the one entry to Smith
-reduction; the fibration reports hand it the boundary columns the same
-way.  Dense IntMatrix values exist only at the API edge: relation_matrix
-and boundary_matrix_ab build one, smith_normal_form and cokernel read one,
-and a SmithForm builds U and V when a caller first reads them.
+with generators gets a map built for the call.  h1, the cokernels and the
+fibration reports reach Smith reduction through _cokernel_of_lines, which
+drops zero and repeated lines and hands the rest, the rows of the
+transpose, to _smith, the one entry to Smith reduction.  Dense IntMatrix
+values exist only at the API edge: relation_matrix and boundary_matrix_ab
+build one, smith_normal_form and cokernel read one, and smith_normal_form
+alone builds a SmithForm, whose U and V are built when first read.
 
 Smith reduction keeps the working matrix and U as sparse rows, pivots on
 the smallest non-zero entry (a unit ends the search), and leaves the
@@ -200,7 +200,7 @@ class SmithForm:
     unimodular transforms U, V satisfying U @ M @ V = diag(d).
 
     U and V are IntMatrix values, or zero-argument functions that build one.
-    Smith reduction passes functions, so the rows x rows cells of U, and
+    smith_normal_form passes functions, so the rows x rows cells of U, and
     V's implicit columns, are only built for a caller that reads them; the
     first read keeps the matrix.
     """
@@ -504,18 +504,16 @@ def _multiplies_back(
     return True
 
 
-def _smith(lines: list[dict[int, int]], width: int) -> SmithForm:
-    """The Smith form of the len(lines) x width matrix with these sparse
-    rows: the one entry to Smith reduction, for smith_normal_form and for
-    every cokernel, H1 and report alike.  The multiply-back check runs
-    before it returns; U and V become IntMatrix values only when read."""
+def _smith(
+    lines: list[dict[int, int]], width: int
+) -> tuple[list[int], list[dict[int, int]], list[int], dict[int, dict[int, int]]]:
+    """_reduce of the len(lines) x width matrix with these sparse rows,
+    for smith_normal_form and every cokernel alike, checked by
+    multiplying back before it returns."""
     d, u_rows, pivot_cols, v = _reduce(lines, width)
     if not _multiplies_back(lines, u_rows, pivot_cols, v, d):
         raise AssertionError("smith reduction failed its multiply-back verification")
-    height = len(lines)
-    U = partial(_dense, height, height, u_rows, True)
-    V = partial(_dense_v, width, pivot_cols, v)
-    return SmithForm(tuple(d), len(d), U, V)
+    return d, u_rows, pivot_cols, v
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -533,7 +531,11 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     returning, on exactly the m given and on the non-zero entries alone.
     U and V become IntMatrix values only when first read.
     """
-    return _smith([{k: x for k, x in enumerate(m.row(i)) if x} for i in range(m.rows)], m.cols)
+    lines = [{k: x for k, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+    d, u_rows, pivot_cols, v = _smith(lines, m.cols)
+    U = partial(_dense, m.rows, m.rows, u_rows, True)
+    V = partial(_dense_v, m.cols, pivot_cols, v)
+    return SmithForm(tuple(d), len(d), U, V)
 
 
 # --- presentations to matrices ------------------------------------------------
@@ -588,8 +590,8 @@ def _cokernel_of_lines(rows: int, lines: Iterable[dict[int, int]]) -> FGAbelianG
                 kept[key] = line
     if not kept:
         return FGAbelianGroup(rows)
-    form = _smith(list(kept.values()), rows)
-    return FGAbelianGroup(rows - form.rank, tuple([d for d in form.d if d > 1]))
+    d = _smith(list(kept.values()), rows)[0]
+    return FGAbelianGroup(rows - len(d), tuple([x for x in d if x > 1]))
 
 
 def cokernel(m: IntMatrix) -> FGAbelianGroup:

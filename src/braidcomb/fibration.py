@@ -16,15 +16,15 @@ Braid-part equalities are always decided through the combing engine; the
 Z^{n-1} factor is handled exactly as integer vectors.
 
 The boundary map's tower constants are built once per (surface, n):
-tau_hat squared, the image of every pi_2 basis label and the fibre
-factor's {generator: column} map, held for the _BOUNDARY_ENTRIES most
-recently used (surface, n).  No caller changes them, so every
-caller shares them.  Nothing that answers a question is cached: every
-call of the checks below builds its boundary columns (as sparse lines; no
-check builds a dense matrix) and quotient presentation again, runs Smith
-reduction with its multiply-back check, and combs again.  Products and
-inverses of fibre elements skip re-checking their letters, which their
-factors already passed; the constructor checks every letter it is given.
+tau_hat squared, the image of every pi_2 basis label and their
+abelianized columns as sparse lines, held for the _BOUNDARY_ENTRIES most
+recently used (surface, n).  No caller changes them, so every caller
+shares them.  Nothing that answers a question is cached: every call of
+the checks below builds its quotient presentation again, takes cokernels
+of the cached columns (no check builds a dense matrix) by Smith reduction
+with its multiply-back check, and combs again.  Products and inverses
+of fibre elements skip re-checking their letters, which their factors
+already passed; the constructor checks every letter it is given.
 """
 
 from __future__ import annotations
@@ -32,17 +32,16 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .abelian import (
     FGAbelianGroup,
     IntMatrix,
-    _check_cells,
     _cokernel_of_lines,
     _dense,
     _exponent_line,
     _require_integers,
-    _smith,
     h1,
     has_torsion,
 )
@@ -57,7 +56,7 @@ from .presentations import (
     orbit_presentation,
     quotient_by,
 )
-from .words import DEFAULT_WORD_CAP, IDENTITY, GeneratorSymbol, GenFamily, Word, _frozen, _trusted
+from .words import DEFAULT_WORD_CAP, IDENTITY, GenFamily, Word, _frozen, _trusted
 
 __all__ = [
     "Surface",
@@ -264,36 +263,46 @@ def tau_hat(surface: Surface, n: int) -> FibreElement:
 
 # The most (surface, n) whose boundary data _boundary_images holds at once.
 # Within the tower bound the largest entry is (s2, 72): the full twist on 71
-# strands squared and inverse squared (4,970 letters each) and 72 vectors of
-# 71 ints, 1.6 MB by tracemalloc; 16 such entries would hold 26 MB.
+# strands squared and inverse squared (4,970 letters each), 72 vectors of 71
+# ints and 72 sparse columns, the last of 2,556 entries: 1.78 MB by
+# tracemalloc on a first call, 0.09 MB of it the columns; 16 such entries
+# would hold 29 MB.
 _BOUNDARY_ENTRIES = 16
 
 
 class _Boundary(NamedTuple):
     """The tower constants of the boundary map at one (surface, n)."""
 
-    # R_{n-1}'s {generator: column} map, in presentation order; only read.
-    columns: dict[GeneratorSymbol, int]
     labels: tuple[str, ...]  # pi2_basis(surface, n)
     tau_hat_squared: FibreElement
     images: tuple[FibreElement, ...]  # one per label, in label order
+    lines: tuple[dict[int, int], ...]  # boundary_matrix_ab's columns, sparse; only read
+    rows: int  # its row count: n - 1 loop slots, then R_{n-1}'s generators
 
 
 @lru_cache(maxsize=_BOUNDARY_ENTRIES)
 def _boundary_images(surface: Surface, n: int) -> _Boundary:
     """tau_hat squared, built once, and the image of every pi_2 basis
-    label (see boundary_image) at one (surface, n): the first n-1 labels
-    map to the delta generators in slot order, the final label to the
-    image that carries tau_hat squared.  No caller changes the values, so
-    every caller shares them."""
+    label (see boundary_image) at one (surface, n), with each image's
+    abelianized column (its z_part, then the exponent line of its r_part
+    past the n-1 loop slots): the first n-1 labels map to the delta
+    generators in slot order, the final label to the image that carries
+    tau_hat squared.  No caller changes the values, so every caller shares
+    them."""
     labels = pi2_basis(surface, n)
     half = tau_hat(surface, n)
     squared = half * half
     ones = FibreElement(surface, n, IDENTITY, (1,) * (n - 1))  # the sum of all deltas
     final = squared * ones.inverse() if surface is Surface.RP2 else ones * squared.inverse()
-    deltas = [delta_generator(surface, n, i) for i in range(n - 1)]
+    images = (*[delta_generator(surface, n, i) for i in range(n - 1)], final)
     columns = {g: c for c, g in enumerate(_fibre_tower(surface, n).all_generators())}
-    return _Boundary(columns, labels, squared, (*deltas, final))
+    lines = []
+    for img in images:
+        line = {t: x for t, x in enumerate(img.z_part) if x}
+        for c, x in _exponent_line(img.r_part, columns).items():
+            line[n - 1 + c] = x
+        lines.append(line)
+    return _Boundary(labels, squared, images, tuple(lines), n - 1 + len(columns))
 
 
 def boundary_image(surface: Surface, n: int, basis_label: str) -> FibreElement:
@@ -343,20 +352,6 @@ def strict_corollary_discrepancy(surface: Surface, n: int) -> FibreElement:
 # --- abelianized boundary -----------------------------------------------------
 
 
-def _boundary_lines(surface: Surface, n: int) -> tuple[list[dict[int, int]], int]:
-    """The n columns of boundary_matrix_ab as sparse lines, with its row
-    count: each image's z_part, then the exponent line of its r_part
-    shifted past the n-1 loop slots."""
-    data = _boundary_images(surface, n)
-    lines = []
-    for img in data.images:
-        line = {t: x for t, x in enumerate(img.z_part) if x}
-        for c, x in _exponent_line(img.r_part, data.columns).items():
-            line[n - 1 + c] = x
-        lines.append(line)
-    return lines, n - 1 + len(data.columns)
-
-
 def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     """Matrix of the boundary map on H1.
 
@@ -366,8 +361,8 @@ def boundary_matrix_ab(surface: Surface, n: int) -> IntMatrix:
     only Smith-form invariants and cokernels are contractual.  The checks
     below read the same columns as sparse lines and never build this.
     """
-    lines, rows = _boundary_lines(surface, n)
-    return _dense(rows, n, lines, False)
+    data = _boundary_images(surface, n)
+    return _dense(data.rows, n, data.lines, False)
 
 
 @_frozen
@@ -393,15 +388,15 @@ def exactness_report(surface: Surface, n: int) -> ExactnessReport:
     Z^{n-1} with trivial cokernel, so the braid factor alone carries the
     quotient.
 
-    Both Smith reductions run on the transpose, whose rows are the n
-    boundary columns as sparse lines and which has the same rank and
-    invariant factors: the whole matrix, then its columns cut to the loop
-    slots.  No dense matrix is built.
+    Both are read from cokernels of the n boundary columns as sparse
+    lines: the rank is the row count less the free rank of the matrix's
+    cokernel, and saturation is a trivial cokernel of the columns cut to
+    the loop slots.  No dense matrix is built.
     """
-    lines, rows = _boundary_lines(surface, n)
-    rank = _smith(lines, rows).rank
-    z_sf = _smith([{t: x for t, x in line.items() if t < n - 1} for line in lines], n - 1)
-    saturated = z_sf.rank == n - 1 and all(d == 1 for d in z_sf.d)
+    data = _boundary_images(surface, n)
+    rank = data.rows - _cokernel_of_lines(data.rows, data.lines).free_rank
+    loops = ({t: x for t, x in line.items() if t < n - 1} for line in data.lines)
+    saturated = _cokernel_of_lines(n - 1, loops) == FGAbelianGroup(0)
     return ExactnessReport(surface, n, rank, rank == n, saturated)
 
 
@@ -434,9 +429,9 @@ def quotient_check(surface: Surface, n: int) -> QuotientReport:
     give the same H1).  The two must agree as canonical FGAbelianGroup
     values.
     """
-    lines, rows = _boundary_lines(surface, n)
-    side_a = _cokernel_of_lines(rows, lines)
-    squared = _boundary_images(surface, n).tau_hat_squared
+    data = _boundary_images(surface, n)
+    side_a = _cokernel_of_lines(data.rows, data.lines)
+    squared = data.tau_hat_squared
     side_b = h1(quotient_by(fibre_presentation(surface, n), [squared.r_part]))
     return QuotientReport(surface, n, side_a, side_b)
 
@@ -513,8 +508,8 @@ def split_ses_check(
     equal A^{n-1} as a canonical FGAbelianGroup.  A vector with no +1/-1
     entry raises NoUnitCoordinateError: the argument needs a unit somewhere
     and promises nothing without one.  n past MAX_SPLIT_N is refused before
-    the vector is read, and a relation matrix past MAX_MATRIX_CELLS before
-    anything of A's size is built.
+    the vector is read, and a relation matrix past MAX_MATRIX_CELLS at the
+    first relation past the bound, which the cokernel builds one by one.
     """
     if n < 2:
         raise InvalidArgumentError(f"split_ses_check needs n >= 2, got n = {n}")
@@ -533,14 +528,13 @@ def split_ses_check(
 
     free, torsion = coeff.free_rank, coeff.torsion
     gsize = free + len(torsion)
-    # The quotient's relation matrix, before any column of it is built.
-    _check_cells(n * gsize, n * len(torsion) + gsize)
-
     # Present A^n / im Theta: ambient Z^{n*gsize}, relations, as sparse
     # columns, the torsion orders in every copy plus one Theta image per
-    # generator of A.
-    columns = [{c * gsize + free + t: d} for c in range(n) for t, d in enumerate(torsion)]
-    columns += [{c * gsize + a: x for c, x in enumerate(vec) if x} for a in range(gsize)]
+    # generator of A: distinct and non-zero, so the cokernel keeps them all.
+    columns = chain(
+        ({c * gsize + free + t: d} for c in range(n) for t, d in enumerate(torsion)),
+        ({c * gsize + a: x for c, x in enumerate(vec) if x} for a in range(gsize)),
+    )
     quotient = _cokernel_of_lines(n * gsize, columns)
     # n - 1 copies of a divisibility chain, sorted, are again one.
     expected = FGAbelianGroup(free * (n - 1), tuple(sorted(torsion * (n - 1))))
@@ -578,8 +572,8 @@ def nonsplit_witness_s2(n: int) -> NonSplitReport:
             f"the non-splitting witness needs n >= 3, got n = {n}"
         )
     middle = h1(fibre_presentation(Surface.S2, n)).direct_sum(FGAbelianGroup(n - 1))
-    lines, rows = _boundary_lines(Surface.S2, n)
-    quot = _cokernel_of_lines(rows, lines)
+    data = _boundary_images(Surface.S2, n)
+    quot = _cokernel_of_lines(data.rows, data.lines)
     return NonSplitReport(
         n, middle, quot, not has_torsion(middle), 2 in quot.torsion
     )

@@ -385,7 +385,6 @@ def test_boundary_checks_recompute_their_answers_on_every_call(monkeypatch, call
     # Every Smith reduction, public or internal, enters through _smith.
     counts = {"_smith": 0, "comb": 0}
     _counting(monkeypatch, abelian, "_smith", counts)
-    _counting(monkeypatch, fibration, "_smith", counts)
     _counting(monkeypatch, combing, "comb", counts)
     fibration._boundary_images.cache_clear()
 
@@ -401,15 +400,25 @@ def test_boundary_checks_recompute_their_answers_on_every_call(monkeypatch, call
     assert run() == first
 
 
-def test_boundary_images_are_built_once_per_surface_and_n():
+def test_boundary_images_are_built_once_per_surface_and_n(monkeypatch):
+    # The abelianized boundary columns are tower constants too: the first
+    # build makes one exponent line per image, and no later call makes any.
+    counts = {"_exponent_line": 0}
+    _counting(monkeypatch, fibration, "_exponent_line", counts)
     fibration._boundary_images.cache_clear()
     for surface, n in ((S2, 5), (RP2, 4)):
+        counts["_exponent_line"] = 0
         for label in pi2_basis(surface, n):
             boundary_image(surface, n, label)
+        assert counts["_exponent_line"] == n
         boundary_matrix_ab(surface, n)
         quotient_check(surface, n)
+        exactness_report(surface, n)
+        if surface is S2:
+            nonsplit_witness_s2(n)
         boundary_sum_identity(surface, n)
         strict_corollary_discrepancy(surface, n)
+        assert counts["_exponent_line"] == n
     info = fibration._boundary_images.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
     assert info.maxsize == fibration._BOUNDARY_ENTRIES

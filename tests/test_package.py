@@ -3,8 +3,9 @@ and read somewhere in the package or the acceptance suite, the abelian and
 fibration layers load on first use (a comb or a group suite never loads
 them), every name a module imports is used, every private function, method
 or class a module defines is read somewhere in the package, every
-generator symbol is built by the one constructor that shares them, no tuple
-is built from a lazy iterator, and the CLI writes JSON in one place."""
+generator symbol is built by the one constructor that shares them, the
+private names a module takes from a sibling are pinned, no tuple is built
+from a lazy iterator, and the CLI writes JSON in one place."""
 
 from __future__ import annotations
 
@@ -223,6 +224,62 @@ def test_unread_private_definitions_are_found():
 def test_no_unread_private_definitions(path):
     package = [p.read_text() for p in PACKAGE_SOURCES]
     assert unread_private_definitions(path.read_text(), package) == []
+
+
+def private_imports(source: str) -> dict[str, tuple[str, ...]]:
+    """The _names that source takes from each sibling module, by
+    `from .sibling import _name` or as `sibling._name` after
+    `from . import sibling`, sorted, for the siblings it takes any from."""
+    tree = ast.parse(source)
+    siblings = {}
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None:
+                    siblings[a.asname or a.name] = a.name
+                else:
+                    taken.setdefault(node.module, set()).add(a.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in siblings:
+                taken.setdefault(siblings[node.value.id], set()).add(node.attr)
+    private = {
+        module: tuple(sorted(n for n in names if n.startswith("_") and not n.endswith("__")))
+        for module, names in sorted(taken.items())
+    }
+    return {module: names for module, names in private.items() if names}
+
+
+def test_private_imports_are_found():
+    source = (
+        "from . import engine as eng, tables\n"
+        "from .words import Word, _frozen, __all__\n"
+        "from .engine import _fill as fill\n"
+        "import json\n"
+        "def run(w):\n"
+        "    json._default_encoder\n"
+        "    return eng._Comber(tables.build(w)), eng.comb(w)\n"
+    )
+    assert private_imports(source) == {"engine": ("_Comber", "_fill"), "words": ("_frozen",)}
+
+
+# The private names each module takes from a sibling: a new coupling
+# between modules shows up as a change to this pin.
+PRIVATE_IMPORTS = {
+    "abelian": {"words": ("_frozen", "_set")},
+    "combing": {"words": ("_frozen", "_trusted")},
+    "fibration": {
+        "abelian": ("_cokernel_of_lines", "_dense", "_exponent_line", "_require_integers"),
+        "words": ("_frozen", "_trusted"),
+    },
+    "presentations": {"words": ("_frozen", "_set", "_trusted")},
+}
+
+
+def test_private_imports_between_modules_are_pinned():
+    found = {p.stem: private_imports(p.read_text()) for p in PACKAGE_SOURCES}
+    assert {module: taken for module, taken in found.items() if taken} == PRIVATE_IMPORTS
 
 
 def unread_exports(source: str, package: list[str], named: str) -> list[str]:

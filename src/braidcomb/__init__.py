@@ -13,6 +13,9 @@ Its source runs on the first attribute read or vars() of it, and binds its
 __all__ into the package.  Until then the package's __getattr__ reads the
 layers' __all__ in turn, which loads them: an abelian name loads abelian
 alone, while a star import, dir() or a name the package lacks loads both.
+Once both have loaded, the package binds __all__ and deletes __getattr__,
+which, while present, keeps CPython from specializing a read of any
+braidcomb.<name>.
 
 Before CPython 3.12.3 (gh-114763), LazyLoader does not guard a layer's
 first load against a concurrent first read from another thread, which
@@ -24,6 +27,10 @@ from .errors import *
 from .words import *
 from .presentations import *
 from .combing import *
+
+
+# The layers whose source has not run yet.
+_unloaded: set[str] = set()
 
 
 class _BindingLoader:
@@ -42,6 +49,10 @@ class _BindingLoader:
         self.loader.exec_module(module)
         namespace = module.__dict__
         globals().update({name: namespace[name] for name in namespace["__all__"]})
+        _unloaded.discard(module.__name__)
+        if not _unloaded:
+            globals()["__all__"] = _public_names()
+            globals().pop("__getattr__", None)
 
 
 def _lazy_layer(layer: str):
@@ -55,6 +66,7 @@ def _lazy_layer(layer: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
+    _unloaded.add(spec.name)
     return module
 
 
@@ -65,11 +77,15 @@ fibration = _lazy_layer("fibration")
 _EAGER_NAMES = [name for name in globals() if not name.startswith("_")]
 
 
+def _public_names() -> list[str]:
+    return _EAGER_NAMES + abelian.__all__ + fibration.__all__
+
+
 def __getattr__(name: str):
-    # Reached only for a name the package does not hold: a layer's load
-    # binds its names, and __all__ is never bound.
+    # Reached only for a name the package does not hold while a layer is
+    # unloaded: a layer's load binds its names, and the second binds __all__.
     if name == "__all__":
-        return _EAGER_NAMES + abelian.__all__ + fibration.__all__
+        return _public_names()
     for layer in (abelian, fibration):
         if name in layer.__all__:
             return getattr(layer, name)
@@ -77,7 +93,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__getattr__("__all__")})
+    return sorted({*globals(), *_public_names()})
 
 
 __version__ = "0.1.0"

@@ -342,10 +342,6 @@ class _Comber:
         ]
         self._room = _PAIR_WORDS
 
-    def code(self, v: int) -> int:
-        """The tower code of the signed id v."""
-        return len(self.symbols) + v
-
     def encode(self, w: Word) -> list[int]:
         n = len(self.symbols)
         out = []

@@ -212,11 +212,17 @@ def fibre_elements_equal(
     a: FibreElement, b: FibreElement, word_cap: int = DEFAULT_WORD_CAP
 ) -> bool:
     """Group equality in the fibre: z-vectors on the nose, braid parts
-    through the combing engine."""
+    through the combing engine.
+
+    Two braid parts that are the same reduced word within word_cap are
+    equal without a comb; a longer one is combed, and refused as an input
+    word past the cap."""
     if (a.surface, a.n) != (b.surface, b.n):
         raise InvalidArgumentError("elements live in different fibre groups")
     if a.z_part != b.z_part:
         return False
+    if len(a.r_part) <= word_cap and a.r_part == b.r_part:
+        return True
     return words_equal(_fibre_tower(a.surface, a.n), a.r_part, b.r_part, word_cap)
 
 
@@ -604,7 +610,8 @@ def boundary_sum_identity(
 
     Signs are all positive except over the sphere, where the ``-z0`` image
     enters inverted.  Z-coordinates must cancel to zero exactly; the braid
-    parts are compared by combing.
+    parts are compared by fibre_elements_equal, which needs no comb when
+    the product is tau_hat squared letter for letter.
     """
     data = _boundary_images(surface, n)
     total = FibreElement.identity(surface, n)

@@ -54,6 +54,11 @@ G4 = orbit_presentation(4)
 P4 = artin_presentation(4)
 
 
+def _tower_code(c, v):
+    """The tower code, in the engine c, of the signed generator id v."""
+    return len(c.symbols) + v
+
+
 def gen_word(symbol, exponent=1):
     return Word((Letter(symbol, exponent),))
 
@@ -219,11 +224,11 @@ def _inverse_table_dump(family, n):
     c = combing._Comber(TowerSpec(family, n))
     lines = []
     for actor in c.symbols:
-        x = c.code(-c.ids[actor])
+        x = _tower_code(c, -c.ids[actor])
         for target in c.symbols:
             if actor.level >= target.level:
                 continue
-            for y in map(c.code, (c.ids[target], -c.ids[target])):
+            for y in (_tower_code(c, v) for v in (c.ids[target], -c.ids[target])):
                 image = c.word(target.level, c.table(x, target.level)[c.local[y]][::-1])
                 lines.append(f"{c.letter(x)} {c.letter(y)} -> {format_word(image)}\n")
     return "".join(lines)
@@ -250,7 +255,7 @@ def test_inverse_fill_refuses_a_substitution_it_cannot_undo(images):
     c = combing._Comber(G2.tower)
     forward = images(c.ids[orbit_gen(2, 0)], c.ids[orbit_gen(2, 1)])
     c._forward_image = lambda x, y: forward.get(y, (y,))
-    x = c.code(-c.ids[orbit_gen(1, 0)])
+    x = _tower_code(c, -c.ids[orbit_gen(1, 0)])
     with pytest.raises(AssertionError, match=r"inverse action of r\(1,0\) on level 2 "):
         c.table(x, 2)
     assert not any(c._actions)
@@ -305,7 +310,7 @@ def test_a_miss_fills_one_whole_level_of_one_table(p):
     for k in range(lowest + 1, p.tower.n + 1):
         for v in (1, -1):
             c = combing._Comber(p.tower)
-            x = c.code(v)
+            x = _tower_code(c, v)
             c.table(x, k)
             assert [set(actions) for actions in c._actions] == [
                 {x} if j == k else set() for j in range(p.tower.n + 1)
@@ -772,11 +777,11 @@ def test_blocked_cap_check_is_exact_where_an_inverse_image_is_longest():
     # per-letter check does, at every cap up to the word's peak.
     engines = combing._Comber(G4.tower), _PerLetterComber(G4.tower)
     c = engines[0]
-    x = c.code(-c.ids[orbit_gen(2, 0)])
+    x = _tower_code(c, -c.ids[orbit_gen(2, 0)])
     table = c.table(x, 4)
     # Letters of one sign, so that the level word does not cancel.
     longest = [c.level_letters[4][y] for y, image in enumerate(table) if y > c.ranks[4] and len(image) == 25]
-    forward = combing._Comber(G4.tower).table(c.code(c.ids[orbit_gen(2, 0)]), 4)
+    forward = combing._Comber(G4.tower).table(_tower_code(c, c.ids[orbit_gen(2, 0)]), 4)
     assert longest and max(len(image) for image in forward if image) == 21
     w = reduce([Letter(orbit_gen(2, 0), -1)] + [longest[i % len(longest)] for i in range(12)])
     outcomes = {}
@@ -1076,7 +1081,8 @@ def test_a_mirrored_relator_no_longer_stops_the_scan():
 def test_longest_bounds_every_stored_image(family, top):
     for n in range(1, top + 1):
         c = combing._Comber(TowerSpec(family, n))
-        for x in map(c.code, (*range(1, len(c.symbols) + 1), *range(-len(c.symbols), 0))):
+        ids = len(c.symbols)
+        for x in (_tower_code(c, v) for v in (*range(1, ids + 1), *range(-ids, 0))):
             for k in range(c.level_of[x] + 1, n + 1):
                 c.table(x, k)
         images = [
@@ -1118,7 +1124,7 @@ def test_a_code_planted_off_level_is_refused(planted, named, store, monkeypatch)
         _no_pair_store(monkeypatch)
     for text in ("r(1,0) r(1,0) r(2,0)", "r(1,0) r(1,0) r(2,1) r(2,0)", "r(1,0) r(1,0) r(2,0) r(2,1)"):
         c = combing._Comber(G3.tower)
-        x, y = c.code(c.ids[orbit_gen(1, 0)]), c.code(c.ids[orbit_gen(2, 0)])
+        x, y = (_tower_code(c, c.ids[orbit_gen(j, 0)]) for j in (1, 2))
         c.table(x, 2)[c.local[y]] = (planted,)
         with pytest.raises(InvalidArgumentError, match=re.escape(f"component at level 2 contains {named}")):
             c.comb(c.encode(parse_word(text)), DEFAULT_WORD_CAP)
@@ -1145,8 +1151,8 @@ def test_a_pair_whose_images_cancel_is_refused():
     # refusal, never an IndexError from the empty image.
     c = combing._Comber(G2.tower)
     x, y, z = (c.ids[orbit_gen(*indices)] for indices in ((1, 0), (2, 0), (2, 1)))
-    table = c.table(c.code(x), 2)
-    y, z, y_inverse = (c.local[c.code(v)] for v in (y, z, -y))
+    table = c.table(_tower_code(c, x), 2)
+    y, z, y_inverse = (c.local[_tower_code(c, v)] for v in (y, z, -y))
     table[y], table[z] = (y,), (y_inverse,)
     with pytest.raises(
         InvalidArgumentError,
@@ -1315,7 +1321,7 @@ def test_the_pair_store_filled_to_its_budget_is_small(n):
     m = c.ranks[n]
     codes = [a for a in range(2 * m + 1) if a != m]
     rng = random.Random(n)
-    actors = [c.code(v) for v in range(1, 41)]
+    actors = [_tower_code(c, v) for v in range(1, 41)]
     for x in actors:
         c.table(x, n)
     step = 2 * (2 * m + 1) + 2 * c.longest + 5
@@ -1351,8 +1357,8 @@ def test_integer_output_check_is_live(monkeypatch):
     # broken action table must surface as a typed error, never as a word.
     c = combing._Comber(G2.tower)
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
-    x = c.code(c.ids[orbit_gen(1, 0)])
-    y, y_inverse = (c.local[c.code(v * c.ids[orbit_gen(2, 0)])] for v in (1, -1))
+    x = _tower_code(c, c.ids[orbit_gen(1, 0)])
+    y, y_inverse = (c.local[_tower_code(c, v * c.ids[orbit_gen(2, 0)])] for v in (1, -1))
     w = parse_word("r(1,0) r(2,0)")
     c.table(x, 2)[y] = (c.ranks[2],)  # the code that is no letter in a level-2 image
     with pytest.raises(InvalidArgumentError):
@@ -1469,8 +1475,8 @@ def test_conjugation_action_checks_its_image(monkeypatch):
     # test_integer_output_check_is_live, read straight off the table.
     c = combing._Comber(G2.tower)
     monkeypatch.setattr(combing, "_comber_for", lambda tower: c)
-    x = c.code(c.ids[orbit_gen(1, 0)])
-    y, y_inverse = (c.local[c.code(v * c.ids[orbit_gen(2, 0)])] for v in (1, -1))
+    x = _tower_code(c, c.ids[orbit_gen(1, 0)])
+    y, y_inverse = (c.local[_tower_code(c, v * c.ids[orbit_gen(2, 0)])] for v in (1, -1))
     actor, target = Letter(orbit_gen(1, 0)), Letter(orbit_gen(2, 0))
     c.table(x, 2)[y] = (c.ranks[2],)
     with pytest.raises(
@@ -1507,7 +1513,7 @@ def test_trusted_decode_matches_the_checked_constructors(tower):
     top = tower.n
     for length in (0, 1, 2, 100, 137):
         part = _reduced_part(rng, c, top, length)
-        w = c.word(top, [c.local[c.code(v)] for v in part])
+        w = c.word(top, [c.local[_tower_code(c, v)] for v in part])
         # A one-index itemgetter returns a bare Letter, not a tuple.
         assert type(w.letters) is tuple
         assert w == checked(part) and len(w) == length

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from functools import reduce
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidcomb import abelian, combing, fibration
 from braidcomb.abelian import FGAbelianGroup, IntMatrix, cokernel, smith_normal_form
-from braidcomb.errors import InvalidArgumentError, NoUnitCoordinateError
+from braidcomb.errors import InvalidArgumentError, NoUnitCoordinateError, WordSizeExceededError
 from braidcomb.fibration import (
     MAX_SPLIT_N,
     ExactnessReport,
@@ -153,6 +154,71 @@ def test_fibre_elements_equal_uses_group_equality():
     assert not fibre_elements_equal(a, FibreElement(RP2, 3, parse_word("r(2,1)"), (1, 5)))
     with pytest.raises(InvalidArgumentError):
         fibre_elements_equal(a, FibreElement(RP2, 4, IDENTITY, (0, 0, 0)))
+
+
+def _fibre_word_pairs(surface, n, rng):
+    """Pairs of braid parts over the fibre alphabet of (surface, n): a word
+    with itself, with a fibre relator inserted into it, and two words of
+    one length that differ in their last letter."""
+    p = fibre_presentation(surface, n)
+    letters = [Letter(g, e) for g in p.generators for e in (1, -1)]
+    for _ in range(6):
+        u = reduce_word([rng.choice(letters) for _ in range(rng.randrange(1, 12))])
+        at = rng.randrange(len(u) + 1)
+        relator = rng.choice(p.relators)
+        yield u, u
+        yield u, reduce_word(u.letters[:at] + relator.letters + u.letters[at:])
+        last = u.letters[-1]
+        g, h = rng.sample([x for x in letters if x != Letter(last.symbol, -last.exponent)], 2)
+        yield u * Word((g,)), u * Word((h,))
+    twist = tau_hat(surface, n).r_part
+    yield twist * twist, twist * twist
+
+
+@pytest.mark.parametrize(
+    "surface, n", [(S2, 4), (S2, 5), (S2, 6), (RP2, 3), (RP2, 4), (RP2, 5)]
+)
+def test_fibre_elements_equal_agrees_with_words_equal(surface, n):
+    # Identical words skip the comb; the answer must be the comb's anyway.
+    rng = random.Random(n)
+    zero = (0,) * (n - 1)
+    tower = fibration._fibre_tower(surface, n)
+    kinds = set()
+    for u, v in _fibre_word_pairs(surface, n, rng):
+        expected = combing.words_equal(tower, u, v)
+        a, b = FibreElement(surface, n, u, zero), FibreElement(surface, n, v, zero)
+        assert fibre_elements_equal(a, b) is expected, (u, v)
+        kinds.add((u == v, expected))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_only_different_words_are_combed(monkeypatch):
+    counts = {"comb": 0}
+    _counting(monkeypatch, combing, "comb", counts)
+    for surface, n in ((S2, 7), (RP2, 6)):
+        assert boundary_sum_identity(surface, n).ok
+    assert counts["comb"] == 0
+    theta = parse_word("r(1,0) r(2,0)")
+    a = FibreElement(RP2, 3, theta * parse_word("r(2,1)") * theta.inverse(), (0, 0))
+    b = FibreElement(RP2, 3, parse_word("r(2,1)"), (0, 0))
+    assert fibre_elements_equal(a, b)
+    assert counts["comb"] == 2
+
+
+def test_an_identical_pair_past_the_cap_is_refused_as_an_input_word():
+    # Past the cap, the pair is combed and refused as words_equal refuses
+    # it; at the cap it is decided without a comb, whose intermediate
+    # words would pass the cap.
+    w = tau_hat(S2, 6).r_part
+    cap = len(w) - 1
+    with pytest.raises(WordSizeExceededError) as combed:
+        combing.words_equal(fibration._fibre_tower(S2, 6), w, w, cap)
+    a = FibreElement(S2, 6, w, (0,) * 5)
+    with pytest.raises(WordSizeExceededError) as refused:
+        fibre_elements_equal(a, a, cap)
+    assert refused.value.length == combed.value.length == len(w)
+    assert str(refused.value) == str(combed.value) == f"input word of length {len(w)} exceeds the cap of {cap}"
+    assert fibre_elements_equal(a, a, len(w))
 
 
 def test_pi2_basis_labels():
@@ -381,11 +447,14 @@ def _counting(monkeypatch, module, name, counts):
 )
 def test_boundary_checks_recompute_their_answers_on_every_call(monkeypatch, call, surface, n):
     # Only tower constants are cached: a second call on the same (surface, n)
-    # runs as many Smith reductions and combs as the first, which built them.
-    # Every Smith reduction, public or internal, enters through _smith.
-    counts = {"_smith": 0, "comb": 0}
+    # runs as many Smith reductions, combs and fibre equality tests as the
+    # first, which built them.  Every Smith reduction, public or internal,
+    # enters through _smith; boundary_sum_identity combs nothing, since its
+    # product is tau_hat squared letter for letter, but tests it again.
+    counts = {"_smith": 0, "comb": 0, "fibre_elements_equal": 0}
     _counting(monkeypatch, abelian, "_smith", counts)
     _counting(monkeypatch, combing, "comb", counts)
+    _counting(monkeypatch, fibration, "fibre_elements_equal", counts)
     fibration._boundary_images.cache_clear()
 
     def run():

@@ -148,6 +148,36 @@ def test_a_star_import_binds_every_public_name():
     assert proc.stdout.split() == ["True", "83"]
 
 
+_UNHOOKED = """
+import braidcomb
+def state():
+    names = vars(braidcomb)
+    return "__getattr__" in names, "__all__" in names
+print(state())
+braidcomb.h1
+print(state())
+braidcomb.tau_hat
+public = sorted(name for name in vars(braidcomb) if not name.startswith("_"))
+print(state(), sorted(braidcomb.__all__) == public, len(public))
+try:
+    braidcomb.nosuch
+except AttributeError as exc:
+    print(repr(str(exc)))
+"""
+
+
+def test_the_package_drops_its_getattr_once_both_layers_have_loaded():
+    # A module __getattr__ keeps CPython from specializing braidcomb.<name>
+    # reads, so it goes, and __all__ is bound, once it has nothing to load.
+    proc = _fresh_python("-c", _UNHOOKED)
+    assert proc.stdout.splitlines() == [
+        "(True, False)",
+        "(True, False)",
+        "(False, True) True 83",
+        "\"module 'braidcomb' has no attribute 'nosuch'\"",
+    ]
+
+
 def unused_imports(source: str) -> list[str]:
     """The names bound by the imports in source that it neither reads nor
     lists in __all__."""
